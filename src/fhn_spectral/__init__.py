@@ -47,8 +47,6 @@ from .noise import (
     PathStream,
     convolution_sup_statistics,
     convolution_trace_integral,
-    exact_ou_step,
-    sample_increment,
     trace_Q,
 )
 from .solver import (
@@ -60,7 +58,6 @@ from .solver import (
     eps_convergence_study,
     integrate,
     run_ensemble,
-    step,
 )
 
 __all__ = [
@@ -89,14 +86,11 @@ __all__ = [
     "NoiseSpec",
     "PathStream",
     "trace_Q",
-    "sample_increment",
-    "exact_ou_step",
     "convolution_trace_integral",
     "convolution_sup_statistics",
     "TrajectoryConfig",
     "TrajectoryRecord",
     "BlowUpError",
-    "step",
     "integrate",
     "run_ensemble",
     "coupled_run",

@@ -33,6 +33,7 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
 from .ergodics import (
+    _KS_COEFF_5PCT,
     empirical_mode_covariances,
     estimate_moments,
     linear_invariant_covariance,
@@ -62,8 +63,6 @@ from .solver import (
     eps_convergence_study,
     run_ensemble,
 )
-
-_KS_COEFF_5PCT = 1.358
 
 
 @dataclass

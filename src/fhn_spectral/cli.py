@@ -39,7 +39,7 @@ from .ergodics import (
 )
 from .kolmogorov import CylinderFunction, dynkin_residual
 from .model import StateH, build_eigenbasis
-from .solver import BlowUpError, coupled_run, eps_convergence_study, run_ensemble
+from .solver import BlowUpError, backward_run, coupled_run, eps_convergence_study, run_ensemble
 
 EXIT_OK = 0
 EXIT_ACCEPTANCE = 1
@@ -193,6 +193,34 @@ def cmd_convergence(args: argparse.Namespace) -> int:
         ),
     )
     print(f"convergence: slope={report.slope:.3f} r2={report.r2:.4f} -> {out}")
+    return EXIT_OK
+
+
+def cmd_backward(args: argparse.Namespace) -> int:
+    cfg = _load(args)
+    out = _out_dir(args, "backward")
+    params = build_params(cfg)
+    basis = build_eigenbasis(params)
+    spec = build_noise(cfg)
+    run_cfg = build_run_config(cfg, params, basis)
+    ladder = cfg.get("backward", {}).get("lambda_ladder", [5.0, 10.0, 20.0, 40.0])
+    report = backward_run(ladder, run_cfg.x0, run_cfg, params, basis, spec, n_paths=cfg["paths"])
+    rows = [
+        [lam, gam, d, report.distance_se[(lam, gam)]] for (lam, gam), d in report.distances.items()
+    ]
+    write_csv(out / "distances.csv", ["lambda", "gamma", "distance", "se"], rows)
+    write_json(
+        out / "summary.json",
+        _summary(
+            cfg,
+            fit_rate=report.fit_rate,
+            fit_r2=report.fit_r2,
+            second_moments={f"{k:g}": v for k, v in report.second_moment.items()},
+            envelope={f"{k:g}": v for k, v in report.envelope.items()},
+            envelope_constant=report.envelope_constant,
+        ),
+    )
+    print(f"backward: fit rate={report.fit_rate:.4f} r2={report.fit_r2:.4f} -> {out}")
     return EXIT_OK
 
 
@@ -408,6 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
         "simulate": cmd_simulate,
         "couple": cmd_couple,
         "convergence": cmd_convergence,
+        "backward": cmd_backward,
         "moments": cmd_moments,
         "invariant": cmd_invariant,
         "linear-oracle": cmd_linear_oracle,
@@ -420,7 +449,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="master seed override")
         p.add_argument("--paths", type=int, default=None, help="ensemble size override")
         p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--quick", action="store_true", help="reduced-cost smoke run")
+        if name == "acceptance":
+            p.add_argument("--quick", action="store_true", help="reduced-cost smoke run")
         if name == "dynkin":
             p.add_argument("--h-modes", type=str, default=None, help="comma list of u-channel modes")
             p.add_argument("--t", type=float, default=None)

@@ -41,6 +41,7 @@ _TOP_KEYS = {
     "paths",
     "couple",
     "convergence",
+    "backward",
     "moments",
     "invariant",
     "linear_oracle",
@@ -126,7 +127,8 @@ def merge_config(raw: dict[str, Any]) -> dict[str, Any]:
 _EXPERIMENT_KEYS = {
     "couple": {"x0_a", "x0_b", "envelope_tol"},
     "convergence": {"eps_ladder"},
-    "moments": {"m"},
+    "backward": {"lambda_ladder"},
+    "moments": set(),
     "invariant": {
         "burn_in",
         "n_time_samples",
@@ -151,6 +153,14 @@ def validate_config(cfg: dict[str, Any]) -> None:
         if not isinstance(block, dict):
             raise ConfigError(block_name, "must be an object")
         _reject_unknown(block, allowed, block_name)
+    for block_name, key in (("convergence", "eps_ladder"), ("backward", "lambda_ladder")):
+        ladder = cfg.get(block_name, {}).get(key)
+        if ladder is not None and (
+            not isinstance(ladder, list)
+            or not ladder
+            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in ladder)
+        ):
+            raise ConfigError(f"{block_name}.{key}", "expected a non-empty list of numbers")
     model = cfg.get("model", {})
     _reject_unknown(model, _MODEL_KEYS, "model")
     for key in ("alpha", "gamma", "xi1"):

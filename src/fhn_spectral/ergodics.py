@@ -27,7 +27,7 @@ from .model import (
     norm_V_sq_arrays,
 )
 from .nonlinearity import DriftParams, apply_F_arrays
-from .noise import NoiseSpec, PathStream, htrace_mode_cov, stationary_mode_covariances
+from .noise import NoiseSpec, htrace_mode_cov, stationary_mode_covariances
 from .solver import TrajectoryConfig, _simulate_batch, _x0_array, run_ensemble
 
 # two-sample Kolmogorov-Smirnov critical coefficient at the 5% level
@@ -106,7 +106,6 @@ def estimate_moments(
     basis: EigenBasis,
     spec: NoiseSpec,
     n_paths: int = 64,
-    workers: int | None = None,
     records: Sequence | None = None,
 ) -> MomentReport:
     """Monte Carlo curve t -> E|X(t,x)|_H^{2m} with fitted envelope constants.
@@ -119,7 +118,7 @@ def estimate_moments(
     if n_paths < 2:
         raise ValueError("need at least 2 paths for standard errors")
     if records is None:
-        records = run_ensemble(cfg, params, basis, spec, n_paths, workers=workers)
+        records = run_ensemble(cfg, params, basis, spec, n_paths)
     else:
         n_paths = len(records)
     times = records[0].times
@@ -193,7 +192,6 @@ def empirical_mode_covariances(
     spec: NoiseSpec,
     n_paths: int = 256,
     burn_in: float = 50.0,
-    sample_stride: int = 1,
 ) -> np.ndarray:
     """Per-mode second-moment matrices accumulated along an ensemble.
 
@@ -209,7 +207,7 @@ def empirical_mode_covariances(
 
     def on_step(i: int, t: float, state: np.ndarray) -> None:
         nonlocal count
-        if t < t_min or i % sample_stride:
+        if t < t_min:
             return
         u, w = state[..., 0], state[..., 1]
         acc[:, 0, 0] += (u * u).sum(axis=0)
@@ -217,7 +215,6 @@ def empirical_mode_covariances(
         acc[:, 1, 1] += (w * w).sum(axis=0)
         count += state.shape[0]
 
-    streams = [PathStream(n, cfg.master_seed, cfg.path_id + p) for p in range(n_paths)]
     _simulate_batch(
         params,
         basis,
@@ -228,9 +225,8 @@ def empirical_mode_covariances(
         x0=np.broadcast_to(_x0_array(cfg, n), (n_paths, n, 2)),
         drift=cfg.drift,
         eps_by_col=np.full(n_paths, cfg.eps),
-        streams=streams,
-        stream_ids=np.arange(n_paths),
-        record_every=max(1, cfg.n_steps),
+        master_seed=cfg.master_seed,
+        path_ids=cfg.path_id + np.arange(n_paths),
         on_step=on_step,
     )
     if count == 0:
@@ -291,7 +287,6 @@ def estimate_invariant_measure(
     sample_spacing: float = 2.0,
     n_ensemble: int = 128,
     retain_states: bool = True,
-    workers: int | None = None,
 ) -> EmpiricalMeasure:
     """Histograms of scalar functionals under the long-run empirical law.
 
@@ -314,7 +309,7 @@ def estimate_invariant_measure(
         record_every=spacing_steps,
         record_snapshots=True,
     )
-    long_rec = run_ensemble(long_cfg, params, basis, spec, 1, workers=1)[0]
+    long_rec = run_ensemble(long_cfg, params, basis, spec, 1)[0]
     # the trailing n_time_samples records all sit past the burn-in window
     states_t = long_rec.snapshots[-n_time_samples:]
 
@@ -325,7 +320,7 @@ def estimate_invariant_measure(
         record_snapshots=False,
         path_id=cfg.path_id + 1,        # long run owns path 0 of this seed
     )
-    ens_records = run_ensemble(ens_cfg, params, basis, spec, n_ensemble, workers=workers)
+    ens_records = run_ensemble(ens_cfg, params, basis, spec, n_ensemble)
     states_e = np.stack([r.terminal.as_array() for r in ens_records])
 
     if functionals is None:
@@ -373,7 +368,6 @@ def transition_semigroup(
     params: ModelParams,
     basis: EigenBasis,
     spec: NoiseSpec,
-    workers: int | None = None,
 ) -> tuple[float, float]:
     """Monte Carlo P_t phi(x) = E phi(X(t,x)) with its standard error."""
     if t < 0:
@@ -383,7 +377,7 @@ def transition_semigroup(
         w = x.w_hat[None]
         return float(phi(u, w)[0]), 0.0
     run_cfg = replace(cfg, T=t, x0=x, record_every=max(1, _steps(t, cfg.dt)))
-    records = run_ensemble(run_cfg, params, basis, spec, n_paths, workers=workers)
+    records = run_ensemble(run_cfg, params, basis, spec, n_paths)
     terminals = np.stack([r.terminal.as_array() for r in records])
     vals = np.asarray(phi(terminals[..., 0], terminals[..., 1]), float)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_paths))

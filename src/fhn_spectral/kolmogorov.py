@@ -31,12 +31,13 @@ from .model import (
     EigenBasis,
     ModelParams,
     StateH,
+    _apply_A_arrays,
     inner_product_H,
     norm_H_sq_arrays,
 )
 from .nonlinearity import DriftParams, apply_F_arrays
-from .noise import NoiseSpec, PathStream, build_ou_kernel
-from .solver import TrajectoryConfig, _simulate_batch
+from .noise import NoiseSpec, build_ou_kernel
+from .solver import DRIFT_MODES, TrajectoryConfig, _simulate_batch
 
 # reject paths whose exponent would push phi (or its variance) out of the
 # floating range
@@ -120,22 +121,16 @@ def _drift_pairing_arrays(
     eps: float,
 ) -> np.ndarray:
     """<b(x), h>_H for the effective drift b of the given simulation mode."""
-    if params.p_is_constant:
-        pu = params.p_min * u_hat
-    else:
-        pu = basis.to_coeffs(params.p_grid * basis.to_grid(u_hat))
-    au = basis.mu * u_hat - pu - w_hat
-    aw = params.gamma * u_hat - params.alpha * w_hat
-    if drift == "linear_eta":
-        au = au + params.derived().eta * u_hat
-    elif drift == "fhn":
+    if drift not in DRIFT_MODES:
+        raise ValueError(f"unknown drift mode {drift!r}")
+    eta_shift = params.derived().eta if drift == "linear_eta" else 0.0
+    au, aw = _apply_A_arrays(u_hat, w_hat, params, basis, eta_shift=eta_shift)
+    if drift == "fhn":
         dp = DriftParams(params.xi1, eps)
         if eps == 0.0:
             au = au + apply_F_arrays(u_hat, dp, basis, kind="cubic")
         else:
             au = au + apply_F_arrays(u_hat, dp, basis, kind="eta_eps") + dp.eta * u_hat
-    elif drift != "linear":
-        raise ValueError(f"unknown drift mode {drift!r}")
     return params.gamma * (au @ h.h.u_hat) + aw @ h.h.w_hat
 
 
@@ -242,7 +237,6 @@ def dynkin_residual(
             overflow[bad] = True
             terminal_phi[:] = np.exp(np.where(bad, 0.0, lp))
 
-    streams = [PathStream(n, cfg.master_seed, cfg.path_id + p) for p in range(n_paths)]
     _simulate_batch(
         params,
         basis,
@@ -253,9 +247,8 @@ def dynkin_residual(
         x0=np.broadcast_to(x.as_array(), (n_paths, n, 2)),
         drift=cfg.drift,
         eps_by_col=np.full(n_paths, cfg.eps),
-        streams=streams,
-        stream_ids=np.arange(n_paths),
-        record_every=max(1, n_steps),
+        master_seed=cfg.master_seed,
+        path_ids=cfg.path_id + np.arange(n_paths),
         on_step=on_step,
     )
     ok = ~overflow

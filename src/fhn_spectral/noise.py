@@ -29,7 +29,7 @@ from numpy.random import Generator, Philox
 from scipy.linalg import expm, solve_continuous_lyapunov
 from scipy.special import ndtri, zeta
 
-from .model import EigenBasis, ModelParams, StateH, mode_matrices
+from .model import EigenBasis, ModelParams, mode_matrices
 
 # interval index offset so backward starts stay in unsigned counter range
 _INTERVAL_OFFSET = 1 << 40
@@ -142,14 +142,6 @@ class PathStream:
         return ndtri(np.fmax(u[: self._n_draws], 2.0**-64))
 
 
-def sample_increment(dt: float, spec: NoiseSpec, rng: Generator) -> StateH:
-    """One sqrt(Q) dW increment: independent N(0, lambda_k^i dt) per mode/channel."""
-    if dt < 0:
-        raise ValueError("dt must be >= 0")
-    z = rng.standard_normal((2, spec.n_modes))
-    return StateH(np.sqrt(spec.lambda1 * dt) * z[0], np.sqrt(spec.lambda2 * dt) * z[1])
-
-
 @dataclass
 class OUKernel:
     """Precomputed per-mode exact transition data for a fixed step size.
@@ -217,24 +209,6 @@ def build_ou_kernel(
             cov[k] = s_inf - transition[k] @ s_inf @ transition[k].T
     factor = _psd_sqrt(cov)
     return OUKernel(dt=dt, shifted=shifted, transition=transition, phi1=phi1, cov=cov, factor=factor)
-
-
-def exact_ou_step(
-    xk: np.ndarray,
-    k: int,
-    dt: float,
-    params: ModelParams,
-    basis: EigenBasis,
-    spec: NoiseSpec,
-    rng: Generator,
-    shifted: bool = False,
-) -> np.ndarray:
-    """Exact one-step law of the linear SDE for mode k: e^{M dt} x + N(0, Sigma(dt))."""
-    kernel = build_ou_kernel(params, basis, spec, dt, shifted=shifted)
-    if not (0 <= k < kernel.transition.shape[0]):
-        raise ValueError(f"mode index {k} out of range")
-    mean = kernel.transition[k] @ np.asarray(xk, dtype=float)
-    return mean + kernel.factor[k] @ rng.standard_normal(2)
 
 
 def stationary_mode_covariances(

@@ -157,15 +157,3 @@ def monotonicity_gap(
     fy = apply_F(y, dp, basis, kind="eta")
     diff = StateH(x.u_hat - y.u_hat, x.w_hat - y.w_hat)
     return inner_product_H(StateH(fx.u_hat - fy.u_hat, fx.w_hat - fy.w_hat), diff, params)
-
-
-def drift_scan_table(u_values: np.ndarray, dp: DriftParams) -> dict[str, np.ndarray]:
-    """Columns for the diagnostic CSV export: u, f, f_eta, f_eta_eps, f_eta_eps_prime."""
-    u = np.asarray(u_values, dtype=float)
-    return {
-        "u": u,
-        "f": f(u, dp.xi1),
-        "f_eta": f_eta(u, dp),
-        "f_eta_eps": f_eta_eps(u, dp),
-        "f_eta_eps_prime": f_eta_eps_prime(u, dp),
-    }

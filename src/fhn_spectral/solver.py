@@ -123,13 +123,9 @@ class TrajectoryRecord:
             raise ValueError("recorded norms must be finite")
 
 
-@dataclass
-class _BatchResult:
-    times: np.ndarray
-    h_norm_sq: np.ndarray  # (B, R)
-    v_norm_sq: np.ndarray  # (B, R)
-    terminal: np.ndarray   # (B, N, 2)
-    snapshots: np.ndarray | None
+def _is_record_step(i: int, n_steps: int, record_every: int) -> bool:
+    """Steps whose state is recorded: every ``record_every``-th, plus the last."""
+    return i % record_every == 0 or i == n_steps
 
 
 def _simulate_batch(
@@ -143,14 +139,20 @@ def _simulate_batch(
     x0: np.ndarray,              # (B, N, 2)
     drift: str,
     eps_by_col: np.ndarray,      # (B,)
-    streams: Sequence[PathStream],
-    stream_ids: np.ndarray,      # (B,) indices into streams
-    record_every: int = 1,
-    record_snapshots: bool = False,
+    master_seed: int,
+    path_ids: Sequence[int],     # (B,) columns with equal ids share one noise path
     on_step: Callable[[int, float, np.ndarray], None] | None = None,
-) -> _BatchResult:
-    """Vectorized core integrator; one noise draw per (stream, interval)."""
+) -> np.ndarray:
+    """The integrator: advance B columns for n_steps, return the terminal (B, N, 2) state.
+
+    Each distinct path id owns one counter-based noise stream, drawn once
+    per interval.  ``on_step(i, t, state)`` observes the state after step i
+    (i = 0 is the initial state); it must not modify ``state``.
+    """
     b, n = x0.shape[0], x0.shape[1]
+    path_ids = np.asarray(path_ids)
+    stream_keys, stream_ids = np.unique(path_ids, return_inverse=True)
+    streams = [PathStream(n, master_seed, int(pid)) for pid in stream_keys]
     modes = basis.modes
     proj = modes.T * basis.quad_weight
     eta = params.derived().eta
@@ -206,28 +208,9 @@ def _simulate_batch(
             wn += h * (ph[:, 1, 0] * f_hat)
         return np.stack([un, wn], axis=-1)
 
-    record_steps = list(range(record_every, n_steps + 1, record_every))
-    if n_steps > 0 and (not record_steps or record_steps[-1] != n_steps):
-        record_steps.append(n_steps)
-    times = (start_interval + np.array([0] + record_steps)) * dt
-    n_rec = len(record_steps) + 1
-    h_norms = np.empty((b, n_rec))
-    v_norms = np.empty((b, n_rec))
-    snaps = np.empty((b, n_rec, n, 2)) if record_snapshots else None
-
     x = np.array(x0, dtype=float)
-    rec_i = 0
-
-    def record(idx: int) -> None:
-        h_norms[:, idx] = norm_H_sq_arrays(x[..., 0], x[..., 1], params.gamma)
-        v_norms[:, idx] = norm_V_sq_arrays(x[..., 0], x[..., 1], params, basis)
-        if snaps is not None:
-            snaps[:, idx] = x
-
-    record(rec_i)
-    rec_i += 1
     if on_step is not None:
-        on_step(0, times[0], x)
+        on_step(0, start_interval * dt, x)
 
     n_streams = len(streams)
     z_block = np.empty((n_streams, 2 * n))
@@ -255,7 +238,7 @@ def _simulate_batch(
                 f"step-size ceiling requested {int(m_col[col])} substeps at t={interval * dt:.6g}",
                 time=interval * dt,
                 step=i,
-                path_id=streams[stream_ids[col]].path_id,
+                path_id=int(path_ids[col]),
             )
 
         if np.all(m_col == 1):
@@ -293,18 +276,13 @@ def _simulate_batch(
                 f"non-finite state at t={(interval + 1) * dt:.6g} (step {i})",
                 time=(interval + 1) * dt,
                 step=i,
-                path_id=streams[stream_ids[int(bad)]].path_id,
+                path_id=int(path_ids[bad]),
             )
 
         if on_step is not None:
             on_step(i + 1, (interval + 1) * dt, x)
-        if rec_i <= len(record_steps) and record_steps[rec_i - 1] == i + 1:
-            record(rec_i)
-            rec_i += 1
 
-    return _BatchResult(
-        times=times, h_norm_sq=h_norms, v_norm_sq=v_norms, terminal=x, snapshots=snaps
-    )
+    return x
 
 
 def _x0_array(cfg: TrajectoryConfig, n_modes: int) -> np.ndarray:
@@ -315,53 +293,6 @@ def _x0_array(cfg: TrajectoryConfig, n_modes: int) -> np.ndarray:
     return cfg.x0.as_array()
 
 
-def step(
-    x: StateH,
-    dt: float,
-    eps: float,
-    params: ModelParams,
-    basis: EigenBasis,
-    spec: NoiseSpec | None,
-    rng: np.random.Generator,
-    drift: str = "fhn",
-) -> StateH:
-    """One exponential-Euler step from an arbitrary state.
-
-    Draws 2N standard normals from ``rng`` (u-channel first); for the
-    reproducible absolute-time noise indexing use :func:`integrate`.
-    """
-    n = basis.n_modes
-    stream = _FixedDrawStream(rng.standard_normal(2 * n), n)
-    result = _simulate_batch(
-        params,
-        basis,
-        spec,
-        dt=dt,
-        n_steps=1,
-        start_interval=0,
-        x0=x.as_array()[None],
-        drift=drift,
-        eps_by_col=np.array([eps]),
-        streams=[stream],
-        stream_ids=np.zeros(1, dtype=int),
-    )
-    return StateH.from_array(result.terminal[0])
-
-
-class _FixedDrawStream:
-    """PathStream stand-in that replays one externally supplied block."""
-
-    path_id = -1
-
-    def __init__(self, draws: np.ndarray, n_modes: int):
-        self._draws = np.asarray(draws, dtype=float)
-        if self._draws.shape != (2 * n_modes,):
-            raise ValueError("draw block must have length 2*n_modes")
-
-    def normals(self, interval: int) -> np.ndarray:
-        return self._draws
-
-
 def integrate(
     cfg: TrajectoryConfig,
     params: ModelParams,
@@ -369,8 +300,44 @@ def integrate(
     spec: NoiseSpec | None,
 ) -> TrajectoryRecord:
     """Integrate a single path; a pure function of (config, master_seed, path_id)."""
-    records = run_ensemble(cfg, params, basis, spec, n_paths=1, workers=1)
-    return records[0]
+    return run_ensemble(cfg, params, basis, spec, n_paths=1)[0]
+
+
+class _NormRecorder:
+    """``on_step`` observer keeping the norms, and optionally the states, at record steps."""
+
+    def __init__(self, cfg: TrajectoryConfig, params: ModelParams, basis: EigenBasis):
+        self._cfg, self._params, self._basis = cfg, params, basis
+        self._times: list[float] = []
+        self._h: list[np.ndarray] = []
+        self._v: list[np.ndarray] = []
+        self._snaps: list[np.ndarray] = []
+
+    def __call__(self, i: int, t: float, x: np.ndarray) -> None:
+        if not _is_record_step(i, self._cfg.n_steps, self._cfg.record_every):
+            return
+        self._times.append(t)
+        self._h.append(norm_H_sq_arrays(x[..., 0], x[..., 1], self._params.gamma))
+        self._v.append(norm_V_sq_arrays(x[..., 0], x[..., 1], self._params, self._basis))
+        if self._cfg.record_snapshots:
+            self._snaps.append(x.copy())
+
+    def records(self, path_ids: Sequence[int], terminal: np.ndarray) -> list[TrajectoryRecord]:
+        times = np.array(self._times)
+        h = np.stack(self._h, axis=1)
+        v = np.stack(self._v, axis=1)
+        snaps = np.stack(self._snaps, axis=1) if self._snaps else None
+        return [
+            TrajectoryRecord(
+                path_id=pid,
+                times=times.copy(),
+                h_norm_sq=h[row].copy(),
+                v_norm_sq=v[row].copy(),
+                terminal=StateH.from_array(terminal[row].copy()),
+                snapshots=None if snaps is None else snaps[row].copy(),
+            )
+            for row, pid in enumerate(path_ids)
+        ]
 
 
 def _run_chunk(
@@ -379,35 +346,40 @@ def _run_chunk(
     basis: EigenBasis,
     spec: NoiseSpec | None,
     path_ids: Sequence[int],
-) -> _BatchResult:
+) -> list[TrajectoryRecord]:
     n = basis.n_modes
-    x0 = np.broadcast_to(_x0_array(cfg, n), (len(path_ids), n, 2))
-    streams = [PathStream(n, cfg.master_seed, pid) for pid in path_ids]
-    return _simulate_batch(
+    recorder = _NormRecorder(cfg, params, basis)
+    terminal = _simulate_batch(
         params,
         basis,
         spec,
         dt=cfg.dt,
         n_steps=cfg.n_steps,
         start_interval=cfg.start_interval,
-        x0=x0,
+        x0=np.broadcast_to(_x0_array(cfg, n), (len(path_ids), n, 2)),
         drift=cfg.drift,
         eps_by_col=np.full(len(path_ids), cfg.eps),
-        streams=streams,
-        stream_ids=np.arange(len(path_ids)),
-        record_every=cfg.record_every,
-        record_snapshots=cfg.record_snapshots,
+        master_seed=cfg.master_seed,
+        path_ids=path_ids,
+        on_step=recorder,
     )
+    return recorder.records(path_ids, terminal)
 
 
 def resolve_workers(workers: int | None) -> int:
+    """Process count: the argument, else ``FHN_SPECTRAL_WORKERS``, else 1."""
     if workers is not None:
         return max(1, int(workers))
     env = os.environ.get(WORKERS_ENV, "")
-    try:
-        return max(1, int(env)) if env else 1
-    except ValueError:
+    if not env:
         return 1
+    try:
+        count = int(env)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"{WORKERS_ENV}={env!r} is not a positive integer")
+    return count
 
 
 def run_ensemble(
@@ -432,27 +404,14 @@ def run_ensemble(
     ]
     workers = resolve_workers(workers)
     if workers == 1 or len(id_chunks) == 1:
-        chunks = [(ids, _run_chunk(cfg, params, basis, spec, ids)) for ids in id_chunks]
+        chunks = [_run_chunk(cfg, params, basis, spec, ids) for ids in id_chunks]
     else:
         with ProcessPoolExecutor(max_workers=min(workers, len(id_chunks))) as pool:
             futures = [
                 pool.submit(_run_chunk, cfg, params, basis, spec, ids) for ids in id_chunks
             ]
-            chunks = [(ids, fut.result()) for ids, fut in zip(id_chunks, futures)]
-    records: list[TrajectoryRecord] = []
-    for ids, batch in chunks:
-        for row, pid in enumerate(ids):
-            records.append(
-                TrajectoryRecord(
-                    path_id=pid,
-                    times=batch.times.copy(),
-                    h_norm_sq=batch.h_norm_sq[row].copy(),
-                    v_norm_sq=batch.v_norm_sq[row].copy(),
-                    terminal=StateH.from_array(batch.terminal[row].copy()),
-                    snapshots=None if batch.snapshots is None else batch.snapshots[row].copy(),
-                )
-            )
-    return records
+            chunks = [fut.result() for fut in futures]
+    return [rec for chunk in chunks for rec in chunk]
 
 
 def _ols_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
@@ -507,14 +466,12 @@ def coupled_run(
     x0 = np.empty((b, n, 2))
     x0[:n_paths] = x_arr
     x0[n_paths:] = xb_arr
-    streams = [PathStream(n, cfg.master_seed, cfg.path_id + p) for p in range(n_paths)]
-    stream_ids = np.concatenate([np.arange(n_paths), np.arange(n_paths)])
 
     rec_times: list[float] = []
     deltas: list[np.ndarray] = []
 
     def on_step(i: int, t: float, state: np.ndarray) -> None:
-        if i % cfg.record_every and i != cfg.n_steps:
+        if not _is_record_step(i, cfg.n_steps, cfg.record_every):
             return
         du = state[:n_paths, :, 0] - state[n_paths:, :, 0]
         dw = state[:n_paths, :, 1] - state[n_paths:, :, 1]
@@ -531,9 +488,8 @@ def coupled_run(
         x0=x0,
         drift=cfg.drift,
         eps_by_col=np.full(b, cfg.eps),
-        streams=streams,
-        stream_ids=stream_ids,
-        record_every=cfg.record_every,
+        master_seed=cfg.master_seed,
+        path_ids=np.tile(cfg.path_id + np.arange(n_paths), 2),
         on_step=on_step,
     )
     times = np.array(rec_times)
@@ -618,8 +574,6 @@ def eps_convergence_study(
 
     x0 = np.broadcast_to(_x0_array(cfg, n), (n_paths * e_count, n, 2))
     eps_by_col = np.tile(eps_values, n_paths)
-    streams = [PathStream(n, cfg.master_seed, cfg.path_id + p) for p in range(n_paths)]
-    stream_ids = np.repeat(np.arange(n_paths), e_count)
 
     sup_sq = np.zeros((n_paths, len(pair_idx)))
     f_int = np.zeros(e_count)
@@ -649,9 +603,8 @@ def eps_convergence_study(
         x0=x0,
         drift="fhn",
         eps_by_col=eps_by_col,
-        streams=streams,
-        stream_ids=stream_ids,
-        record_every=cfg.record_every,
+        master_seed=cfg.master_seed,
+        path_ids=np.repeat(cfg.path_id + np.arange(n_paths), e_count),
         on_step=on_step,
     )
     dist = sup_sq.mean(axis=0)
@@ -700,7 +653,6 @@ def backward_run(
     basis: EigenBasis,
     spec: NoiseSpec,
     n_paths: int = 64,
-    workers: int | None = None,
 ) -> BackwardReport:
     """Solve from t = -lambda to 0 for each ladder offset with shared noise.
 
@@ -714,7 +666,7 @@ def backward_run(
     terminal: dict[float, np.ndarray] = {}
     for lam in ladder:
         run_cfg = replace(cfg, T=lam, start_time=-lam, x0=x0, record_every=max(1, cfg.n_steps))
-        records = run_ensemble(run_cfg, params, basis, spec, n_paths, workers=workers)
+        records = run_ensemble(run_cfg, params, basis, spec, n_paths)
         terminal[lam] = np.stack([rec.terminal.as_array() for rec in records])
 
     second = {

@@ -6,7 +6,7 @@ import pytest
 from pytest import approx
 
 from fhn_spectral import build_eigenbasis
-from fhn_spectral.cli import EXIT_BLOWUP, EXIT_CONFIG, main
+from fhn_spectral.cli import EXIT_BLOWUP, EXIT_CONFIG, build_parser, main
 from fhn_spectral.config import (
     ConfigError,
     build_noise,
@@ -38,6 +38,8 @@ class TestConfigValidation:
             ({"paths": 0}, "paths"),
             ({"model": {"alpha": "one"}}, "model.alpha"),
             ({"noise": {"lambda1": [1.0]}}, "noise.lambda1"),
+            ({"moments": {"m": 2}}, "moments.m"),
+            ({"backward": {"lambda_ladder": 5.0}}, "backward.lambda_ladder"),
         ],
     )
     def test_rejections_carry_path(self, raw, path):
@@ -111,6 +113,23 @@ class TestCLI:
         rc = main(["simulate", "--paths", "0", "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
         assert "paths" in capsys.readouterr().err
+
+    def test_unread_settings_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"moments": {"m": 2}}))
+        rc = main(["moments", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "moments.m" in capsys.readouterr().err
+        assert build_parser().parse_args(["acceptance", "--quick"]).quick
+        with pytest.raises(SystemExit) as err:
+            main(["simulate", "--quick", "--out", str(tmp_path / "o")])
+        assert err.value.code == EXIT_CONFIG
+
+    def test_bad_workers_env_is_config_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("FHN_SPECTRAL_WORKERS", "junk")
+        rc = main(["simulate", "--paths", "1", "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "FHN_SPECTRAL_WORKERS" in capsys.readouterr().err
 
     def test_bad_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -205,6 +224,26 @@ class TestCLI:
         assert main(["convergence", "--config", str(cfg), "--out", str(out)]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert "slope" in summary
+
+    def test_backward_subcommand(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "run": {"dt": 2e-3},
+                    "backward": {"lambda_ladder": [1.0, 2.0, 4.0]},
+                    "paths": 6,
+                }
+            )
+        )
+        out = tmp_path / "bwd"
+        assert main(["backward", "--config", str(cfg), "--out", str(out)]) == 0
+        lines = (out / "distances.csv").read_text().splitlines()
+        assert lines[0] == "lambda,gamma,distance,se"
+        assert len(lines) == 4
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary["second_moments"]) == {"1", "2", "4"}
+        assert summary["fit_rate"] > 0.0
 
     def test_moments_subcommand(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,11 +1,19 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from pytest import approx
 from scipy.stats import kstest
 
-from fhn_spectral import ModelParams, NoiseSpec, StateH, TrajectoryConfig, build_eigenbasis
+from fhn_spectral import (
+    ModelParams,
+    NoiseSpec,
+    StateH,
+    TrajectoryConfig,
+    build_eigenbasis,
+    run_ensemble,
+)
 from fhn_spectral.ergodics import (
     bounded_ramp_functional,
     constant_one_functional,
@@ -80,6 +88,19 @@ class TestLinearOracle:
         target = linear_invariant_covariance(params, basis, spec, shifted=True)
         rel = np.abs(emp[:4] - target[:4]) / np.abs(target[:4])
         assert rel.max() < 0.15
+
+    def test_samples_every_step_past_burn_in(self, params, basis, spec):
+        # the accumulator averages the outer products of every state at t >= burn-in
+        cfg = TrajectoryConfig(T=2.0, dt=0.1, drift="linear_eta", master_seed=12)
+        emp = empirical_mode_covariances(cfg, params, basis, spec, n_paths=3, burn_in=1.0)
+        recs = run_ensemble(replace(cfg, record_snapshots=True), params, basis, spec, 3)
+        snaps = np.stack([r.snapshots[r.times >= 1.0] for r in recs])
+        u, w = snaps[..., 0], snaps[..., 1]
+        assert emp[:, 0, 0] == approx((u * u).mean(axis=(0, 1)), rel=1e-12)
+        assert emp[:, 0, 1] == approx((u * w).mean(axis=(0, 1)), rel=1e-12)
+        assert emp[:, 1, 1] == approx((w * w).mean(axis=(0, 1)), rel=1e-12)
+        with pytest.raises(TypeError):
+            empirical_mode_covariances(cfg, params, basis, spec, n_paths=3, sample_stride=2)
 
     def test_burn_in_too_long_rejected(self, params, basis, spec):
         cfg = TrajectoryConfig(T=1.0, dt=0.1, drift="linear_eta")

@@ -12,8 +12,6 @@ from fhn_spectral import (
     build_eigenbasis,
     convolution_sup_statistics,
     convolution_trace_integral,
-    exact_ou_step,
-    sample_increment,
     trace_Q,
 )
 from fhn_spectral.model import mode_matrix_eta
@@ -100,32 +98,6 @@ class TestPathStream:
         assert draws.std() == approx(1.0, rel=0.02)
 
 
-class TestSampleIncrement:
-    def test_zero_dt(self, spec, rng):
-        inc = sample_increment(0.0, spec, rng)
-        assert np.all(inc.u_hat == 0.0) and np.all(inc.w_hat == 0.0)
-
-    def test_covariance(self, rng):
-        spec = NoiseSpec.power_law(4, sigma2=0.01, s=1.0)
-        dt = 0.01
-        n = 100_000
-        draws_u = np.empty((n, 4))
-        draws_w = np.empty((n, 4))
-        for i in range(n):
-            inc = sample_increment(dt, spec, rng)
-            draws_u[i] = inc.u_hat
-            draws_w[i] = inc.w_hat
-        for k in range(4):
-            for arr, lam in ((draws_u, spec.lambda1), (draws_w, spec.lambda2)):
-                var = arr[:, k].var(ddof=1)
-                se = lam[k] * dt * math.sqrt(2.0 / (n - 1))
-                assert abs(var - lam[k] * dt) <= 3.0 * se
-        # cross-mode/cross-channel correlations vanish
-        corr = np.corrcoef(np.hstack([draws_u, draws_w]).T)
-        off = corr[~np.eye(8, dtype=bool)]
-        assert np.abs(off).max() <= 3.0 / math.sqrt(n)
-
-
 class TestExactOUStep:
     def test_dt_zero_kernel(self, params, basis, spec):
         kernel = build_ou_kernel(params, basis, spec, 0.0)
@@ -144,12 +116,12 @@ class TestExactOUStep:
         assert kernel.cov[0, 0, 0] == approx(spec.lambda1[0] * dt, rel=1e-3)
 
     def test_deterministic_step_matches_ode(self, params, basis, rng):
-        zero = NoiseSpec.from_tables(np.zeros(basis.n_modes), np.zeros(basis.n_modes))
         dt = 0.37
+        transition = build_ou_kernel(params, basis, None, dt).transition
         for k in (0, 1, 7):
             m = np.array([[basis.mu[k] - params.p_min, -1.0], [params.gamma, -params.alpha]])
             x0 = rng.standard_normal(2)
-            out = exact_ou_step(x0, k, dt, params, basis, zero, rng)
+            out = transition[k] @ x0
             sol = solve_ivp(lambda t, y: m @ y, (0, dt), x0, rtol=1e-12, atol=1e-14)
             assert out == approx(sol.y[:, -1], abs=1e-10)
 

@@ -20,7 +20,7 @@ from fhn_spectral import (
     monotonicity_gap,
 )
 from fhn_spectral.model import norm_H_sq_arrays, random_coeff_states
-from fhn_spectral.nonlinearity import apply_F_arrays, drift_scan_table
+from fhn_spectral.nonlinearity import apply_F_arrays
 
 DP = DriftParams(xi1=0.5)
 
@@ -241,8 +241,3 @@ class TestMonotonicity:
             d_sq = inner_product_H(d, d, params)
             assert lhs <= -dc.omega * d_sq + 1e-9 * d_sq
 
-
-def test_drift_scan_table_columns():
-    table = drift_scan_table(np.linspace(-2, 2, 11), DriftParams(0.5, 0.1))
-    assert set(table) == {"u", "f", "f_eta", "f_eta_eps", "f_eta_eps_prime"}
-    assert all(v.shape == (11,) for v in table.values())

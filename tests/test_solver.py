@@ -18,11 +18,10 @@ from fhn_spectral import (
     eps_convergence_study,
     integrate,
     run_ensemble,
-    step,
 )
 from fhn_spectral.model import norm_H_sq, norm_H_sq_arrays
 from fhn_spectral.noise import build_ou_kernel
-from fhn_spectral.solver import _ols_line, resolve_workers
+from fhn_spectral.solver import _ols_line, _simulate_batch, resolve_workers
 
 
 class TestTrajectoryConfig:
@@ -73,7 +72,8 @@ class TestStepAndIntegrate:
         n = basis.n_modes
         x = StateH(rng.standard_normal(n), rng.standard_normal(n))
         dt = 0.05
-        out = step(x, dt, 0.0, params, basis, zero_spec, rng, drift="linear")
+        cfg = TrajectoryConfig(T=dt, dt=dt, x0=x, drift="linear")
+        out = integrate(cfg, params, basis, zero_spec).terminal
         kernel = build_ou_kernel(params, basis, None, dt, shifted=False)
         expect = np.einsum("kij,kj->ki", kernel.transition, x.as_array())
         assert out.as_array() == approx(expect, abs=1e-13)
@@ -97,6 +97,19 @@ class TestStepAndIntegrate:
         with pytest.raises(BlowUpError) as err:
             integrate(cfg, params, basis, zero_spec)
         assert err.value.step == 0
+
+    def test_blow_up_names_offset_path(self, params, basis, zero_spec):
+        # only the middle column of a batch keyed 7, 8, 9 starts out of range
+        n = basis.n_modes
+        x0 = np.zeros((3, n, 2))
+        x0[1, :, 0] = 1e6
+        with pytest.raises(BlowUpError) as err:
+            _simulate_batch(
+                params, basis, zero_spec, dt=1e-3, n_steps=5, start_interval=0, x0=x0,
+                drift="fhn", eps_by_col=np.zeros(3), master_seed=0,
+                path_ids=np.array([7, 8, 9]),
+            )
+        assert err.value.path_id == 8
 
     def test_substepping_keeps_noise_path(self, params, basis, spec):
         # a large initial state triggers drift substeps; the realized noise
@@ -131,9 +144,11 @@ class TestEnsembles:
     def test_resolve_workers_env(self, monkeypatch):
         monkeypatch.setenv("FHN_SPECTRAL_WORKERS", "4")
         assert resolve_workers(None) == 4
-        monkeypatch.setenv("FHN_SPECTRAL_WORKERS", "junk")
-        assert resolve_workers(None) == 1
         assert resolve_workers(2) == 2
+        for bad in ("junk", "0", "-3"):
+            monkeypatch.setenv("FHN_SPECTRAL_WORKERS", bad)
+            with pytest.raises(ValueError):
+                resolve_workers(None)
 
 
 class TestSelfConvergence:
@@ -233,6 +248,14 @@ class TestCoupledRun:
         assert rep.max_envelope_ratio <= 1.05
         assert rep.pooled_exponent >= 2.0 * rep.omega * 0.8
         assert np.all(rep.path_exponents >= 2.0 * rep.omega - 0.05)
+
+    def test_times_match_integrate(self, params, basis, spec):
+        # record_every = 30 does not divide n_steps = 100: both keep the last step
+        x = StateH.zero(basis.n_modes)
+        cfg = TrajectoryConfig(T=0.1, dt=1e-3, record_every=30, master_seed=8)
+        rep = coupled_run(x, x.copy(), cfg, params, basis, spec)
+        assert np.array_equal(rep.times, integrate(cfg, params, basis, spec).times)
+        assert rep.times.size == 5
 
     def test_noise_free_difference_is_seed_free(self, params, basis, zero_spec):
         # with lambda = 0 the coupled difference profile cannot depend on the
