@@ -51,8 +51,8 @@ from .noise import (
 )
 from .solver import (
     BlowUpError,
+    Ensemble,
     TrajectoryConfig,
-    TrajectoryRecord,
     backward_run,
     coupled_run,
     eps_convergence_study,
@@ -89,7 +89,7 @@ __all__ = [
     "convolution_trace_integral",
     "convolution_sup_statistics",
     "TrajectoryConfig",
-    "TrajectoryRecord",
+    "Ensemble",
     "BlowUpError",
     "integrate",
     "run_ensemble",

@@ -57,6 +57,7 @@ from .noise import (
     trace_Q,
 )
 from .solver import (
+    RECORD_ENDPOINTS,
     TrajectoryConfig,
     backward_run,
     coupled_run,
@@ -273,16 +274,13 @@ def criterion_8_moment_bound(quick: bool, master_seed: int) -> dict:
     passed = True
     reports = {}
     all_hsq = {}
-    times = None
     for batch, seed in (("a", master_seed + 8), ("b", master_seed + 80)):
         cfg = TrajectoryConfig(T=horizon, dt=2e-3, x0=x0, record_every=25, master_seed=seed)
-        records = run_ensemble(cfg, params, basis, spec, n_paths)
-        times = records[0].times
-        all_hsq[batch] = np.stack([r.h_norm_sq for r in records])
+        ens = run_ensemble(cfg, params, basis, spec, n_paths)
+        times = ens.times
+        all_hsq[batch] = ens.h_norm_sq
         for m in (1, 2):
-            reports[(m, batch)] = estimate_moments(
-                m, cfg, params, basis, spec, records=records
-            )
+            reports[(m, batch)] = estimate_moments(m, cfg, params, basis, spec, ensemble=ens)
     hsq_pooled = np.concatenate([all_hsq["a"], all_hsq["b"]])
     x0_sq = float(hsq_pooled[0, 0])
     tail = times >= 0.5 * horizon
@@ -345,10 +343,9 @@ def criterion_9_invariant_construction(quick: bool, master_seed: int) -> dict:
         ("far", StateH(u5, np.zeros(n_modes)), master_seed + 91),
     ):
         cfg_ks = TrajectoryConfig(
-            T=horizon, dt=1e-3, x0=x0, record_every=10**9, master_seed=seed
+            T=horizon, dt=1e-3, x0=x0, record_every=RECORD_ENDPOINTS, master_seed=seed
         )
-        recs = run_ensemble(cfg_ks, ks_params, ks_basis, ks_spec, n_ks)
-        arr = np.stack([r.terminal.as_array() for r in recs])
+        arr = run_ensemble(cfg_ks, ks_params, ks_basis, ks_spec, n_ks).terminal
         terminals[name] = np.sqrt(
             norm_H_sq_arrays(arr[..., 0], arr[..., 1], ks_params.gamma)
         )
@@ -401,15 +398,15 @@ def criterion_10_semigroup_limit(quick: bool, master_seed: int) -> dict:
     n_paths = 48 if quick else 128
     details: dict = {"t": t, "n_paths": n_paths}
     passed = True
-    for idx, (x0, seed) in enumerate(((x1, master_seed + 10), (x2, master_seed + 11))):
-        cfg = TrajectoryConfig(T=t, dt=dt, x0=x0, record_every=10**9, master_seed=seed)
-        recs = run_ensemble(cfg, params, basis, spec, n_paths)
-        arr = np.stack([r.terminal.as_array() for r in recs])
-        details[f"terminal_{idx}"] = arr
+    terminals = []
+    for x0, seed in ((x1, master_seed + 10), (x2, master_seed + 11)):
+        cfg = TrajectoryConfig(
+            T=t, dt=dt, x0=x0, record_every=RECORD_ENDPOINTS, master_seed=seed
+        )
+        terminals.append(run_ensemble(cfg, params, basis, spec, n_paths).terminal)
     for name, fn in functionals.items():
         vals = []
-        for idx in (0, 1):
-            arr = details[f"terminal_{idx}"]
+        for arr in terminals:
             v = np.asarray(fn(arr[..., 0], arr[..., 1]), float)
             vals.append((float(v.mean()), float(v.std(ddof=1) / math.sqrt(n_paths))))
         (m1, s1), (m2, s2) = vals
@@ -418,7 +415,6 @@ def criterion_10_semigroup_limit(quick: bool, master_seed: int) -> dict:
         passed = passed and gap <= lim
         details[f"{name}_gap"] = gap
         details[f"{name}_limit"] = lim
-    del details["terminal_0"], details["terminal_1"]
     details["passed"] = passed
     return details
 

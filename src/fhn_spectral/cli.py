@@ -120,18 +120,18 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     basis = build_eigenbasis(params)
     spec = build_noise(cfg)
     run_cfg = build_run_config(cfg, params, basis)
-    records = run_ensemble(run_cfg, params, basis, spec, cfg["paths"])
-    for rec in records:
-        rows = np.column_stack([rec.times, rec.h_norm_sq, rec.v_norm_sq])
-        write_csv(out / f"path_{rec.path_id:04d}.csv", ["t", "h_norm_sq", "v_norm_sq"], rows)
-    terminal_h = [float(rec.h_norm_sq[-1]) for rec in records]
+    ens = run_ensemble(run_cfg, params, basis, spec, cfg["paths"])
+    for pid, h, v in zip(ens.path_ids, ens.h_norm_sq, ens.v_norm_sq):
+        rows = np.column_stack([ens.times, h, v])
+        write_csv(out / f"path_{pid:04d}.csv", ["t", "h_norm_sq", "v_norm_sq"], rows)
+    terminal_h = ens.h_norm_sq[:, -1]
     write_json(
         out / "summary.json",
         _summary(
             cfg,
             terminal_h_norm_sq_mean=float(np.mean(terminal_h)),
             terminal_h_norm_sq_max=float(np.max(terminal_h)),
-            n_records=int(records[0].times.size),
+            n_records=int(ens.times.size),
         ),
     )
     print(f"simulate: {cfg['paths']} paths, T={run_cfg.T} -> {out}")
@@ -231,9 +231,9 @@ def cmd_moments(args: argparse.Namespace) -> int:
     basis = build_eigenbasis(params)
     spec = build_noise(cfg)
     run_cfg = build_run_config(cfg, params, basis)
-    records = run_ensemble(run_cfg, params, basis, spec, cfg["paths"])
+    ens = run_ensemble(run_cfg, params, basis, spec, cfg["paths"])
     reports = {
-        m: estimate_moments(m, run_cfg, params, basis, spec, records=records) for m in (1, 2)
+        m: estimate_moments(m, run_cfg, params, basis, spec, ensemble=ens) for m in (1, 2)
     }
     rows = np.column_stack(
         [reports[1].times, reports[1].estimate, reports[1].se, reports[2].estimate, reports[2].se]
@@ -309,8 +309,8 @@ def cmd_invariant(args: argparse.Namespace) -> int:
         _summary(
             cfg,
             burn_in=measure.burn_in,
-            n_time_samples=measure.n_time_samples,
-            n_ensemble_samples=measure.n_ensemble_samples,
+            n_time_samples=len(measure.states_time_avg),
+            n_ensemble_samples=len(measure.states_ensemble),
             ks=ks,
             invariant_moments=moments,
         ),
@@ -363,13 +363,7 @@ def cmd_dynkin(args: argparse.Namespace) -> int:
     basis = build_eigenbasis(params)
     spec = build_noise(cfg)
     run_cfg = build_run_config(cfg, params, basis)
-    block = dict(cfg.get("dynkin", {}))
-    if args.h_modes:
-        block["h_u"] = [[int(k), 0.4] for k in args.h_modes.split(",") if k != ""]
-    if args.t is not None:
-        block["t"] = args.t
-    if args.dt is not None:
-        run_cfg = replace(run_cfg, dt=args.dt)
+    block = cfg.get("dynkin", {})
     h_u = [(int(k), float(c)) for k, c in block.get("h_u", [[0, 0.4]])]
     h_w = [(int(k), float(c)) for k, c in block.get("h_w", [])]
     t = float(block.get("t", 1.0))
@@ -451,10 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", type=str, default=None, help="output directory")
         if name == "acceptance":
             p.add_argument("--quick", action="store_true", help="reduced-cost smoke run")
-        if name == "dynkin":
-            p.add_argument("--h-modes", type=str, default=None, help="comma list of u-channel modes")
-            p.add_argument("--t", type=float, default=None)
-            p.add_argument("--dt", type=float, default=None)
         p.set_defaults(fn=fn)
     return parser
 

@@ -200,7 +200,18 @@ def validate_config(cfg: dict[str, Any]) -> None:
     drift = run.get("drift", "fhn")
     if drift not in DRIFT_MODES:
         raise ConfigError("run.drift", f"must be one of {sorted(DRIFT_MODES)}")
+    if _require_number(run, "eps", "run") < 0:
+        raise ConfigError("run.eps", "must be >= 0")
+    _require_number(run, "start_time", "run")
+    every = run.get("record_every")
+    if isinstance(every, bool) or not isinstance(every, int) or every < 1:
+        raise ConfigError("run.record_every", "expected a positive integer")
     _validate_x0(run.get("x0", {"kind": "zero"}), "run.x0")
+    couple = cfg.get("couple", {})
+    for key in ("x0_a", "x0_b"):
+        if key in couple:
+            _validate_x0(couple[key], f"couple.{key}")
+    _require_number(couple, "envelope_tol", "couple", default=0.05)
     seed = cfg.get("master_seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError("master_seed", "expected a nonnegative integer")

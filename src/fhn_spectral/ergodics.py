@@ -28,7 +28,15 @@ from .model import (
 )
 from .nonlinearity import DriftParams, apply_F_arrays
 from .noise import NoiseSpec, htrace_mode_cov, stationary_mode_covariances
-from .solver import TrajectoryConfig, _simulate_batch, _x0_array, run_ensemble
+from .solver import (
+    RECORD_ENDPOINTS,
+    Ensemble,
+    TrajectoryConfig,
+    _is_record_step,
+    _simulate_batch,
+    _x0_array,
+    run_ensemble,
+)
 
 # two-sample Kolmogorov-Smirnov critical coefficient at the 5% level
 _KS_COEFF_5PCT = 1.358
@@ -106,23 +114,23 @@ def estimate_moments(
     basis: EigenBasis,
     spec: NoiseSpec,
     n_paths: int = 64,
-    records: Sequence | None = None,
+    ensemble: Ensemble | None = None,
 ) -> MomentReport:
     """Monte Carlo curve t -> E|X(t,x)|_H^{2m} with fitted envelope constants.
 
-    ``records`` short-circuits the simulation with a precomputed ensemble,
-    so both moment orders can share one set of trajectories.
+    ``ensemble`` short-circuits the simulation with a precomputed run, so
+    both moment orders can share one set of trajectories.
     """
     if m not in (1, 2):
         raise ValueError("moment order m must be 1 or 2")
     if n_paths < 2:
         raise ValueError("need at least 2 paths for standard errors")
-    if records is None:
-        records = run_ensemble(cfg, params, basis, spec, n_paths)
+    if ensemble is None:
+        ensemble = run_ensemble(cfg, params, basis, spec, n_paths)
     else:
-        n_paths = len(records)
-    times = records[0].times
-    hsq = np.stack([r.h_norm_sq for r in records])   # (P, R)
+        n_paths = ensemble.path_ids.size
+    times = ensemble.times
+    hsq = ensemble.h_norm_sq   # (P, R)
     vals = hsq if m == 1 else hsq * hsq
     est = vals.mean(axis=0)
     se = vals.std(axis=0, ddof=1) / math.sqrt(n_paths)
@@ -257,11 +265,9 @@ class EmpiricalMeasure:
 
     burn_in: float
     spacing: float
-    n_time_samples: int
-    n_ensemble_samples: int
     functionals: dict[str, FunctionalHistogram]
-    states_time_avg: np.ndarray | None      # (n, N, 2) subsampled long-run states
-    states_ensemble: np.ndarray | None
+    states_time_avg: np.ndarray      # (n, N, 2) subsampled long-run states
+    states_ensemble: np.ndarray      # (n_ensemble, N, 2) terminal states
 
 
 def _fd_histogram(samples_a: np.ndarray, samples_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -286,7 +292,6 @@ def estimate_invariant_measure(
     n_time_samples: int = 200,
     sample_spacing: float = 2.0,
     n_ensemble: int = 128,
-    retain_states: bool = True,
 ) -> EmpiricalMeasure:
     """Histograms of scalar functionals under the long-run empirical law.
 
@@ -303,25 +308,38 @@ def estimate_invariant_measure(
     spacing_steps = max(1, int(round(sample_spacing / dt)))
     spacing = spacing_steps * dt
 
-    long_cfg = replace(
-        cfg,
-        T=burn_in + n_time_samples * spacing,
-        record_every=spacing_steps,
-        record_snapshots=True,
+    long_cfg = replace(cfg, T=burn_in + n_time_samples * spacing, record_every=spacing_steps)
+    samples: list[np.ndarray] = []
+
+    def on_step(i: int, t: float, state: np.ndarray) -> None:
+        if _is_record_step(i, long_cfg.n_steps, long_cfg.record_every):
+            samples.append(state[0].copy())
+
+    n = basis.n_modes
+    _simulate_batch(
+        params,
+        basis,
+        spec,
+        dt=dt,
+        n_steps=long_cfg.n_steps,
+        start_interval=long_cfg.start_interval,
+        x0=np.broadcast_to(_x0_array(cfg, n), (1, n, 2)),
+        drift=cfg.drift,
+        eps_by_col=np.full(1, cfg.eps),
+        master_seed=cfg.master_seed,
+        path_ids=[cfg.path_id],
+        on_step=on_step,
     )
-    long_rec = run_ensemble(long_cfg, params, basis, spec, 1)[0]
-    # the trailing n_time_samples records all sit past the burn-in window
-    states_t = long_rec.snapshots[-n_time_samples:]
+    # the trailing n_time_samples samples all sit past the burn-in window
+    states_t = np.stack(samples[-n_time_samples:])
 
     ens_cfg = replace(
         cfg,
         T=burn_in + spacing,
-        record_every=long_cfg.n_steps,  # terminal only
-        record_snapshots=False,
+        record_every=RECORD_ENDPOINTS,
         path_id=cfg.path_id + 1,        # long run owns path 0 of this seed
     )
-    ens_records = run_ensemble(ens_cfg, params, basis, spec, n_ensemble)
-    states_e = np.stack([r.terminal.as_array() for r in ens_records])
+    states_e = run_ensemble(ens_cfg, params, basis, spec, n_ensemble).terminal
 
     if functionals is None:
         functionals = [h_norm_functional(params), v_norm_functional(params, basis)]
@@ -351,11 +369,9 @@ def estimate_invariant_measure(
     return EmpiricalMeasure(
         burn_in=burn_in,
         spacing=spacing,
-        n_time_samples=int(states_t.shape[0]),
-        n_ensemble_samples=int(states_e.shape[0]),
         functionals=out,
-        states_time_avg=states_t if retain_states else None,
-        states_ensemble=states_e if retain_states else None,
+        states_time_avg=states_t,
+        states_ensemble=states_e,
     )
 
 
@@ -376,15 +392,10 @@ def transition_semigroup(
         u = x.u_hat[None]
         w = x.w_hat[None]
         return float(phi(u, w)[0]), 0.0
-    run_cfg = replace(cfg, T=t, x0=x, record_every=max(1, _steps(t, cfg.dt)))
-    records = run_ensemble(run_cfg, params, basis, spec, n_paths)
-    terminals = np.stack([r.terminal.as_array() for r in records])
+    run_cfg = replace(cfg, T=t, x0=x, record_every=RECORD_ENDPOINTS)
+    terminals = run_ensemble(run_cfg, params, basis, spec, n_paths).terminal
     vals = np.asarray(phi(terminals[..., 0], terminals[..., 1]), float)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_paths))
-
-
-def _steps(duration: float, dt: float) -> int:
-    return max(1, int(round(duration / dt)))
 
 
 @dataclass
@@ -406,8 +417,6 @@ def invariant_moment_integral(
     basis: EigenBasis,
 ) -> InvariantMomentReport:
     """Empirical int |x|^{2m} dmu and int |F_eta(x)|^2 dmu with stability halves."""
-    if measure.states_time_avg is None:
-        raise ValueError("measure was built with retain_states=False")
     states = measure.states_time_avg
     hsq = norm_H_sq_arrays(states[..., 0], states[..., 1], params.gamma)
     vals = hsq**m

@@ -334,10 +334,6 @@ class StateH:
         """Stack into the (N, 2) layout used by the batched kernels."""
         return np.stack([self.u_hat, self.w_hat], axis=-1)
 
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "StateH":
-        return cls(arr[..., 0], arr[..., 1])
-
 
 def _check_dims(x: StateH, y: StateH) -> None:
     if x.n_modes != y.n_modes:

@@ -295,8 +295,7 @@ def convolution_sup_statistics(
     from .solver import TrajectoryConfig, run_ensemble
 
     cfg = TrajectoryConfig(T=T, dt=dt, drift="linear_eta", master_seed=master_seed)
-    records = run_ensemble(cfg, params, basis, spec, n_paths=n_paths)
-    sups = np.array([rec.h_norm_sq.max() for rec in records])
+    sups = run_ensemble(cfg, params, basis, spec, n_paths=n_paths).h_norm_sq.max(axis=1)
     mean: dict[int, float] = {}
     se: dict[int, float] = {}
     quants: dict[int, dict[float, float]] = {}

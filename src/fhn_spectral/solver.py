@@ -15,14 +15,16 @@ the nonlinearity entirely: ``linear`` (drift A) and ``linear_eta``
 these are the exactly solvable references used by the ergodic and
 Kolmogorov test harnesses.
 
-Paths are vectorized; each path owns a counter-based noise stream, so an
-ensemble's output does not depend on how it is batched or scheduled.
+Paths are vectorized; each path owns a counter-based noise stream, and
+ensembles run in fixed-size chunks, so an ensemble's output does not
+depend on the worker count.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
@@ -51,6 +53,9 @@ _MAX_SUBSTEPS = 4096
 _ENSEMBLE_CHUNK = 32
 
 WORKERS_ENV = "FHN_SPECTRAL_WORKERS"
+
+# ``record_every`` of a run that keeps only its initial and terminal states
+RECORD_ENDPOINTS = sys.maxsize
 
 
 class BlowUpError(RuntimeError):
@@ -88,7 +93,6 @@ class TrajectoryConfig:
     record_every: int = 1
     start_time: float = 0.0
     drift: str = "fhn"
-    record_snapshots: bool = False
 
     def __post_init__(self) -> None:
         if self.dt <= 0:
@@ -106,21 +110,14 @@ class TrajectoryConfig:
 
 
 @dataclass
-class TrajectoryRecord:
-    """Recorded norms (and optional spectral snapshots) of one path."""
+class Ensemble:
+    """Path-major result of a run: recorded norms and terminal states of P paths."""
 
-    path_id: int
-    times: np.ndarray
-    h_norm_sq: np.ndarray
-    v_norm_sq: np.ndarray
-    terminal: StateH
-    snapshots: np.ndarray | None = None  # (R, N, 2)
-
-    def validate(self) -> None:
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("record times must be strictly increasing")
-        if not (np.isfinite(self.h_norm_sq).all() and np.isfinite(self.v_norm_sq).all()):
-            raise ValueError("recorded norms must be finite")
+    path_ids: np.ndarray      # (P,)
+    times: np.ndarray         # (R,)
+    h_norm_sq: np.ndarray     # (P, R)
+    v_norm_sq: np.ndarray     # (P, R)
+    terminal: np.ndarray      # (P, N, 2), C-contiguous
 
 
 def _is_record_step(i: int, n_steps: int, record_every: int) -> bool:
@@ -298,46 +295,9 @@ def integrate(
     params: ModelParams,
     basis: EigenBasis,
     spec: NoiseSpec | None,
-) -> TrajectoryRecord:
+) -> Ensemble:
     """Integrate a single path; a pure function of (config, master_seed, path_id)."""
-    return run_ensemble(cfg, params, basis, spec, n_paths=1)[0]
-
-
-class _NormRecorder:
-    """``on_step`` observer keeping the norms, and optionally the states, at record steps."""
-
-    def __init__(self, cfg: TrajectoryConfig, params: ModelParams, basis: EigenBasis):
-        self._cfg, self._params, self._basis = cfg, params, basis
-        self._times: list[float] = []
-        self._h: list[np.ndarray] = []
-        self._v: list[np.ndarray] = []
-        self._snaps: list[np.ndarray] = []
-
-    def __call__(self, i: int, t: float, x: np.ndarray) -> None:
-        if not _is_record_step(i, self._cfg.n_steps, self._cfg.record_every):
-            return
-        self._times.append(t)
-        self._h.append(norm_H_sq_arrays(x[..., 0], x[..., 1], self._params.gamma))
-        self._v.append(norm_V_sq_arrays(x[..., 0], x[..., 1], self._params, self._basis))
-        if self._cfg.record_snapshots:
-            self._snaps.append(x.copy())
-
-    def records(self, path_ids: Sequence[int], terminal: np.ndarray) -> list[TrajectoryRecord]:
-        times = np.array(self._times)
-        h = np.stack(self._h, axis=1)
-        v = np.stack(self._v, axis=1)
-        snaps = np.stack(self._snaps, axis=1) if self._snaps else None
-        return [
-            TrajectoryRecord(
-                path_id=pid,
-                times=times.copy(),
-                h_norm_sq=h[row].copy(),
-                v_norm_sq=v[row].copy(),
-                terminal=StateH.from_array(terminal[row].copy()),
-                snapshots=None if snaps is None else snaps[row].copy(),
-            )
-            for row, pid in enumerate(path_ids)
-        ]
+    return run_ensemble(cfg, params, basis, spec, n_paths=1)
 
 
 def _run_chunk(
@@ -346,9 +306,19 @@ def _run_chunk(
     basis: EigenBasis,
     spec: NoiseSpec | None,
     path_ids: Sequence[int],
-) -> list[TrajectoryRecord]:
+) -> Ensemble:
+    """One chunk of ``run_ensemble``, with the H and V norms recorded at record steps."""
     n = basis.n_modes
-    recorder = _NormRecorder(cfg, params, basis)
+    times: list[float] = []
+    h: list[np.ndarray] = []
+    v: list[np.ndarray] = []
+
+    def record(i: int, t: float, x: np.ndarray) -> None:
+        if _is_record_step(i, cfg.n_steps, cfg.record_every):
+            times.append(t)
+            h.append(norm_H_sq_arrays(x[..., 0], x[..., 1], params.gamma))
+            v.append(norm_V_sq_arrays(x[..., 0], x[..., 1], params, basis))
+
     terminal = _simulate_batch(
         params,
         basis,
@@ -361,15 +331,21 @@ def _run_chunk(
         eps_by_col=np.full(len(path_ids), cfg.eps),
         master_seed=cfg.master_seed,
         path_ids=path_ids,
-        on_step=recorder,
+        on_step=record,
     )
-    return recorder.records(path_ids, terminal)
+    return Ensemble(
+        path_ids=np.asarray(path_ids),
+        times=np.array(times),
+        h_norm_sq=np.stack(h, axis=1),
+        v_norm_sq=np.stack(v, axis=1),
+        # a broadcast x0 leaves the path axis innermost in the core's state;
+        # norms summed over a C-ordered terminal do not depend on that layout
+        terminal=np.ascontiguousarray(terminal),
+    )
 
 
-def resolve_workers(workers: int | None) -> int:
-    """Process count: the argument, else ``FHN_SPECTRAL_WORKERS``, else 1."""
-    if workers is not None:
-        return max(1, int(workers))
+def resolve_workers() -> int:
+    """Process count: ``FHN_SPECTRAL_WORKERS``, else 1."""
     env = os.environ.get(WORKERS_ENV, "")
     if not env:
         return 1
@@ -388,11 +364,10 @@ def run_ensemble(
     basis: EigenBasis,
     spec: NoiseSpec | None,
     n_paths: int,
-    workers: int | None = None,
-) -> list[TrajectoryRecord]:
+) -> Ensemble:
     """Integrate ``n_paths`` paths with ids path_id..path_id+n_paths-1.
 
-    Results are merged by path index and are bitwise independent of the
+    Chunks are merged in path order and are bitwise independent of the
     worker count: every path's noise comes from its own counter-based
     stream.
     """
@@ -402,7 +377,7 @@ def run_ensemble(
     id_chunks = [
         path_ids[a : a + _ENSEMBLE_CHUNK] for a in range(0, n_paths, _ENSEMBLE_CHUNK)
     ]
-    workers = resolve_workers(workers)
+    workers = resolve_workers()
     if workers == 1 or len(id_chunks) == 1:
         chunks = [_run_chunk(cfg, params, basis, spec, ids) for ids in id_chunks]
     else:
@@ -411,7 +386,13 @@ def run_ensemble(
                 pool.submit(_run_chunk, cfg, params, basis, spec, ids) for ids in id_chunks
             ]
             chunks = [fut.result() for fut in futures]
-    return [rec for chunk in chunks for rec in chunk]
+    return Ensemble(
+        path_ids=np.concatenate([c.path_ids for c in chunks]),
+        times=chunks[0].times,
+        h_norm_sq=np.concatenate([c.h_norm_sq for c in chunks]),
+        v_norm_sq=np.concatenate([c.v_norm_sq for c in chunks]),
+        terminal=np.concatenate([c.terminal for c in chunks]),
+    )
 
 
 def _ols_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
@@ -665,9 +646,8 @@ def backward_run(
         raise ValueError("lambda ladder must contain positive offsets")
     terminal: dict[float, np.ndarray] = {}
     for lam in ladder:
-        run_cfg = replace(cfg, T=lam, start_time=-lam, x0=x0, record_every=max(1, cfg.n_steps))
-        records = run_ensemble(run_cfg, params, basis, spec, n_paths)
-        terminal[lam] = np.stack([rec.terminal.as_array() for rec in records])
+        run_cfg = replace(cfg, T=lam, start_time=-lam, x0=x0, record_every=RECORD_ENDPOINTS)
+        terminal[lam] = run_ensemble(run_cfg, params, basis, spec, n_paths).terminal
 
     second = {
         lam: float(norm_H_sq_arrays(t[..., 0], t[..., 1], params.gamma).mean())

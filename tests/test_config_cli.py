@@ -40,6 +40,15 @@ class TestConfigValidation:
             ({"noise": {"lambda1": [1.0]}}, "noise.lambda1"),
             ({"moments": {"m": 2}}, "moments.m"),
             ({"backward": {"lambda_ladder": 5.0}}, "backward.lambda_ladder"),
+            ({"run": {"record_every": None}}, "run.record_every"),
+            ({"run": {"record_every": 2.7}}, "run.record_every"),
+            ({"run": {"record_every": True}}, "run.record_every"),
+            ({"run": {"start_time": None}}, "run.start_time"),
+            ({"run": {"eps": "x"}}, "run.eps"),
+            ({"run": {"eps": -0.1}}, "run.eps"),
+            ({"couple": {"x0_a": {"kind": "constant", "u": 1, "bogus": 3}}}, "couple.x0_a.bogus"),
+            ({"couple": {"x0_b": {"kind": "wavelet"}}}, "couple.x0_b.kind"),
+            ({"couple": {"envelope_tol": "x"}}, "couple.envelope_tol"),
         ],
     )
     def test_rejections_carry_path(self, raw, path):
@@ -121,9 +130,15 @@ class TestCLI:
         assert rc == EXIT_CONFIG
         assert "moments.m" in capsys.readouterr().err
         assert build_parser().parse_args(["acceptance", "--quick"]).quick
-        with pytest.raises(SystemExit) as err:
-            main(["simulate", "--quick", "--out", str(tmp_path / "o")])
-        assert err.value.code == EXIT_CONFIG
+        for argv in (
+            ["simulate", "--quick"],
+            ["dynkin", "--h-modes", "0,1"],
+            ["dynkin", "--t", "0.5"],
+            ["dynkin", "--dt", "1e-3"],
+        ):
+            with pytest.raises(SystemExit) as err:
+                main(argv + ["--out", str(tmp_path / "o")])
+            assert err.value.code == EXIT_CONFIG
 
     def test_bad_workers_env_is_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("FHN_SPECTRAL_WORKERS", "junk")

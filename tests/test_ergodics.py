@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +11,6 @@ from fhn_spectral import (
     StateH,
     TrajectoryConfig,
     build_eigenbasis,
-    run_ensemble,
 )
 from fhn_spectral.ergodics import (
     bounded_ramp_functional,
@@ -28,6 +26,7 @@ from fhn_spectral.ergodics import (
     linear_stationary_h_moment,
     v_norm_functional,
 )
+from fhn_spectral.solver import _simulate_batch
 
 class TestMoments:
     def test_zero_noise_zero_start(self, params, basis, zero_spec):
@@ -93,9 +92,15 @@ class TestLinearOracle:
         # the accumulator averages the outer products of every state at t >= burn-in
         cfg = TrajectoryConfig(T=2.0, dt=0.1, drift="linear_eta", master_seed=12)
         emp = empirical_mode_covariances(cfg, params, basis, spec, n_paths=3, burn_in=1.0)
-        recs = run_ensemble(replace(cfg, record_snapshots=True), params, basis, spec, 3)
-        snaps = np.stack([r.snapshots[r.times >= 1.0] for r in recs])
-        u, w = snaps[..., 0], snaps[..., 1]
+        snaps = []
+        _simulate_batch(
+            params, basis, spec, dt=cfg.dt, n_steps=cfg.n_steps, start_interval=0,
+            x0=np.zeros((3, basis.n_modes, 2)), drift=cfg.drift, eps_by_col=np.zeros(3),
+            master_seed=cfg.master_seed, path_ids=np.arange(3),
+            on_step=lambda i, t, x: snaps.append(x.copy()) if t >= 1.0 else None,
+        )
+        states = np.stack(snaps)
+        u, w = states[..., 0], states[..., 1]
         assert emp[:, 0, 0] == approx((u * u).mean(axis=(0, 1)), rel=1e-12)
         assert emp[:, 0, 1] == approx((u * w).mean(axis=(0, 1)), rel=1e-12)
         assert emp[:, 1, 1] == approx((w * w).mean(axis=(0, 1)), rel=1e-12)
@@ -121,6 +126,8 @@ class TestInvariantMeasure:
             sample_spacing=0.1,
             n_ensemble=16,
         )
+        assert measure.states_time_avg.shape == (32, basis.n_modes, 2)
+        assert measure.states_ensemble.shape == (16, basis.n_modes, 2)
         hist = measure.functionals["h_norm"]
         # all mass in a single bin at the deterministic attractor
         assert hist.mass_time_avg.max() == approx(1.0)
@@ -248,19 +255,3 @@ class TestInvariantMoments:
         rep = invariant_moment_integral(1, linear_measure, params, basis)
         assert rep.state_moment_half == approx(rep.state_moment, rel=0.15)
         assert rep.drift_moment_half == approx(rep.drift_moment, rel=0.15)
-
-    def test_requires_states(self, params, basis, spec):
-        cfg = TrajectoryConfig(T=1.0, dt=0.1, master_seed=2)
-        measure = estimate_invariant_measure(
-            cfg,
-            params,
-            basis,
-            spec,
-            burn_in=0.5,
-            n_time_samples=8,
-            sample_spacing=0.2,
-            n_ensemble=4,
-            retain_states=False,
-        )
-        with pytest.raises(ValueError):
-            invariant_moment_integral(1, measure, params, basis)

@@ -118,15 +118,16 @@ class TestOUExpectation:
 
     def test_monte_carlo_agreement(self, gamma1):
         params, basis, spec = gamma1
-        from fhn_spectral.solver import run_ensemble
+        from fhn_spectral.solver import RECORD_ENDPOINTS, run_ensemble
 
         h = CylinderFunction.from_modes(basis.n_modes, params, spec, u_modes=[(0, 0.4)])
         x = StateH.zero(basis.n_modes)
         x.u_hat[0] = 0.7
         t = 0.5
-        cfg = TrajectoryConfig(T=t, dt=1e-3, x0=x, drift="linear", record_every=10**9, master_seed=44)
-        recs = run_ensemble(cfg, params, basis, spec, 128)
-        arr = np.stack([r.terminal.as_array() for r in recs])
+        cfg = TrajectoryConfig(
+            T=t, dt=1e-3, x0=x, drift="linear", record_every=RECORD_ENDPOINTS, master_seed=44
+        )
+        arr = run_ensemble(cfg, params, basis, spec, 128).terminal
         vals = np.exp(h.pairing(arr[..., 0], arr[..., 1]))
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - ou_expectation_exact(h, x, t, params, basis, spec)) <= 3 * se

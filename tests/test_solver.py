@@ -19,9 +19,10 @@ from fhn_spectral import (
     integrate,
     run_ensemble,
 )
+from fhn_spectral import solver
 from fhn_spectral.model import norm_H_sq, norm_H_sq_arrays
 from fhn_spectral.noise import build_ou_kernel
-from fhn_spectral.solver import _ols_line, _simulate_batch, resolve_workers
+from fhn_spectral.solver import RECORD_ENDPOINTS, _ols_line, _simulate_batch, resolve_workers
 
 
 class TestTrajectoryConfig:
@@ -53,19 +54,21 @@ class TestStepAndIntegrate:
         x0.u_hat[0] = 1.0
         rec = integrate(TrajectoryConfig(T=0.0, x0=x0), params, basis, spec)
         assert rec.times.shape == (1,)
-        assert rec.h_norm_sq[0] == approx(norm_H_sq(x0, params))
+        assert rec.h_norm_sq.shape == (1, 1)
+        assert rec.h_norm_sq[0, 0] == approx(norm_H_sq(x0, params))
+        assert np.array_equal(rec.terminal[0], x0.as_array())
 
     def test_equilibrium_preserved(self, params, basis, zero_spec):
         rec = integrate(TrajectoryConfig(T=0.1, dt=1e-3), params, basis, zero_spec)
         assert rec.h_norm_sq.max() == 0.0
-        assert np.all(rec.terminal.u_hat == 0.0)
+        assert np.all(rec.terminal == 0.0)
 
     def test_bitweise_deterministic(self, params, basis, spec):
         cfg = TrajectoryConfig(T=0.3, dt=1e-3, master_seed=99)
         r1 = integrate(cfg, params, basis, spec)
         r2 = integrate(cfg, params, basis, spec)
         assert np.array_equal(r1.h_norm_sq, r2.h_norm_sq)
-        assert np.array_equal(r1.terminal.u_hat, r2.terminal.u_hat)
+        assert np.array_equal(r1.terminal, r2.terminal)
 
     def test_linear_step_matches_kernel(self, params, basis, zero_spec, rng):
         # noise off, F off: one step is exactly e^{M dt} per mode
@@ -73,22 +76,18 @@ class TestStepAndIntegrate:
         x = StateH(rng.standard_normal(n), rng.standard_normal(n))
         dt = 0.05
         cfg = TrajectoryConfig(T=dt, dt=dt, x0=x, drift="linear")
-        out = integrate(cfg, params, basis, zero_spec).terminal
+        out = integrate(cfg, params, basis, zero_spec).terminal[0]
         kernel = build_ou_kernel(params, basis, None, dt, shifted=False)
         expect = np.einsum("kij,kj->ki", kernel.transition, x.as_array())
-        assert out.as_array() == approx(expect, abs=1e-13)
+        assert out == approx(expect, abs=1e-13)
 
     def test_record_times_strictly_increasing(self, params, basis, spec):
         cfg = TrajectoryConfig(T=0.1, dt=1e-3, record_every=7, master_seed=3)
         rec = integrate(cfg, params, basis, spec)
         assert np.all(np.diff(rec.times) > 0)
         assert rec.times[-1] == approx(0.1)
-        rec.validate()
-
-    def test_snapshots_shape(self, params, basis, spec):
-        cfg = TrajectoryConfig(T=0.02, dt=1e-3, record_every=10, record_snapshots=True)
-        rec = integrate(cfg, params, basis, spec)
-        assert rec.snapshots.shape == (rec.times.size, basis.n_modes, 2)
+        assert rec.h_norm_sq.shape == rec.v_norm_sq.shape == (1, rec.times.size)
+        assert np.isfinite(rec.h_norm_sq).all() and np.isfinite(rec.v_norm_sq).all()
 
     def test_blow_up_raises(self, params, basis, zero_spec):
         n = basis.n_modes
@@ -111,31 +110,43 @@ class TestStepAndIntegrate:
             )
         assert err.value.path_id == 8
 
-    def test_substepping_keeps_noise_path(self, params, basis, spec):
-        # a large initial state triggers drift substeps; the realized noise
-        # increments must stay those of the absolute interval grid, so the
-        # first-step noise equals the no-substep realization's
-        n = basis.n_modes
-        big = StateH(np.full(n, 4.0), np.zeros(n))
-        cfg = TrajectoryConfig(T=0.002, dt=1e-3, x0=big, master_seed=17)
-        rec_big = integrate(cfg, params, basis, spec)
-        assert np.isfinite(rec_big.h_norm_sq).all()
+    def test_substepped_run_converges(self, params, basis, zero_spec, monkeypatch):
+        # u = 10 puts every dt here above the ceiling 0.1/(1 + max|u|^2), so the
+        # run takes drift substeps until it decays; noise off, the terminal
+        # state must still converge to a fine-dt reference as dt shrinks
+        x0 = StateH.from_grid(np.full(basis.n_grid, 10.0), np.zeros(basis.n_grid), basis)
+        cfg = TrajectoryConfig(T=0.2, dt=1.5625e-5, x0=x0, record_every=RECORD_ENDPOINTS)
+        ref = integrate(cfg, params, basis, zero_spec).terminal[0]
+        kernel_steps = []
+        monkeypatch.setattr(
+            solver, "build_ou_kernel", lambda *a, **kw: kernel_steps.append(a[3]) or build_ou_kernel(*a, **kw)
+        )
+        dts, errs = (4e-3, 2e-3, 1e-3), []
+        for dt in dts:
+            kernel_steps.clear()
+            diff = integrate(replace(cfg, dt=dt), params, basis, zero_spec).terminal[0] - ref
+            assert min(kernel_steps) < dt  # substep kernels were built
+            errs.append(math.sqrt(norm_H_sq(StateH(*diff.T), params)))
+        assert errs[0] > errs[1] > errs[2]
+        assert np.polyfit(np.log(dts), np.log(errs), 1)[0] >= 0.6
 
 
 class TestEnsembles:
-    def test_worker_independence(self, params, basis, spec):
+    def test_worker_independence(self, params, basis, spec, monkeypatch):
         cfg = TrajectoryConfig(T=0.05, dt=1e-3, master_seed=5)
-        serial = run_ensemble(cfg, params, basis, spec, 40, workers=1)
-        parallel = run_ensemble(cfg, params, basis, spec, 40, workers=3)
-        for a, b in zip(serial, parallel):
-            assert a.path_id == b.path_id
-            assert np.array_equal(a.h_norm_sq, b.h_norm_sq)
-            assert np.array_equal(a.terminal.w_hat, b.terminal.w_hat)
+        monkeypatch.setenv("FHN_SPECTRAL_WORKERS", "1")
+        serial = run_ensemble(cfg, params, basis, spec, 40)
+        monkeypatch.setenv("FHN_SPECTRAL_WORKERS", "3")
+        parallel = run_ensemble(cfg, params, basis, spec, 40)
+        assert parallel.terminal.shape == (40, basis.n_modes, 2)
+        assert parallel.terminal.flags.c_contiguous
+        for name in ("path_ids", "times", "h_norm_sq", "v_norm_sq", "terminal"):
+            assert np.array_equal(getattr(serial, name), getattr(parallel, name))
 
     def test_path_ids_offset(self, params, basis, spec):
         cfg = TrajectoryConfig(T=0.01, dt=1e-3, path_id=7)
-        recs = run_ensemble(cfg, params, basis, spec, 3)
-        assert [r.path_id for r in recs] == [7, 8, 9]
+        ens = run_ensemble(cfg, params, basis, spec, 3)
+        assert ens.path_ids.tolist() == [7, 8, 9]
 
     def test_invalid_path_count(self, params, basis, spec):
         with pytest.raises(ValueError):
@@ -143,12 +154,11 @@ class TestEnsembles:
 
     def test_resolve_workers_env(self, monkeypatch):
         monkeypatch.setenv("FHN_SPECTRAL_WORKERS", "4")
-        assert resolve_workers(None) == 4
-        assert resolve_workers(2) == 2
+        assert resolve_workers() == 4
         for bad in ("junk", "0", "-3"):
             monkeypatch.setenv("FHN_SPECTRAL_WORKERS", bad)
             with pytest.raises(ValueError):
-                resolve_workers(None)
+                resolve_workers()
 
 
 class TestSelfConvergence:
@@ -160,8 +170,8 @@ class TestSelfConvergence:
         x0.u_hat[1] = 1.0
         terminal = {}
         for dt in (4e-3, 2e-3, 1e-3, 5e-4):
-            cfg = TrajectoryConfig(T=1.0, dt=dt, x0=x0, record_every=10**6)
-            terminal[dt] = integrate(cfg, params, basis, zero_spec).terminal.as_array()
+            cfg = TrajectoryConfig(T=1.0, dt=dt, x0=x0, record_every=RECORD_ENDPOINTS)
+            terminal[dt] = integrate(cfg, params, basis, zero_spec).terminal[0]
         ref = terminal[5e-4]
         errs = [
             math.sqrt(
@@ -184,12 +194,7 @@ class TestSelfConvergence:
         x0.u_hat[0] = 1.0
         base_cfg = TrajectoryConfig(T=0.5, dt=h, x0=x0, master_seed=31)
         n_paths = 16
-        fine_terms = np.stack(
-            [
-                rec.terminal.as_array()
-                for rec in run_ensemble(base_cfg, params, basis, spec, n_paths)
-            ]
-        )
+        fine_terms = run_ensemble(base_cfg, params, basis, spec, n_paths).terminal
         kernel_h = build_ou_kernel(params, basis, spec, h)
         errs = []
         ratios = (8, 4, 2)
@@ -294,13 +299,16 @@ class TestEpsStudy:
         cfg = TrajectoryConfig(T=0.1, dt=1e-3, eps=0.1, master_seed=6)
         r1 = integrate(cfg, params, basis, spec)
         r2 = integrate(cfg, params, basis, spec)
-        assert np.array_equal(r1.terminal.u_hat, r2.terminal.u_hat)
+        assert np.array_equal(r1.terminal, r2.terminal)
 
 
 class TestBackwardRun:
-    def test_distances_and_envelope_fields(self, params, basis, spec):
+    def test_distances_and_envelope_fields(self, params, basis, spec, monkeypatch):
+        rungs = []
+        monkeypatch.setattr(solver, "run_ensemble", lambda *a: rungs.append(run_ensemble(*a)) or rungs[-1])
         cfg = TrajectoryConfig(T=1.0, dt=2e-3, master_seed=21)
         rep = backward_run([1.0, 2.0, 4.0], None, cfg, params, basis, spec, n_paths=6)
+        assert [ens.times.size for ens in rungs] == [2, 2, 2]  # endpoints only
         assert set(rep.distances) == {(2.0, 1.0), (4.0, 1.0), (4.0, 2.0)}
         assert all(v > 0 for v in rep.distances.values())
         # deeper shared-noise overlap means smaller distance
