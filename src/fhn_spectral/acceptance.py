@@ -34,9 +34,12 @@ from scipy.stats import ks_2samp
 
 from .ergodics import (
     _KS_COEFF_5PCT,
+    bounded_ramp_functional,
+    cylinder_exp_functional,
     empirical_mode_covariances,
     estimate_moments,
     linear_invariant_covariance,
+    transition_semigroup,
 )
 from .kolmogorov import CylinderFunction, dynkin_residual, ou_expectation_exact
 from .model import (
@@ -210,13 +213,12 @@ def criterion_6_contraction(quick: bool, master_seed: int) -> dict:
     params, basis, spec = _default_setup(master_seed)
     omega = params.derived().omega
     n = basis.n_modes
-    x = StateH.zero(n)
     u = np.zeros(n)
-    u[0] = 1.0 / math.sqrt(params.gamma)  # |x - xbar|_H = 1
+    u[0] = 1.0 / math.sqrt(params.gamma)  # |x - xbar|_H = 1 from x = 0
     x_bar = StateH(u, np.zeros(n))
     n_paths = 8 if quick else 32
     cfg = TrajectoryConfig(T=10.0, dt=1e-3, record_every=20, master_seed=master_seed + 6)
-    report = coupled_run(x, x_bar, cfg, params, basis, spec, n_paths=n_paths)
+    report = coupled_run(x_bar, cfg, params, basis, spec, n_paths=n_paths)
     return {
         "passed": (
             report.envelope_ok
@@ -280,7 +282,7 @@ def criterion_8_moment_bound(quick: bool, master_seed: int) -> dict:
         times = ens.times
         all_hsq[batch] = ens.h_norm_sq
         for m in (1, 2):
-            reports[(m, batch)] = estimate_moments(m, cfg, params, basis, spec, ensemble=ens)
+            reports[(m, batch)] = estimate_moments(m, ens, cfg, params)
     hsq_pooled = np.concatenate([all_hsq["a"], all_hsq["b"]])
     x0_sq = float(hsq_pooled[0, 0])
     tail = times >= 0.5 * horizon
@@ -322,7 +324,7 @@ def criterion_9_invariant_construction(quick: bool, master_seed: int) -> dict:
     dt = 2e-3 if quick else 1e-3
     cfg = TrajectoryConfig(T=1.0, dt=dt, master_seed=master_seed + 9)
     ladder = [5.0, 10.0, 20.0, 40.0]
-    report = backward_run(ladder, None, cfg, params, basis, spec, n_paths=n_paths)
+    report = backward_run(ladder, cfg, params, basis, spec, n_paths=n_paths)
     moments_plateau = abs(
         report.second_moment[40.0] - report.second_moment[20.0]
     ) / max(report.second_moment[40.0], 1e-300)
@@ -382,34 +384,28 @@ def criterion_10_semigroup_limit(quick: bool, master_seed: int) -> dict:
     h_mix = StateH(np.zeros(n), np.zeros(n))
     h_mix.u_hat[1] = 0.3
     h_mix.w_hat[0] = 0.4
-
-    def cyl(hu_hw: StateH) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
-        return lambda uu, ww: np.exp(
-            params.gamma * (uu @ hu_hw.u_hat) + ww @ hu_hw.w_hat
-        )
-
-    def ramp(uu: np.ndarray, ww: np.ndarray) -> np.ndarray:
-        r = np.sqrt(norm_H_sq_arrays(uu, ww, params.gamma))
-        return r / (1.0 + r)
-
-    functionals = {"cyl_mode0": cyl(h_small), "cyl_mixed": cyl(h_mix), "ramp": ramp}
+    functionals = {
+        "cyl_mode0": cylinder_exp_functional(h_small, params),
+        "cyl_mixed": cylinder_exp_functional(h_mix, params),
+        "ramp": bounded_ramp_functional(params),
+    }
     t = 40.0
     dt = 4e-3 if quick else 2e-3
     n_paths = 48 if quick else 128
     details: dict = {"t": t, "n_paths": n_paths}
     passed = True
-    terminals = []
-    for x0, seed in ((x1, master_seed + 10), (x2, master_seed + 11)):
-        cfg = TrajectoryConfig(
-            T=t, dt=dt, x0=x0, record_every=RECORD_ENDPOINTS, master_seed=seed
+    estimates = [
+        transition_semigroup(
+            list(functionals.values()),
+            n_paths,
+            TrajectoryConfig(T=t, dt=dt, x0=x0, master_seed=seed),
+            params,
+            basis,
+            spec,
         )
-        terminals.append(run_ensemble(cfg, params, basis, spec, n_paths).terminal)
-    for name, fn in functionals.items():
-        vals = []
-        for arr in terminals:
-            v = np.asarray(fn(arr[..., 0], arr[..., 1]), float)
-            vals.append((float(v.mean()), float(v.std(ddof=1) / math.sqrt(n_paths))))
-        (m1, s1), (m2, s2) = vals
+        for x0, seed in ((x1, master_seed + 10), (x2, master_seed + 11))
+    ]
+    for name, (m1, s1), (m2, s2) in zip(functionals, *estimates):
         gap = abs(m1 - m2)
         lim = 3.0 * math.hypot(s1, s2)
         passed = passed and gap <= lim
@@ -433,8 +429,8 @@ def criterion_11_dynkin(quick: bool, master_seed: int) -> dict:
     h_ou = CylinderFunction.from_modes(n, params, spec, u_modes=[(0, 0.4)])
     x0 = StateH.zero(n)
     x0.u_hat[0] = 0.5
-    cfg_ou = TrajectoryConfig(T=1.0, dt=1e-3, drift="linear", master_seed=master_seed + 11)
-    rep = dynkin_residual(h_ou, x0, 1.0, n_paths, cfg_ou, params, basis, spec)
+    cfg_ou = TrajectoryConfig(T=1.0, dt=1e-3, x0=x0, drift="linear", master_seed=master_seed + 11)
+    rep = dynkin_residual(h_ou, n_paths, cfg_ou, params, basis, spec)
     exact = ou_expectation_exact(h_ou, x0, 1.0, params, basis, spec, shifted=False)
     ou_ok = abs(rep.residual) <= 3.0 * rep.se
     oracle_ok = abs(rep.phi_terminal_mean - exact) <= 3.0 * rep.se
@@ -449,8 +445,8 @@ def criterion_11_dynkin(quick: bool, master_seed: int) -> dict:
     )
     residuals = {}
     for dt in (1e-3, 5e-4):
-        cfg = TrajectoryConfig(T=1.0, dt=dt, drift="fhn", master_seed=master_seed + 12)
-        rep_c = dynkin_residual(h_cubic, x0, 1.0, n_paths, cfg, params, basis, spec)
+        cfg = TrajectoryConfig(T=1.0, dt=dt, x0=x0, drift="fhn", master_seed=master_seed + 12)
+        rep_c = dynkin_residual(h_cubic, n_paths, cfg, params, basis, spec)
         residuals[dt] = (abs(rep_c.residual), rep_c.se, rep_c.n_rejected)
         passed = passed and abs(rep_c.residual) <= 3.0 * rep_c.se and rep_c.n_rejected == 0
     r_coarse, s_coarse, _ = residuals[1e-3]

@@ -92,6 +92,15 @@ def _out_dir(args: argparse.Namespace, name: str) -> Path:
     return out
 
 
+def _experiment(args: argparse.Namespace, name: str):
+    """Config, output directory, model, basis, noise and run description of a subcommand."""
+    cfg = _load(args)
+    out = _out_dir(args, name)
+    params = build_params(cfg)
+    basis = build_eigenbasis(params)
+    return cfg, out, params, basis, build_noise(cfg), build_run_config(cfg, params, basis)
+
+
 def cmd_eigen(args: argparse.Namespace) -> int:
     cfg = _load(args)
     out = _out_dir(args, "eigen")
@@ -114,12 +123,7 @@ def cmd_eigen(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    out = _out_dir(args, "simulate")
-    params = build_params(cfg)
-    basis = build_eigenbasis(params)
-    spec = build_noise(cfg)
-    run_cfg = build_run_config(cfg, params, basis)
+    cfg, out, params, basis, spec, run_cfg = _experiment(args, "simulate")
     ens = run_ensemble(run_cfg, params, basis, spec, cfg["paths"])
     for pid, h, v in zip(ens.path_ids, ens.h_norm_sq, ens.v_norm_sq):
         rows = np.column_stack([ens.times, h, v])
@@ -139,18 +143,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_couple(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    out = _out_dir(args, "couple")
-    params = build_params(cfg)
-    basis = build_eigenbasis(params)
-    spec = build_noise(cfg)
-    run_cfg = build_run_config(cfg, params, basis)
+    cfg, out, params, basis, spec, run_cfg = _experiment(args, "couple")
     block = cfg.get("couple", {})
-    x_a = build_x0(block.get("x0_a", {"kind": "zero"}), params, basis) or StateH.zero(basis.n_modes)
     default_b = {"kind": "scaled", "base": {"kind": "constant", "u": 1.0}, "h_norm": 1.0}
     x_b = build_x0(block.get("x0_b", default_b), params, basis) or StateH.zero(basis.n_modes)
     tol = float(block.get("envelope_tol", 0.05))
-    report = coupled_run(x_a, x_b, run_cfg, params, basis, spec, n_paths=cfg["paths"], envelope_tol=tol)
+    report = coupled_run(x_b, run_cfg, params, basis, spec, n_paths=cfg["paths"], envelope_tol=tol)
     rows = np.column_stack([report.times] + [report.delta_sq[p] for p in range(cfg["paths"])])
     write_csv(out / "decay.csv", ["t"] + [f"delta_sq_{p}" for p in range(cfg["paths"])], rows)
     write_json(
@@ -173,12 +171,7 @@ def cmd_couple(args: argparse.Namespace) -> int:
 
 
 def cmd_convergence(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    out = _out_dir(args, "convergence")
-    params = build_params(cfg)
-    basis = build_eigenbasis(params)
-    spec = build_noise(cfg)
-    run_cfg = build_run_config(cfg, params, basis)
+    cfg, out, params, basis, spec, run_cfg = _experiment(args, "convergence")
     ladder = cfg.get("convergence", {}).get("eps_ladder", [0.2, 0.1, 0.05, 0.025])
     report = eps_convergence_study(ladder, run_cfg, params, basis, spec, n_paths=cfg["paths"])
     rows = np.column_stack([report.eps_ladder, report.distance, report.distance_se])
@@ -197,14 +190,9 @@ def cmd_convergence(args: argparse.Namespace) -> int:
 
 
 def cmd_backward(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    out = _out_dir(args, "backward")
-    params = build_params(cfg)
-    basis = build_eigenbasis(params)
-    spec = build_noise(cfg)
-    run_cfg = build_run_config(cfg, params, basis)
+    cfg, out, params, basis, spec, run_cfg = _experiment(args, "backward")
     ladder = cfg.get("backward", {}).get("lambda_ladder", [5.0, 10.0, 20.0, 40.0])
-    report = backward_run(ladder, run_cfg.x0, run_cfg, params, basis, spec, n_paths=cfg["paths"])
+    report = backward_run(ladder, run_cfg, params, basis, spec, n_paths=cfg["paths"])
     rows = [
         [lam, gam, d, report.distance_se[(lam, gam)]] for (lam, gam), d in report.distances.items()
     ]
@@ -225,16 +213,9 @@ def cmd_backward(args: argparse.Namespace) -> int:
 
 
 def cmd_moments(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    out = _out_dir(args, "moments")
-    params = build_params(cfg)
-    basis = build_eigenbasis(params)
-    spec = build_noise(cfg)
-    run_cfg = build_run_config(cfg, params, basis)
+    cfg, out, params, basis, spec, run_cfg = _experiment(args, "moments")
     ens = run_ensemble(run_cfg, params, basis, spec, cfg["paths"])
-    reports = {
-        m: estimate_moments(m, run_cfg, params, basis, spec, ensemble=ens) for m in (1, 2)
-    }
+    reports = {m: estimate_moments(m, ens, run_cfg, params) for m in (1, 2)}
     rows = np.column_stack(
         [reports[1].times, reports[1].estimate, reports[1].se, reports[2].estimate, reports[2].se]
     )
@@ -258,19 +239,14 @@ def cmd_moments(args: argparse.Namespace) -> int:
 
 
 def cmd_invariant(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    out = _out_dir(args, "invariant")
-    params = build_params(cfg)
-    basis = build_eigenbasis(params)
-    spec = build_noise(cfg)
-    run_cfg = build_run_config(cfg, params, basis)
+    cfg, out, params, basis, spec, run_cfg = _experiment(args, "invariant")
     block = cfg.get("invariant", {})
     from .ergodics import h_norm_functional, linear_pairing_functional, v_norm_functional
 
     functionals = [h_norm_functional(params), v_norm_functional(params, basis)]
     if "pairing_mode" in block:
         h = StateH.zero(basis.n_modes)
-        mode = int(block["pairing_mode"])
+        mode = block["pairing_mode"]
         if block.get("pairing_channel", "u") == "w":
             h.w_hat[mode] = 1.0
         else:
@@ -285,7 +261,7 @@ def cmd_invariant(args: argparse.Namespace) -> int:
         burn_in=block.get("burn_in"),
         n_time_samples=int(block.get("n_time_samples", 200)),
         sample_spacing=float(block.get("sample_spacing", 2.0)),
-        n_ensemble=int(block.get("n_ensemble", cfg["paths"])),
+        n_ensemble=cfg["paths"],
     )
     ks = {}
     for name, hist in measure.functionals.items():
@@ -320,12 +296,7 @@ def cmd_invariant(args: argparse.Namespace) -> int:
 
 
 def cmd_linear_oracle(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    out = _out_dir(args, "linear-oracle")
-    params = build_params(cfg)
-    basis = build_eigenbasis(params)
-    spec = build_noise(cfg)
-    run_cfg = build_run_config(cfg, params, basis)
+    cfg, out, params, basis, spec, run_cfg = _experiment(args, "linear-oracle")
     if run_cfg.drift == "fhn":
         run_cfg = replace(run_cfg, drift="linear_eta")
     block = cfg.get("linear_oracle", {})
@@ -357,19 +328,12 @@ def cmd_linear_oracle(args: argparse.Namespace) -> int:
 
 
 def cmd_dynkin(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    out = _out_dir(args, "dynkin")
-    params = build_params(cfg)
-    basis = build_eigenbasis(params)
-    spec = build_noise(cfg)
-    run_cfg = build_run_config(cfg, params, basis)
+    cfg, out, params, basis, spec, run_cfg = _experiment(args, "dynkin")
     block = cfg.get("dynkin", {})
     h_u = [(int(k), float(c)) for k, c in block.get("h_u", [[0, 0.4]])]
     h_w = [(int(k), float(c)) for k, c in block.get("h_w", [])]
-    t = float(block.get("t", 1.0))
     h = CylinderFunction.from_modes(basis.n_modes, params, spec, u_modes=h_u, w_modes=h_w)
-    x0 = run_cfg.x0 or StateH.zero(basis.n_modes)
-    report = dynkin_residual(h, x0, t, cfg["paths"], run_cfg, params, basis, spec)
+    report = dynkin_residual(h, cfg["paths"], run_cfg, params, basis, spec)
     write_json(
         out / "summary.json",
         _summary(

@@ -18,7 +18,7 @@ import numpy as np
 
 from .model import EigenBasis, ModelParams, StateH
 from .noise import NoiseSpec
-from .solver import DRIFT_MODES, TrajectoryConfig
+from .solver import DRIFT_MODES, TrajectoryConfig, _steps_from
 
 
 class ConfigError(ValueError):
@@ -32,23 +32,18 @@ class ConfigError(ValueError):
 _MODEL_KEYS = {"alpha", "gamma", "xi1", "c", "p", "n_modes", "n_grid"}
 _NOISE_KEYS = {"sigma2", "s", "lambda1", "lambda2"}
 _RUN_KEYS = {"T", "dt", "eps", "record_every", "start_time", "drift", "x0"}
-_X0_KINDS = {"zero", "constant", "cosine", "coeffs", "scaled"}
-_TOP_KEYS = {
-    "model",
-    "noise",
-    "run",
-    "master_seed",
-    "paths",
-    "couple",
-    "convergence",
-    "backward",
-    "moments",
-    "invariant",
-    "linear_oracle",
-    "dynkin",
-    "eigen",
-    "acceptance",
+_EXPERIMENT_KEYS = {
+    "couple": {"x0_b", "envelope_tol"},
+    "convergence": {"eps_ladder"},
+    "backward": {"lambda_ladder"},
+    "moments": set(),
+    "invariant": {"burn_in", "n_time_samples", "sample_spacing", "pairing_mode", "pairing_channel"},
+    "linear_oracle": {"burn_in"},
+    "dynkin": {"h_u", "h_w"},
+    "eigen": set(),
+    "acceptance": set(),
 }
+_TOP_KEYS = {"model", "noise", "run", "master_seed", "paths", *_EXPERIMENT_KEYS}
 
 DEFAULT_CONFIG: dict[str, Any] = {
     "model": {
@@ -81,14 +76,22 @@ def _reject_unknown(block: dict, allowed: set[str], path: str) -> None:
             raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
 
 
+def _is_int(val: Any) -> bool:
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
+def _is_number(val: Any) -> bool:
+    return math.isfinite(val) if isinstance(val, float) else _is_int(val)
+
+
 def _require_number(block: dict, key: str, path: str, default=None):
     if key not in block:
         if default is None:
             raise ConfigError(f"{path}.{key}", "missing required value")
         return default
     val = block[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ConfigError(f"{path}.{key}", f"expected a number, got {type(val).__name__}")
+    if not _is_number(val):
+        raise ConfigError(f"{path}.{key}", f"expected a finite number, got {val!r}")
     return val
 
 
@@ -124,26 +127,6 @@ def merge_config(raw: dict[str, Any]) -> dict[str, Any]:
     return merged
 
 
-_EXPERIMENT_KEYS = {
-    "couple": {"x0_a", "x0_b", "envelope_tol"},
-    "convergence": {"eps_ladder"},
-    "backward": {"lambda_ladder"},
-    "moments": set(),
-    "invariant": {
-        "burn_in",
-        "n_time_samples",
-        "sample_spacing",
-        "n_ensemble",
-        "pairing_mode",
-        "pairing_channel",
-    },
-    "linear_oracle": {"burn_in"},
-    "dynkin": {"h_u", "h_w", "t"},
-    "eigen": set(),
-    "acceptance": set(),
-}
-
-
 def validate_config(cfg: dict[str, Any]) -> None:
     _reject_unknown(cfg, _TOP_KEYS, "")
     for block_name, allowed in _EXPERIMENT_KEYS.items():
@@ -156,9 +139,7 @@ def validate_config(cfg: dict[str, Any]) -> None:
     for block_name, key in (("convergence", "eps_ladder"), ("backward", "lambda_ladder")):
         ladder = cfg.get(block_name, {}).get(key)
         if ladder is not None and (
-            not isinstance(ladder, list)
-            or not ladder
-            or any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in ladder)
+            not isinstance(ladder, list) or not ladder or not all(map(_is_number, ladder))
         ):
             raise ConfigError(f"{block_name}.{key}", "expected a non-empty list of numbers")
     model = cfg.get("model", {})
@@ -167,8 +148,9 @@ def validate_config(cfg: dict[str, Any]) -> None:
         _require_number(model, key, "model")
     for key in ("n_modes", "n_grid"):
         val = _require_number(model, key, "model")
-        if not isinstance(val, int) or val < 1:
+        if not _is_int(val) or val < 1:
             raise ConfigError(f"model.{key}", "expected a positive integer")
+    n_modes = model["n_modes"]
     for key in ("c", "p"):
         val = model.get(key)
         if val is None:
@@ -184,10 +166,8 @@ def validate_config(cfg: dict[str, Any]) -> None:
     if "lambda1" in noise or "lambda2" in noise:
         for key in ("lambda1", "lambda2"):
             tab = noise.get(key)
-            if not isinstance(tab, list) or len(tab) != model["n_modes"]:
-                raise ConfigError(
-                    f"noise.{key}", f"expected a table of n_modes={model['n_modes']} values"
-                )
+            if not isinstance(tab, list) or len(tab) != n_modes:
+                raise ConfigError(f"noise.{key}", f"expected a table of n_modes={n_modes} values")
     else:
         _require_number(noise, "sigma2", "noise")
         _require_number(noise, "s", "noise")
@@ -203,39 +183,81 @@ def validate_config(cfg: dict[str, Any]) -> None:
     if _require_number(run, "eps", "run") < 0:
         raise ConfigError("run.eps", "must be >= 0")
     _require_number(run, "start_time", "run")
+    for key in ("T", "start_time"):
+        try:
+            _steps_from(run[key], run["dt"], key)
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"run.{key}", str(exc)) from exc
     every = run.get("record_every")
-    if isinstance(every, bool) or not isinstance(every, int) or every < 1:
+    if not _is_int(every) or every < 1:
         raise ConfigError("run.record_every", "expected a positive integer")
     _validate_x0(run.get("x0", {"kind": "zero"}), "run.x0")
     couple = cfg.get("couple", {})
-    for key in ("x0_a", "x0_b"):
-        if key in couple:
-            _validate_x0(couple[key], f"couple.{key}")
+    if "x0_b" in couple:
+        _validate_x0(couple["x0_b"], "couple.x0_b")
     _require_number(couple, "envelope_tol", "couple", default=0.05)
+    invariant = cfg.get("invariant", {})
+    for key in ("burn_in", "sample_spacing"):
+        _require_number(invariant, key, "invariant", default=0.0)
+    samples = invariant.get("n_time_samples", 1)
+    if not _is_int(samples) or samples < 1:
+        raise ConfigError("invariant.n_time_samples", "expected a positive integer")
+    mode = invariant.get("pairing_mode", 0)
+    if not _is_int(mode) or not 0 <= mode < n_modes:
+        raise ConfigError("invariant.pairing_mode", f"expected an integer in [0, {n_modes})")
+    if invariant.get("pairing_channel", "u") not in ("u", "w"):
+        raise ConfigError("invariant.pairing_channel", "must be 'u' or 'w'")
+    _require_number(cfg.get("linear_oracle", {}), "burn_in", "linear_oracle", default=0.0)
+    dynkin = cfg.get("dynkin", {})
+    for key in ("h_u", "h_w"):
+        pairs = dynkin.get(key, [])
+        if not isinstance(pairs, list) or not all(
+            isinstance(p, list) and len(p) == 2 and _is_int(p[0]) and 0 <= p[0] < n_modes
+            and _is_number(p[1])
+            for p in pairs
+        ):
+            raise ConfigError(
+                f"dynkin.{key}", f"expected [mode, coefficient] pairs, mode in [0, {n_modes})"
+            )
     seed = cfg.get("master_seed", 0)
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         raise ConfigError("master_seed", "expected a nonnegative integer")
     paths = cfg.get("paths", 1)
-    if isinstance(paths, bool) or not isinstance(paths, int) or paths < 1:
+    if not _is_int(paths) or paths < 1:
         raise ConfigError("paths", "expected a positive integer")
+
+
+_NUMBER = (_is_number, "a finite number")
+_INT = (_is_int, "an integer")
+_NUMBERS = (lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of finite numbers")
+# the fields of each x0 kind and the check of each field's value; ``base``
+# is checked as an x0 of its own
+_X0_FIELDS = {
+    "zero": {},
+    "constant": {"u": _NUMBER, "w": _NUMBER},
+    "cosine": {"u_amplitude": _NUMBER, "u_mode": _INT, "w_amplitude": _NUMBER, "w_mode": _INT},
+    "coeffs": {"u_hat": _NUMBERS, "w_hat": _NUMBERS},
+    "scaled": {"base": None, "h_norm": _NUMBER},
+}
 
 
 def _validate_x0(x0: Any, path: str) -> None:
     if not isinstance(x0, dict):
         raise ConfigError(path, "must be an object with a 'kind'")
     kind = x0.get("kind")
-    if kind not in _X0_KINDS:
-        raise ConfigError(f"{path}.kind", f"must be one of {sorted(_X0_KINDS)}")
-    allowed = {
-        "zero": {"kind"},
-        "constant": {"kind", "u", "w"},
-        "cosine": {"kind", "u_amplitude", "u_mode", "w_amplitude", "w_mode"},
-        "coeffs": {"kind", "u_hat", "w_hat"},
-        "scaled": {"kind", "base", "h_norm"},
-    }[kind]
-    _reject_unknown(x0, allowed, path)
+    if not isinstance(kind, str) or kind not in _X0_FIELDS:
+        raise ConfigError(f"{path}.kind", f"must be one of {sorted(_X0_FIELDS)}")
+    fields = _X0_FIELDS[kind]
+    _reject_unknown(x0, {"kind", *fields}, path)
+    for key, val in x0.items():
+        check = fields.get(key)
+        if check and not check[0](val):
+            raise ConfigError(f"{path}.{key}", f"expected {check[1]}")
     if kind == "scaled":
-        _validate_x0(x0.get("base", {}), f"{path}.base")
+        base = x0.get("base", {})
+        _validate_x0(base, f"{path}.base")
+        if base["kind"] == "zero":
+            raise ConfigError(f"{path}.base", "cannot rescale the zero state")
         _require_number(x0, "h_norm", path)
 
 
@@ -291,7 +313,7 @@ def build_x0(x0_cfg: dict[str, Any], params: ModelParams, basis: EigenBasis) -> 
     if kind == "scaled":
         base = build_x0(x0_cfg["base"], params, basis)
         if base is None:
-            raise ConfigError("x0.scaled", "cannot rescale the zero state")
+            raise ValueError("cannot rescale the zero state")
         norm = math.sqrt(
             params.gamma * float(base.u_hat @ base.u_hat) + float(base.w_hat @ base.w_hat)
         )

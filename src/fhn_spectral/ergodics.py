@@ -109,26 +109,20 @@ class MomentReport:
 
 def estimate_moments(
     m: int,
+    ensemble: Ensemble,
     cfg: TrajectoryConfig,
     params: ModelParams,
-    basis: EigenBasis,
-    spec: NoiseSpec,
-    n_paths: int = 64,
-    ensemble: Ensemble | None = None,
 ) -> MomentReport:
     """Monte Carlo curve t -> E|X(t,x)|_H^{2m} with fitted envelope constants.
 
-    ``ensemble`` short-circuits the simulation with a precomputed run, so
-    both moment orders can share one set of trajectories.
+    Reduces the recorded norms of ``ensemble``, the run of ``cfg``, so both
+    moment orders can share one set of trajectories.
     """
     if m not in (1, 2):
         raise ValueError("moment order m must be 1 or 2")
+    n_paths = ensemble.path_ids.size
     if n_paths < 2:
         raise ValueError("need at least 2 paths for standard errors")
-    if ensemble is None:
-        ensemble = run_ensemble(cfg, params, basis, spec, n_paths)
-    else:
-        n_paths = ensemble.path_ids.size
     times = ensemble.times
     hsq = ensemble.h_norm_sq   # (P, R)
     vals = hsq if m == 1 else hsq * hsq
@@ -299,8 +293,11 @@ def estimate_invariant_measure(
     (time average); ``n_ensemble`` independent short runs contribute their
     terminal states (ensemble average).  Agreement of the two is the
     ergodicity evidence: each functional carries a two-sample KS statistic
-    against the 5% critical value.
+    against the 5% critical value.  The horizons follow from ``burn_in`` and
+    the sampling, so ``cfg.T`` is not read.
     """
+    if n_time_samples < 1:
+        raise ValueError("n_time_samples must be >= 1")
     omega = params.derived().omega
     if burn_in is None:
         burn_in = 5.0 / omega
@@ -376,26 +373,28 @@ def estimate_invariant_measure(
 
 
 def transition_semigroup(
-    phi: StateFunctional,
-    t: float,
-    x: StateH,
+    phis: Sequence[StateFunctional],
     n_paths: int,
     cfg: TrajectoryConfig,
     params: ModelParams,
     basis: EigenBasis,
     spec: NoiseSpec,
-) -> tuple[float, float]:
-    """Monte Carlo P_t phi(x) = E phi(X(t,x)) with its standard error."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if t == 0:
-        u = x.u_hat[None]
-        w = x.w_hat[None]
-        return float(phi(u, w)[0]), 0.0
-    run_cfg = replace(cfg, T=t, x0=x, record_every=RECORD_ENDPOINTS)
+) -> list[tuple[float, float]]:
+    """Monte Carlo P_t phi(x) = E phi(X(t,x)) and its standard error, per phi.
+
+    x is ``cfg.x0`` and t is ``cfg.T``; every functional is reduced over the
+    terminal states of one ensemble.
+    """
+    if cfg.n_steps == 0:
+        x0 = _x0_array(cfg, basis.n_modes)[None]
+        return [(float(phi(x0[..., 0], x0[..., 1])[0]), 0.0) for phi in phis]
+    run_cfg = replace(cfg, record_every=RECORD_ENDPOINTS)
     terminals = run_ensemble(run_cfg, params, basis, spec, n_paths).terminal
-    vals = np.asarray(phi(terminals[..., 0], terminals[..., 1]), float)
-    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_paths))
+    estimates = []
+    for phi in phis:
+        vals = np.asarray(phi(terminals[..., 0], terminals[..., 1]), float)
+        estimates.append((float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(n_paths))))
+    return estimates
 
 
 @dataclass

@@ -37,7 +37,7 @@ from .model import (
 )
 from .nonlinearity import DriftParams, apply_F_arrays
 from .noise import NoiseSpec, build_ou_kernel
-from .solver import DRIFT_MODES, TrajectoryConfig, _simulate_batch
+from .solver import DRIFT_MODES, TrajectoryConfig, _simulate_batch, _x0_array
 
 # reject paths whose exponent would push phi (or its variance) out of the
 # floating range
@@ -179,33 +179,27 @@ class DynkinReport:
 
 def dynkin_residual(
     h: CylinderFunction,
-    x: StateH,
-    t: float,
     n_paths: int,
     cfg: TrajectoryConfig,
     params: ModelParams,
     basis: EigenBasis,
     spec: NoiseSpec,
 ) -> DynkinReport:
-    """Accumulate the Dynkin identity along simulated paths.
+    """Accumulate the Dynkin identity along paths from ``cfg.x0`` over t = ``cfg.T``.
 
     The generator matches the drift mode of ``cfg`` (full cubic, eps-family,
     or either linear reference).  Paths whose exponent leaves the floating
     range are rejected and counted; the residual's standard error combines
     the per-path fluctuation of phi(X_t) - int N0 phi ds.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
     n = basis.n_modes
-    phi0 = float(np.exp(log_phi(h, x)))
-    if t == 0:
+    x0 = _x0_array(cfg, n)
+    phi0 = float(np.exp(h.pairing(x0[None, :, 0], x0[None, :, 1])[0]))
+    if cfg.n_steps == 0:
         return DynkinReport(
             t=0.0, dt=cfg.dt, n_paths=n_paths, n_rejected=0, phi_start=phi0,
             phi_terminal_mean=phi0, integral_mean=0.0, residual=0.0, se=0.0,
         )
-    n_steps = int(round(t / cfg.dt))
-    if abs(n_steps * cfg.dt - t) > 1e-9 * max(1.0, t):
-        raise ValueError(f"t={t} is not a multiple of dt={cfg.dt}")
 
     integral = np.zeros(n_paths)
     prev = np.zeros(n_paths)
@@ -231,7 +225,7 @@ def dynkin_residual(
             return
         integral[:] += 0.5 * cfg.dt * (prev + vals)
         prev = vals
-        if i == n_steps:
+        if i == cfg.n_steps:
             lp = h.pairing(state[..., 0], state[..., 1])
             bad = np.abs(lp) > _LOG_GUARD
             overflow[bad] = True
@@ -242,9 +236,9 @@ def dynkin_residual(
         basis,
         spec,
         dt=cfg.dt,
-        n_steps=n_steps,
+        n_steps=cfg.n_steps,
         start_interval=cfg.start_interval,
-        x0=np.broadcast_to(x.as_array(), (n_paths, n, 2)),
+        x0=np.broadcast_to(x0, (n_paths, n, 2)),
         drift=cfg.drift,
         eps_by_col=np.full(n_paths, cfg.eps),
         master_seed=cfg.master_seed,
@@ -259,7 +253,7 @@ def dynkin_residual(
     residual = float(martingale.mean() - phi0)
     se = float(martingale.std(ddof=1) / math.sqrt(n_ok))
     return DynkinReport(
-        t=t,
+        t=cfg.T,
         dt=cfg.dt,
         n_paths=n_ok,
         n_rejected=int(overflow.sum()),

@@ -425,7 +425,6 @@ class CoupledDecayReport:
 
 
 def coupled_run(
-    x: StateH,
     x_bar: StateH,
     cfg: TrajectoryConfig,
     params: ModelParams,
@@ -434,7 +433,7 @@ def coupled_run(
     n_paths: int = 1,
     envelope_tol: float = 0.05,
 ) -> CoupledDecayReport:
-    """Drive both initial states with the identical noise path per trajectory.
+    """Drive ``cfg.x0`` and ``x_bar`` with the identical noise path per trajectory.
 
     The additive noise cancels exactly in the difference, whose squared
     H-norm must stay under e^{-2 omega t}|x - xbar|^2 (up to the stated
@@ -442,11 +441,10 @@ def coupled_run(
     """
     n = basis.n_modes
     omega = params.derived().omega
-    x_arr, xb_arr = x.as_array(), x_bar.as_array()
     b = 2 * n_paths
     x0 = np.empty((b, n, 2))
-    x0[:n_paths] = x_arr
-    x0[n_paths:] = xb_arr
+    x0[:n_paths] = _x0_array(cfg, n)
+    x0[n_paths:] = x_bar.as_array()
 
     rec_times: list[float] = []
     deltas: list[np.ndarray] = []
@@ -628,7 +626,6 @@ class BackwardReport:
 
 def backward_run(
     lambda_ladder: Sequence[float],
-    x0: StateH | None,
     cfg: TrajectoryConfig,
     params: ModelParams,
     basis: EigenBasis,
@@ -637,16 +634,18 @@ def backward_run(
 ) -> BackwardReport:
     """Solve from t = -lambda to 0 for each ladder offset with shared noise.
 
-    Because increments are indexed by absolute interval, the runs for
-    different lambda share every interval they have in common, which is
-    exactly the coupling behind the Cauchy property of X_lambda(0).
+    Every rung starts from ``cfg.x0``; the rungs set their own horizons, so
+    ``cfg.T`` and ``cfg.start_time`` are not read.  Because increments are
+    indexed by absolute interval, the runs for different lambda share every
+    interval they have in common, which is exactly the coupling behind the
+    Cauchy property of X_lambda(0).
     """
     ladder = sorted(set(float(l) for l in lambda_ladder))
     if not ladder or ladder[0] <= 0:
         raise ValueError("lambda ladder must contain positive offsets")
     terminal: dict[float, np.ndarray] = {}
     for lam in ladder:
-        run_cfg = replace(cfg, T=lam, start_time=-lam, x0=x0, record_every=RECORD_ENDPOINTS)
+        run_cfg = replace(cfg, T=lam, start_time=-lam, record_every=RECORD_ENDPOINTS)
         terminal[lam] = run_ensemble(run_cfg, params, basis, spec, n_paths).terminal
 
     second = {
@@ -670,6 +669,7 @@ def backward_run(
     else:
         fit_rate, fit_r2 = math.nan, math.nan
     omega = params.derived().omega
+    x0 = cfg.x0
     x0_sq = 0.0 if x0 is None else float(
         params.gamma * (x0.u_hat @ x0.u_hat) + x0.w_hat @ x0.w_hat
     )

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 from fhn_spectral import build_eigenbasis
@@ -46,9 +48,30 @@ class TestConfigValidation:
             ({"run": {"start_time": None}}, "run.start_time"),
             ({"run": {"eps": "x"}}, "run.eps"),
             ({"run": {"eps": -0.1}}, "run.eps"),
-            ({"couple": {"x0_a": {"kind": "constant", "u": 1, "bogus": 3}}}, "couple.x0_a.bogus"),
+            ({"couple": {"x0_b": {"kind": "constant", "u": 1, "bogus": 3}}}, "couple.x0_b.bogus"),
             ({"couple": {"x0_b": {"kind": "wavelet"}}}, "couple.x0_b.kind"),
             ({"couple": {"envelope_tol": "x"}}, "couple.envelope_tol"),
+            ({"dynkin": {"t": 0.2}}, "dynkin.t"),
+            ({"couple": {"x0_a": {"kind": "zero"}}}, "couple.x0_a"),
+            ({"invariant": {"n_ensemble": 36}}, "invariant.n_ensemble"),
+            ({"invariant": {"burn_in": "x"}}, "invariant.burn_in"),
+            ({"invariant": {"sample_spacing": None}}, "invariant.sample_spacing"),
+            ({"invariant": {"n_time_samples": "x"}}, "invariant.n_time_samples"),
+            ({"invariant": {"n_time_samples": 0}}, "invariant.n_time_samples"),
+            ({"invariant": {"pairing_mode": 99}}, "invariant.pairing_mode"),
+            ({"invariant": {"pairing_mode": -1}}, "invariant.pairing_mode"),
+            ({"invariant": {"pairing_channel": "v"}}, "invariant.pairing_channel"),
+            ({"linear_oracle": {"burn_in": "x"}}, "linear_oracle.burn_in"),
+            ({"dynkin": {"h_u": [[0, "a"]]}}, "dynkin.h_u"),
+            ({"dynkin": {"h_w": [[32, 0.1]]}}, "dynkin.h_w"),
+            (
+                {"couple": {"x0_b": {"kind": "scaled", "base": {"kind": "zero"}, "h_norm": 1}}},
+                "couple.x0_b.base",
+            ),
+            ({"run": {"x0": {"kind": "cosine", "u_mode": "a"}}}, "run.x0.u_mode"),
+            ({"run": {"T": 0.00037}}, "run.T"),
+            ({"run": {"start_time": 0.0005}}, "run.start_time"),
+            ({"run": {"T": float("nan")}}, "run.T"),
         ],
     )
     def test_rejections_carry_path(self, raw, path):
@@ -79,6 +102,100 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             load_config(path)
         assert "line" in str(err.value)
+
+
+# a valid config with an object at every nesting depth the schema has
+_NESTED = {
+    "run": {"x0": {"kind": "scaled", "base": {"kind": "constant", "u": 1.0}, "h_norm": 2.0}},
+    "couple": {"x0_b": {"kind": "cosine", "u_amplitude": 1.0, "u_mode": 2}},
+}
+_BLOCKS = [
+    (), ("model",), ("noise",), ("run",), ("run", "x0"), ("run", "x0", "base"),
+    ("couple",), ("couple", "x0_b"), ("convergence",), ("backward",), ("moments",),
+    ("invariant",), ("linear_oracle",), ("dynkin",), ("eigen",), ("acceptance",),
+]
+_NOT_A_NUMBER = st.one_of(
+    st.none(), st.booleans(), st.text(max_size=4), st.lists(st.integers(), max_size=2),
+    st.just(float("inf")), st.just(float("nan")),
+)
+_NOT_AN_INT = st.one_of(_NOT_A_NUMBER, st.floats())
+_NOT_NUMBERS = st.one_of(
+    _NOT_A_NUMBER.filter(lambda v: not isinstance(v, list)),
+    st.lists(_NOT_A_NUMBER, min_size=1, max_size=3),
+)
+_X0_FIELDS = {
+    "constant": {"u": _NOT_A_NUMBER, "w": _NOT_A_NUMBER},
+    "cosine": {
+        "u_amplitude": _NOT_A_NUMBER, "w_amplitude": _NOT_A_NUMBER,
+        "u_mode": _NOT_AN_INT, "w_mode": _NOT_AN_INT,
+    },
+    "coeffs": {"u_hat": _NOT_NUMBERS, "w_hat": _NOT_NUMBERS},
+    "scaled": {"h_norm": _NOT_A_NUMBER},
+}
+
+
+def _merge_error(raw) -> ConfigError:
+    with pytest.raises(ConfigError) as err:
+        merge_config(raw)
+    return err.value
+
+
+class TestConfigProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        block=st.sampled_from(_BLOCKS),
+        suffix=st.text(alphabet="abcdefghijklmnopqrstuvwxyz_0123456789", max_size=8),
+    )
+    def test_unknown_key_at_any_depth(self, block, suffix):
+        raw = json.loads(json.dumps(_NESTED))
+        node = raw
+        for name in block:
+            node = node.setdefault(name, {})
+        key = "bogus" + suffix
+        node[key] = 1
+        assert _merge_error(raw).path == ".".join(block + (key,))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        field=st.sampled_from(["T", "dt", "eps", "start_time", "record_every", "drift", "x0"]),
+        data=st.data(),
+    )
+    def test_wrong_typed_run_field(self, field, data):
+        bad = data.draw(
+            {
+                "record_every": _NOT_AN_INT,
+                "drift": _NOT_A_NUMBER.filter(lambda v: v not in ("fhn", "linear", "linear_eta")),
+                "x0": _NOT_A_NUMBER,
+            }.get(field, _NOT_A_NUMBER)
+        )
+        assert _merge_error({"run": {field: bad}}).path == f"run.{field}"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        where=st.sampled_from([("run", "x0"), ("couple", "x0_b")]),
+        kind_field=st.sampled_from([(k, f) for k, fs in _X0_FIELDS.items() for f in fs]),
+        data=st.data(),
+    )
+    def test_wrong_typed_x0_field(self, where, kind_field, data):
+        kind, field = kind_field
+        x0 = {"kind": kind}
+        if kind == "scaled":
+            x0["base"] = {"kind": "constant", "u": 1.0}
+        x0[field] = data.draw(_X0_FIELDS[kind][field])
+        raw = {where[0]: {where[1]: x0}}
+        assert _merge_error(raw).path == f"{where[0]}.{where[1]}.{field}"
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        key=st.sampled_from(["T", "start_time"]),
+        dt=st.sampled_from([1e-3, 2e-3, 0.05, 0.1]),
+        steps=st.integers(0, 5000),
+        frac=st.floats(0.01, 0.99),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_time_off_the_dt_grid(self, key, dt, steps, frac, sign):
+        value = (steps + frac) * dt * (sign if key == "start_time" else 1.0)
+        assert _merge_error({"run": {"dt": dt, key: value}}).path == f"run.{key}"
 
 
 class TestX0Builders:
@@ -129,6 +246,16 @@ class TestCLI:
         rc = main(["moments", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
         assert "moments.m" in capsys.readouterr().err
+        # the deleted duplicates of run.T, run.x0 and paths are unknown keys
+        for command, raw, path in (
+            ("dynkin", {"dynkin": {"t": 0.2}}, "dynkin.t"),
+            ("couple", {"couple": {"x0_a": {"kind": "zero"}}}, "couple.x0_a"),
+            ("invariant", {"invariant": {"n_ensemble": 36}}, "invariant.n_ensemble"),
+        ):
+            cfg.write_text(json.dumps(raw))
+            rc = main([command, "--config", str(cfg), "--out", str(tmp_path / "o")])
+            assert rc == EXIT_CONFIG
+            assert path in capsys.readouterr().err
         assert build_parser().parse_args(["acceptance", "--quick"]).quick
         for argv in (
             ["simulate", "--quick"],
@@ -201,7 +328,7 @@ class TestCLI:
                 {
                     "model": {"gamma": 1.0},
                     "run": {"T": 0.1, "dt": 1e-3, "drift": "linear"},
-                    "dynkin": {"h_u": [[0, 0.4]], "t": 0.1},
+                    "dynkin": {"h_u": [[0, 0.4]]},
                     "paths": 16,
                 }
             )
@@ -289,7 +416,6 @@ class TestCLI:
                         "burn_in": 9.0,
                         "n_time_samples": 40,
                         "sample_spacing": 1.0,
-                        "n_ensemble": 16,
                         "pairing_mode": 0,
                     },
                     "paths": 16,

@@ -26,23 +26,28 @@ from fhn_spectral.ergodics import (
     linear_stationary_h_moment,
     v_norm_functional,
 )
-from fhn_spectral.solver import _simulate_batch
+from fhn_spectral.solver import _simulate_batch, run_ensemble
 
 class TestMoments:
     def test_zero_noise_zero_start(self, params, basis, zero_spec):
         cfg = TrajectoryConfig(T=0.5, dt=1e-3, record_every=50)
-        rep = estimate_moments(1, cfg, params, basis, zero_spec, n_paths=4)
+        ens = run_ensemble(cfg, params, basis, zero_spec, 4)
+        rep = estimate_moments(1, ens, cfg, params)
         assert rep.estimate.max() == 0.0
         assert rep.envelope_constant == 0.0
 
     def test_invalid_order(self, params, basis, spec):
+        cfg = TrajectoryConfig(T=0.01, dt=1e-3)
+        ens = run_ensemble(cfg, params, basis, spec, 2)
         with pytest.raises(ValueError):
-            estimate_moments(3, TrajectoryConfig(T=0.1), params, basis, spec, n_paths=4)
+            estimate_moments(3, ens, cfg, params)
+        with pytest.raises(ValueError):
+            estimate_moments(1, run_ensemble(cfg, params, basis, spec, 1), cfg, params)
 
     def test_linear_long_run_matches_lyapunov(self, params, basis, spec):
         target = linear_stationary_h_moment(params, basis, spec)
         cfg = TrajectoryConfig(T=60.0, dt=0.05, drift="linear_eta", record_every=1200, master_seed=10)
-        rep = estimate_moments(1, cfg, params, basis, spec, n_paths=64)
+        rep = estimate_moments(1, run_ensemble(cfg, params, basis, spec, 64), cfg, params)
         gap = abs(rep.estimate[-1] - target)
         assert gap <= 3.0 * rep.se[-1]
 
@@ -53,7 +58,7 @@ class TestMoments:
         cfg = TrajectoryConfig(
             T=8.0, dt=1e-3, x0=StateH(u, np.zeros(n)), record_every=20, master_seed=3
         )
-        rep = estimate_moments(1, cfg, params, basis, spec, n_paths=16)
+        rep = estimate_moments(1, run_ensemble(cfg, params, basis, spec, 16), cfg, params)
         assert rep.x0_norm_sq == approx(100.0)
         assert rep.transient_exponent >= 0.7 * rep.omega1
 
@@ -134,6 +139,11 @@ class TestInvariantMeasure:
         assert hist.mass_ensemble.max() == approx(1.0)
         assert hist.ks_stat == 0.0
 
+    def test_no_time_samples_rejected(self, params, basis, zero_spec):
+        cfg = TrajectoryConfig(T=1.0, dt=1e-3)
+        with pytest.raises(ValueError):
+            estimate_invariant_measure(cfg, params, basis, zero_spec, burn_in=0.5, n_time_samples=0)
+
     def test_linear_pairing_gaussian(self, params, basis, spec):
         # <x,h>_H under the F-disabled stationary law is centered Gaussian with
         # variance g^T Sigma g; one-sample KS at the 5% level
@@ -188,21 +198,21 @@ class TestTransitionSemigroup:
         x = StateH.zero(n)
         x.u_hat[0] = 2.0
         phi = h_norm_functional(params)
-        cfg = TrajectoryConfig(T=1.0, dt=1e-3)
-        est, se = transition_semigroup(phi, 0.0, x, 16, cfg, params, basis, spec)
+        cfg = TrajectoryConfig(T=0.0, dt=1e-3, x0=x)
+        [(est, se)] = transition_semigroup([phi], 16, cfg, params, basis, spec)
         assert est == approx(math.sqrt(params.gamma) * 2.0)
         assert se == 0.0
 
     def test_constant_functional_conserved(self, params, basis, spec):
         from fhn_spectral.ergodics import transition_semigroup
 
-        phi = constant_one_functional()
-        cfg = TrajectoryConfig(T=1.0, dt=1e-3, master_seed=12)
-        est, se = transition_semigroup(
-            phi, 0.5, StateH.zero(basis.n_modes), 8, cfg, params, basis, spec
-        )
+        # several functionals reduce the terminal states of one ensemble
+        phis = [constant_one_functional(), h_norm_functional(params)]
+        cfg = TrajectoryConfig(T=0.5, dt=1e-3, master_seed=12)
+        (est, se), h_norm = transition_semigroup(phis, 8, cfg, params, basis, spec)
         assert est == 1.0
         assert se == 0.0
+        assert transition_semigroup(phis[1:], 8, cfg, params, basis, spec) == [h_norm]
 
     def test_functional_builders(self, params, basis, rng):
         n = basis.n_modes

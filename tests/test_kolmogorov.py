@@ -137,16 +137,18 @@ class TestDynkin:
     def test_t_zero_trivial(self, gamma1):
         params, basis, spec = gamma1
         h = CylinderFunction.from_modes(basis.n_modes, params, spec, u_modes=[(0, 0.4)])
-        cfg = TrajectoryConfig(T=1.0, dt=1e-3)
-        rep = dynkin_residual(h, StateH.zero(basis.n_modes), 0.0, 16, cfg, params, basis, spec)
+        x = StateH.zero(basis.n_modes)
+        x.u_hat[0] = 0.5
+        cfg = TrajectoryConfig(T=0.0, dt=1e-3, x0=x)
+        rep = dynkin_residual(h, 16, cfg, params, basis, spec)
         assert rep.residual == 0.0 and rep.se == 0.0
+        assert rep.phi_start == approx(phi_eval(h, x), rel=1e-15)
 
     def test_ou_residual_within_se(self, gamma1):
         params, basis, spec = gamma1
         h = CylinderFunction.from_modes(basis.n_modes, params, spec, u_modes=[(0, 0.4)])
-        x = StateH.zero(basis.n_modes)
         cfg = TrajectoryConfig(T=0.5, dt=1e-3, drift="linear", master_seed=3)
-        rep = dynkin_residual(h, x, 0.5, 96, cfg, params, basis, spec)
+        rep = dynkin_residual(h, 96, cfg, params, basis, spec)
         assert rep.n_rejected == 0
         assert abs(rep.residual) <= 3.0 * rep.se
 
@@ -157,8 +159,8 @@ class TestDynkin:
         )
         x = StateH.zero(basis.n_modes)
         x.u_hat[0] = 0.5
-        cfg = TrajectoryConfig(T=0.5, dt=1e-3, drift="fhn", master_seed=5)
-        rep = dynkin_residual(h, x, 0.5, 96, cfg, params, basis, spec)
+        cfg = TrajectoryConfig(T=0.5, dt=1e-3, x0=x, drift="fhn", master_seed=5)
+        rep = dynkin_residual(h, 96, cfg, params, basis, spec)
         assert rep.n_rejected == 0
         assert abs(rep.residual) <= 3.0 * rep.se
 
@@ -166,16 +168,9 @@ class TestDynkin:
         params, basis, spec = gamma1
         h = CylinderFunction.from_modes(basis.n_modes, params, spec, u_modes=[(0, 4000.0)])
         cfg = TrajectoryConfig(T=1.0, dt=2e-3, drift="linear", master_seed=6)
-        rep = dynkin_residual(h, StateH.zero(basis.n_modes), 1.0, 64, cfg, params, basis, spec)
+        rep = dynkin_residual(h, 64, cfg, params, basis, spec)
         assert 0 < rep.n_rejected < 64
         assert rep.n_paths == 64 - rep.n_rejected
-
-    def test_time_not_multiple_rejected(self, gamma1):
-        params, basis, spec = gamma1
-        h = CylinderFunction.from_modes(basis.n_modes, params, spec, u_modes=[(0, 0.1)])
-        cfg = TrajectoryConfig(T=1.0, dt=1e-3)
-        with pytest.raises(ValueError):
-            dynkin_residual(h, StateH.zero(basis.n_modes), 0.00037, 8, cfg, params, basis, spec)
 
 
 class TestGrowthEnvelope:

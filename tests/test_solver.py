@@ -237,17 +237,16 @@ class TestSelfConvergence:
 class TestCoupledRun:
     def test_identical_states_zero_gap(self, params, basis, spec):
         x = StateH.zero(basis.n_modes)
-        cfg = TrajectoryConfig(T=0.05, dt=1e-3, record_every=10, master_seed=2)
-        rep = coupled_run(x, x.copy(), cfg, params, basis, spec, n_paths=2)
+        cfg = TrajectoryConfig(T=0.05, dt=1e-3, x0=x, record_every=10, master_seed=2)
+        rep = coupled_run(x.copy(), cfg, params, basis, spec, n_paths=2)
         assert rep.delta_sq.max() == 0.0
 
     def test_decay_envelope_and_fit(self, params, basis, spec):
-        x = StateH.zero(basis.n_modes)
         u = np.zeros(basis.n_modes)
         u[0] = 1.0 / math.sqrt(params.gamma)
         y = StateH(u, np.zeros(basis.n_modes))
         cfg = TrajectoryConfig(T=6.0, dt=1e-3, record_every=50, master_seed=14)
-        rep = coupled_run(x, y, cfg, params, basis, spec, n_paths=6)
+        rep = coupled_run(y, cfg, params, basis, spec, n_paths=6)
         assert rep.delta0_sq == approx(1.0)
         assert rep.envelope_ok
         assert rep.max_envelope_ratio <= 1.05
@@ -258,21 +257,20 @@ class TestCoupledRun:
         # record_every = 30 does not divide n_steps = 100: both keep the last step
         x = StateH.zero(basis.n_modes)
         cfg = TrajectoryConfig(T=0.1, dt=1e-3, record_every=30, master_seed=8)
-        rep = coupled_run(x, x.copy(), cfg, params, basis, spec)
+        rep = coupled_run(x, cfg, params, basis, spec)
         assert np.array_equal(rep.times, integrate(cfg, params, basis, spec).times)
         assert rep.times.size == 5
 
     def test_noise_free_difference_is_seed_free(self, params, basis, zero_spec):
         # with lambda = 0 the coupled difference profile cannot depend on the
         # master seed at all
-        x = StateH.zero(basis.n_modes)
         u = np.zeros(basis.n_modes)
         u[1] = 1.0
         y = StateH(u, np.zeros(basis.n_modes))
         cfg1 = TrajectoryConfig(T=1.0, dt=1e-3, record_every=100, master_seed=1)
         cfg2 = replace(cfg1, master_seed=999)
-        rep1 = coupled_run(x, y, cfg1, params, basis, zero_spec, n_paths=2)
-        rep2 = coupled_run(x, y, cfg2, params, basis, zero_spec, n_paths=2)
+        rep1 = coupled_run(y, cfg1, params, basis, zero_spec, n_paths=2)
+        rep2 = coupled_run(y, cfg2, params, basis, zero_spec, n_paths=2)
         assert np.array_equal(rep1.delta_sq, rep2.delta_sq)
 
 
@@ -307,7 +305,7 @@ class TestBackwardRun:
         rungs = []
         monkeypatch.setattr(solver, "run_ensemble", lambda *a: rungs.append(run_ensemble(*a)) or rungs[-1])
         cfg = TrajectoryConfig(T=1.0, dt=2e-3, master_seed=21)
-        rep = backward_run([1.0, 2.0, 4.0], None, cfg, params, basis, spec, n_paths=6)
+        rep = backward_run([1.0, 2.0, 4.0], cfg, params, basis, spec, n_paths=6)
         assert [ens.times.size for ens in rungs] == [2, 2, 2]  # endpoints only
         assert set(rep.distances) == {(2.0, 1.0), (4.0, 1.0), (4.0, 2.0)}
         assert all(v > 0 for v in rep.distances.values())
@@ -320,7 +318,7 @@ class TestBackwardRun:
     def test_ladder_validation(self, params, basis, spec):
         cfg = TrajectoryConfig(T=1.0, dt=1e-3)
         with pytest.raises(ValueError):
-            backward_run([-1.0], None, cfg, params, basis, spec)
+            backward_run([-1.0], cfg, params, basis, spec)
 
 
 def test_ols_line_perfect_fit():
