@@ -146,7 +146,8 @@ def cmd_couple(args: argparse.Namespace) -> int:
     cfg, out, params, basis, spec, run_cfg = _experiment(args, "couple")
     block = cfg.get("couple", {})
     default_b = {"kind": "scaled", "base": {"kind": "constant", "u": 1.0}, "h_norm": 1.0}
-    x_b = build_x0(block.get("x0_b", default_b), params, basis) or StateH.zero(basis.n_modes)
+    x_b_cfg = block.get("x0_b", default_b)
+    x_b = build_x0(x_b_cfg, params, basis, "couple.x0_b") or StateH.zero(basis.n_modes)
     tol = float(block.get("envelope_tol", 0.05))
     report = coupled_run(x_b, run_cfg, params, basis, spec, n_paths=cfg["paths"], envelope_tol=tol)
     rows = np.column_stack([report.times] + [report.delta_sq[p] for p in range(cfg["paths"])])

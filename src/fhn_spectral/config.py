@@ -191,14 +191,15 @@ def validate_config(cfg: dict[str, Any]) -> None:
     every = run.get("record_every")
     if not _is_int(every) or every < 1:
         raise ConfigError("run.record_every", "expected a positive integer")
-    _validate_x0(run.get("x0", {"kind": "zero"}), "run.x0")
+    _validate_x0(run.get("x0", {"kind": "zero"}), "run.x0", n_modes)
     couple = cfg.get("couple", {})
     if "x0_b" in couple:
-        _validate_x0(couple["x0_b"], "couple.x0_b")
+        _validate_x0(couple["x0_b"], "couple.x0_b", n_modes)
     _require_number(couple, "envelope_tol", "couple", default=0.05)
     invariant = cfg.get("invariant", {})
-    for key in ("burn_in", "sample_spacing"):
-        _require_number(invariant, key, "invariant", default=0.0)
+    _require_number(invariant, "burn_in", "invariant", default=0.0)
+    if _require_number(invariant, "sample_spacing", "invariant", default=2.0) <= 0:
+        raise ConfigError("invariant.sample_spacing", "must be positive")
     samples = invariant.get("n_time_samples", 1)
     if not _is_int(samples) or samples < 1:
         raise ConfigError("invariant.n_time_samples", "expected a positive integer")
@@ -241,7 +242,7 @@ _X0_FIELDS = {
 }
 
 
-def _validate_x0(x0: Any, path: str) -> None:
+def _validate_x0(x0: Any, path: str, n_modes: int) -> None:
     if not isinstance(x0, dict):
         raise ConfigError(path, "must be an object with a 'kind'")
     kind = x0.get("kind")
@@ -253,9 +254,12 @@ def _validate_x0(x0: Any, path: str) -> None:
         check = fields.get(key)
         if check and not check[0](val):
             raise ConfigError(f"{path}.{key}", f"expected {check[1]}")
+    for key in ("u_hat", "w_hat") if kind == "coeffs" else ():
+        if len(x0.get(key, [])) > n_modes:
+            raise ConfigError(f"{path}.{key}", f"expected at most n_modes={n_modes} values")
     if kind == "scaled":
         base = x0.get("base", {})
-        _validate_x0(base, f"{path}.base")
+        _validate_x0(base, f"{path}.base", n_modes)
         if base["kind"] == "zero":
             raise ConfigError(f"{path}.base", "cannot rescale the zero state")
         _require_number(x0, "h_norm", path)
@@ -284,7 +288,10 @@ def build_noise(cfg: dict[str, Any]) -> NoiseSpec:
     return NoiseSpec.power_law(n_modes, sigma2=float(noise["sigma2"]), s=float(noise["s"]))
 
 
-def build_x0(x0_cfg: dict[str, Any], params: ModelParams, basis: EigenBasis) -> StateH | None:
+def build_x0(
+    x0_cfg: dict[str, Any], params: ModelParams, basis: EigenBasis, path: str
+) -> StateH | None:
+    """The initial state an x0 block describes; ``path`` names the block in errors."""
     kind = x0_cfg.get("kind", "zero")
     n = basis.n_modes
     if kind == "zero":
@@ -311,15 +318,15 @@ def build_x0(x0_cfg: dict[str, Any], params: ModelParams, basis: EigenBasis) -> 
         w_hat[: len(w_list)] = w_list
         return StateH(u_hat, w_hat)
     if kind == "scaled":
-        base = build_x0(x0_cfg["base"], params, basis)
-        if base is None:
-            raise ValueError("cannot rescale the zero state")
-        norm = math.sqrt(
+        base = build_x0(x0_cfg["base"], params, basis, f"{path}.base")
+        norm = 0.0 if base is None else math.sqrt(
             params.gamma * float(base.u_hat @ base.u_hat) + float(base.w_hat @ base.w_hat)
         )
+        if norm == 0.0:
+            raise ConfigError(f"{path}.base", "cannot rescale the zero state")
         target = float(x0_cfg["h_norm"])
         return StateH(base.u_hat * target / norm, base.w_hat * target / norm)
-    raise ConfigError("x0.kind", f"unknown kind {kind!r}")
+    raise ConfigError(f"{path}.kind", f"unknown kind {kind!r}")
 
 
 def build_run_config(
@@ -329,7 +336,7 @@ def build_run_config(
     return TrajectoryConfig(
         T=float(run["T"]),
         dt=float(run["dt"]),
-        x0=build_x0(run.get("x0", {"kind": "zero"}), params, basis),
+        x0=build_x0(run.get("x0", {"kind": "zero"}), params, basis, "run.x0"),
         eps=float(run.get("eps", 0.0)),
         master_seed=int(cfg.get("master_seed", 0)),
         record_every=int(run.get("record_every", 1)),

@@ -298,6 +298,8 @@ def estimate_invariant_measure(
     """
     if n_time_samples < 1:
         raise ValueError("n_time_samples must be >= 1")
+    if sample_spacing <= 0:
+        raise ValueError("sample_spacing must be positive")
     omega = params.derived().omega
     if burn_in is None:
         burn_in = 5.0 / omega

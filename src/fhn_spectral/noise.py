@@ -34,6 +34,9 @@ from .model import EigenBasis, ModelParams, mode_matrices
 # interval index offset so backward starts stay in unsigned counter range
 _INTERVAL_OFFSET = 1 << 40
 _MASK64 = (1 << 64) - 1
+# uniforms drawn per generator call; a stream refills max(1, this // block)
+# intervals at a time, which changes no draw because interval j is counter block j
+_REFILL_UNIFORMS = 2048
 
 
 @dataclass(frozen=True)
@@ -104,7 +107,9 @@ class PathStream:
     (u-channel draws first, then w-channel), generated from a fixed
     counter block of a Philox stream keyed by (master_seed, path_id).
     Identical (seed, path, interval) triples give bitwise identical
-    draws in any run order.
+    draws in any run order.  The stream keeps the normals of a run of
+    consecutive intervals from one generator call and returns read-only
+    rows of that buffer.
     """
 
     def __init__(self, n_modes: int, master_seed: int, path_id: int):
@@ -116,8 +121,12 @@ class PathStream:
         self._n_draws = 2 * self.n_modes
         # counter blocks must be whole Philox ticks (4 uint64 draws each)
         self._block = 4 * ((self._n_draws + 3) // 4)
+        self._per_refill = max(1, _REFILL_UNIFORMS // self._block)
         self._gen: Generator | None = None
         self._pos = -1
+        # normals of the offset intervals [_first, _first + len(_cache))
+        self._first = 0
+        self._cache = np.empty((0, self._n_draws))
 
     def _seek(self, target: int) -> Generator:
         if self._gen is None or target < self._pos:
@@ -135,11 +144,17 @@ class PathStream:
         j = interval + _INTERVAL_OFFSET
         if j < 0:
             raise ValueError(f"interval index {interval} below the supported backward range")
-        gen = self._seek(j * self._block)
-        u = gen.random(self._block)
-        self._pos += self._block
-        # uniforms -> normals by inverse CDF keeps consumption fixed per interval
-        return ndtri(np.fmax(u[: self._n_draws], 2.0**-64))
+        row = j - self._first
+        if not 0 <= row < self._cache.shape[0]:
+            # one generator call for intervals j .. j + _per_refill - 1
+            gen = self._seek(j * self._block)
+            u = gen.random(self._per_refill * self._block).reshape(self._per_refill, self._block)
+            self._pos += u.size
+            # uniforms -> normals by inverse CDF keeps consumption fixed per interval
+            self._cache = ndtri(np.fmax(u[:, : self._n_draws], 2.0**-64))
+            self._cache.flags.writeable = False
+            self._first, row = j, 0
+        return self._cache[row]
 
 
 @dataclass

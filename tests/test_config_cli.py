@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -72,6 +73,14 @@ class TestConfigValidation:
             ({"run": {"T": 0.00037}}, "run.T"),
             ({"run": {"start_time": 0.0005}}, "run.start_time"),
             ({"run": {"T": float("nan")}}, "run.T"),
+            ({"run": {"x0": {"kind": "coeffs", "u_hat": [0.1] * 33}}}, "run.x0.u_hat"),
+            (
+                {"couple": {"x0_b": {"kind": "scaled", "h_norm": 1,
+                                     "base": {"kind": "coeffs", "w_hat": [0.1] * 33}}}},
+                "couple.x0_b.base.w_hat",
+            ),
+            ({"invariant": {"sample_spacing": 0.0}}, "invariant.sample_spacing"),
+            ({"invariant": {"sample_spacing": -1.0}}, "invariant.sample_spacing"),
         ],
     )
     def test_rejections_carry_path(self, raw, path):
@@ -200,21 +209,21 @@ class TestConfigProperties:
 
 class TestX0Builders:
     def test_zero(self, params, basis):
-        assert build_x0({"kind": "zero"}, params, basis) is None
+        assert build_x0({"kind": "zero"}, params, basis, "run.x0") is None
 
     def test_constant(self, params, basis):
-        x = build_x0({"kind": "constant", "u": 2.0, "w": -1.0}, params, basis)
+        x = build_x0({"kind": "constant", "u": 2.0, "w": -1.0}, params, basis, "run.x0")
         assert x.u_hat[0] == approx(2.0)
         assert x.w_hat[0] == approx(-1.0)
         assert np.abs(x.u_hat[1:]).max() < 1e-12
 
     def test_cosine(self, params, basis):
-        x = build_x0({"kind": "cosine", "u_amplitude": 3.0, "u_mode": 2}, params, basis)
+        x = build_x0({"kind": "cosine", "u_amplitude": 3.0, "u_mode": 2}, params, basis, "run.x0")
         assert x.u_hat[2] == approx(3.0 / math.sqrt(2.0))
         assert np.all(x.w_hat == 0.0)
 
     def test_coeffs(self, params, basis):
-        x = build_x0({"kind": "coeffs", "u_hat": [1.0, 2.0], "w_hat": [0.5]}, params, basis)
+        x = build_x0({"kind": "coeffs", "u_hat": [1.0, 2.0], "w_hat": [0.5]}, params, basis, "run.x0")
         assert x.u_hat[1] == 2.0 and x.w_hat[0] == 0.5
 
     def test_scaled(self, params, basis):
@@ -222,6 +231,7 @@ class TestX0Builders:
             {"kind": "scaled", "base": {"kind": "constant", "u": 1.0}, "h_norm": 5.0},
             params,
             basis,
+            "run.x0",
         )
         norm = math.sqrt(params.gamma * x.u_hat @ x.u_hat + x.w_hat @ x.w_hat)
         assert norm == approx(5.0)
@@ -266,6 +276,21 @@ class TestCLI:
             with pytest.raises(SystemExit) as err:
                 main(argv + ["--out", str(tmp_path / "o")])
             assert err.value.code == EXIT_CONFIG
+
+    def test_scaled_zero_state_base_is_config_error(self, tmp_path, capsys):
+        # the base is not of kind zero but builds to the zero state
+        zero_base = {"kind": "scaled", "base": {"kind": "constant", "u": 0}, "h_norm": 1.0}
+        cfg = tmp_path / "cfg.json"
+        for command, raw, path in (
+            ("simulate", {"run": {"T": 0.01, "x0": zero_base}}, "run.x0.base"),
+            ("couple", {"run": {"T": 0.01}, "couple": {"x0_b": zero_base}}, "couple.x0_b.base"),
+        ):
+            cfg.write_text(json.dumps(raw))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rc = main([command, "--config", str(cfg), "--paths", "1", "--out", str(tmp_path / "o")])
+            assert rc == EXIT_CONFIG
+            assert path in capsys.readouterr().err
 
     def test_bad_workers_env_is_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("FHN_SPECTRAL_WORKERS", "junk")

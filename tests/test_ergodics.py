@@ -144,6 +144,12 @@ class TestInvariantMeasure:
         with pytest.raises(ValueError):
             estimate_invariant_measure(cfg, params, basis, zero_spec, burn_in=0.5, n_time_samples=0)
 
+    @pytest.mark.parametrize("spacing", [0.0, -1.0])
+    def test_nonpositive_sample_spacing_rejected(self, params, basis, zero_spec, spacing):
+        cfg = TrajectoryConfig(T=1.0, dt=1e-3)
+        with pytest.raises(ValueError):
+            estimate_invariant_measure(cfg, params, basis, zero_spec, sample_spacing=spacing)
+
     def test_linear_pairing_gaussian(self, params, basis, spec):
         # <x,h>_H under the F-disabled stationary law is centered Gaussian with
         # variance g^T Sigma g; one-sample KS at the 5% level

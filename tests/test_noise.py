@@ -2,8 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 from pytest import approx
 from scipy.integrate import quad, solve_ivp
+from scipy.special import ndtri
 
 from fhn_spectral import (
     ModelParams,
@@ -16,6 +18,8 @@ from fhn_spectral import (
 )
 from fhn_spectral.model import mode_matrix_eta
 from fhn_spectral.noise import (
+    _INTERVAL_OFFSET,
+    _REFILL_UNIFORMS,
     build_ou_kernel,
     convolution_trace_integrand,
     htrace_mode_cov,
@@ -63,7 +67,33 @@ class TestNoiseSpec:
             assert total == approx(trace_Q(spec))
 
 
+def _reference_normals(n_modes: int, master_seed: int, path_id: int, interval: int) -> np.ndarray:
+    """Interval j's normals drawn alone: a fresh generator advanced to counter block j."""
+    block = 4 * ((2 * n_modes + 3) // 4)
+    bg = Philox(key=np.array([master_seed, path_id], dtype=np.uint64))
+    bg.advance((interval + _INTERVAL_OFFSET) * block // 4)
+    return ndtri(np.fmax(Generator(bg).random(block)[: 2 * n_modes], 2.0**-64))
+
+
 class TestPathStream:
+    @pytest.mark.parametrize("n_modes", [3, 8, 32, 1024])
+    def test_matches_independent_draws(self, n_modes):
+        # a stream refills several intervals per generator call; every row must
+        # still equal the interval drawn on its own
+        per_refill = max(1, _REFILL_UNIFORMS // (4 * ((2 * n_modes + 3) // 4)))
+        sequential = range(-per_refill - 2, 2 * per_refill + 3)     # crosses refill edges
+        jumps = [5, -1000, 7 * per_refill - 1, 7 * per_refill, 0, -1, 3 * per_refill + 1]
+        scattered = np.random.default_rng(n_modes).integers(-50 * per_refill, 50 * per_refill, 20)
+        stream = PathStream(n_modes, 11, 4)
+        for j in [*sequential, *jumps, *scattered.tolist()]:
+            assert np.array_equal(stream.normals(j), _reference_normals(n_modes, 11, 4, j)), j
+
+    def test_rows_are_read_only(self):
+        row = PathStream(8, 1, 1).normals(0)
+        assert not row.flags.writeable
+        with pytest.raises(ValueError):
+            row[0] = 0.0
+
     def test_reproducible(self):
         a = PathStream(8, master_seed=3, path_id=5)
         b = PathStream(8, master_seed=3, path_id=5)

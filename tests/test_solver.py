@@ -130,6 +130,26 @@ class TestStepAndIntegrate:
         assert errs[0] > errs[1] > errs[2]
         assert np.polyfit(np.log(dts), np.log(errs), 1)[0] >= 0.6
 
+    @pytest.mark.parametrize("u_starts,substeps", [((1.0, 10.0, 1.0), True), ((1.0, 2.0, 1.0), False)])
+    def test_substep_kernels_only_above_the_ceiling(
+        self, params, basis, zero_spec, monkeypatch, u_starts, substeps
+    ):
+        # at dt = 1e-3 the ceiling 0.1/(1 + max|u|^2) is crossed by u = 10 and not
+        # by u <= 2; only a batch with a column above it builds a kernel for dt/m
+        dt = 1e-3
+        x0 = np.zeros((3, basis.n_modes, 2))
+        x0[:, 0, 0] = u_starts  # e_0 is the constant mode
+        kernel_steps = []
+        monkeypatch.setattr(
+            solver, "build_ou_kernel", lambda *a, **kw: kernel_steps.append(a[3]) or build_ou_kernel(*a, **kw)
+        )
+        _simulate_batch(
+            params, basis, zero_spec, dt=dt, n_steps=3, start_interval=0, x0=x0,
+            drift="fhn", eps_by_col=np.zeros(3), master_seed=0, path_ids=np.arange(3),
+        )
+        assert (min(kernel_steps) < dt) == substeps
+        assert kernel_steps[0] == dt
+
 
 class TestEnsembles:
     def test_worker_independence(self, params, basis, spec, monkeypatch):
