@@ -198,8 +198,16 @@ def validate_config(cfg: dict[str, Any]) -> None:
     _require_number(couple, "envelope_tol", "couple", default=0.05)
     invariant = cfg.get("invariant", {})
     _require_number(invariant, "burn_in", "invariant", default=0.0)
-    if _require_number(invariant, "sample_spacing", "invariant", default=2.0) <= 0:
+    spacing = _require_number(invariant, "sample_spacing", "invariant", default=2.0)
+    if spacing <= 0:
         raise ConfigError("invariant.sample_spacing", "must be positive")
+    if "sample_spacing" in invariant:
+        try:
+            spacing_steps = _steps_from(spacing, run["dt"], "sample_spacing")
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError("invariant.sample_spacing", str(exc)) from exc
+        if spacing_steps < 1:
+            raise ConfigError("invariant.sample_spacing", f"must be at least dt={run['dt']}")
     samples = invariant.get("n_time_samples", 1)
     if not _is_int(samples) or samples < 1:
         raise ConfigError("invariant.n_time_samples", "expected a positive integer")

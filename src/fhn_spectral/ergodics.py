@@ -34,6 +34,7 @@ from .solver import (
     TrajectoryConfig,
     _is_record_step,
     _simulate_batch,
+    _steps_from,
     _x0_array,
     run_ensemble,
 )
@@ -304,7 +305,9 @@ def estimate_invariant_measure(
     if burn_in is None:
         burn_in = 5.0 / omega
     dt = cfg.dt
-    spacing_steps = max(1, int(round(sample_spacing / dt)))
+    spacing_steps = _steps_from(sample_spacing, dt, "sample_spacing")
+    if spacing_steps < 1:
+        raise ValueError(f"sample_spacing={sample_spacing} is shorter than dt={dt}")
     spacing = spacing_steps * dt
 
     long_cfg = replace(cfg, T=burn_in + n_time_samples * spacing, record_every=spacing_steps)

@@ -20,9 +20,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
+import scipy.fft
 from scipy.linalg import eigh_tridiagonal
 
 ProfileLike = Union[float, int, np.ndarray, list, Callable[[np.ndarray], np.ndarray]]
+
+# constant-c bases with at least this many modes transform by DCT; below it
+# the fixed per-call cost of scipy.fft makes the dense matmul faster
+DCT_MIN_MODES = 256
 
 
 class EigenbasisError(RuntimeError):
@@ -162,6 +167,11 @@ class EigenBasis:
     eigenvalues.  For constant c the analytic cosine family is used and
     ``deriv_sq`` carries the exact spectral derivative factors (k*pi)^2;
     otherwise ``dmodes`` tabulates face differences for the H1 seminorm.
+
+    A constant-c basis with at least :data:`DCT_MIN_MODES` modes (``dct``)
+    transforms by a DCT-III to the grid and a truncated DCT-II back, both
+    O(M log M) and row-local, so a row's bits do not depend on the batch it
+    sits in; otherwise the transforms are matmuls against the mode table.
     """
 
     mu: np.ndarray                   # (N,)
@@ -172,11 +182,11 @@ class EigenBasis:
     constant_c: bool
     deriv_sq: np.ndarray | None      # (N,) spectral |e_k'|^2 factors, constant c only
     dmodes: np.ndarray | None        # (N, M-1) face differences / h, variable c only
-    _proj: np.ndarray = field(init=False, repr=False)
+    _proj: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         # adjoint of evaluation under the quadrature weight
-        self._proj = self.modes.T * self.quad_weight
+        self._proj = None if self.dct else self.modes.T * self.quad_weight
 
     @property
     def n_modes(self) -> int:
@@ -186,12 +196,23 @@ class EigenBasis:
     def n_grid(self) -> int:
         return self.modes.shape[1]
 
+    @property
+    def dct(self) -> bool:
+        """Whether the transforms run by DCT instead of matmul."""
+        return self.constant_c and self.n_modes >= DCT_MIN_MODES
+
     def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
         """Evaluate spectral coefficients (..., N) on the grid -> (..., M)."""
+        if self.dct:
+            m = self.n_grid
+            return math.sqrt(m) * scipy.fft.idct(coeffs, type=2, n=m, norm="ortho", axis=-1)
         return np.asarray(coeffs) @ self.modes
 
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:
         """Project grid values (..., M) onto the modes -> (..., N)."""
+        if self.dct:
+            full = scipy.fft.dct(values, type=2, norm="ortho", axis=-1)
+            return full[..., : self.n_modes] / math.sqrt(self.n_grid)
         return np.asarray(values) @ self._proj
 
     def du_sq(self, u_hat: np.ndarray) -> np.ndarray:
@@ -207,10 +228,11 @@ class EigenBasis:
 def build_eigenbasis(params: ModelParams) -> EigenBasis:
     """Construct the Neumann eigenbasis of u -> (c u')' truncated to n_modes.
 
-    Constant c uses the analytic cosine family (mu_k = -c k^2 pi^2); a
-    variable profile is discretized by the symmetric second-order
-    finite-difference Sturm-Liouville scheme with zero-flux closure and
-    solved with a tridiagonal symmetric eigensolver.
+    Constant c uses the analytic cosine family (mu_k = -c k^2 pi^2), with
+    DCT transforms from ``DCT_MIN_MODES`` modes up; a variable profile is
+    discretized by the symmetric second-order finite-difference
+    Sturm-Liouville scheme with zero-flux closure and solved with a
+    tridiagonal symmetric eigensolver.
     """
     n, m = params.n_modes, params.n_grid
     xi, h = params.xi, params.quad_weight

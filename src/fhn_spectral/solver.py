@@ -17,7 +17,11 @@ Kolmogorov test harnesses.
 
 Paths are vectorized; each path owns a counter-based noise stream, and
 ensembles run in fixed-size chunks, so an ensemble's output does not
-depend on the worker count.
+depend on the worker count.  Every spectral<->grid transform goes through
+``EigenBasis.to_grid``/``to_coeffs``.  A constant-c basis with at least
+``DCT_MIN_MODES`` modes transforms by row-local DCTs, so there a path's
+bits do not depend on the batch it runs in; smaller bases use matmuls,
+whose rounding can depend on the batch shape.
 """
 
 from __future__ import annotations
@@ -48,8 +52,8 @@ _CEILING_SCALE = 0.1
 _MAX_SUBSTEPS = 4096
 
 # paths are always batched in fixed-size chunks so the array shapes seen by
-# the BLAS kernels (whose rounding can depend on batch size) are identical
-# for every worker count
+# the BLAS kernels of a matmul basis (whose rounding can depend on batch
+# size) are identical for every worker count
 _ENSEMBLE_CHUNK = 32
 
 WORKERS_ENV = "FHN_SPECTRAL_WORKERS"
@@ -150,8 +154,6 @@ def _simulate_batch(
     path_ids = np.asarray(path_ids)
     stream_keys, stream_ids = np.unique(path_ids, return_inverse=True)
     streams = [PathStream(n, master_seed, int(pid)) for pid in stream_keys]
-    modes = basis.modes
-    proj = modes.T * basis.quad_weight
     eta = params.derived().eta
     shifted = drift == "linear_eta"
     kernel = build_ou_kernel(params, basis, spec, dt, shifted=shifted)
@@ -185,7 +187,7 @@ def _simulate_batch(
                 g += rem_grid * u_grid
         else:
             g = rem_grid * u_grid
-        f_hat = g @ proj
+        f_hat = basis.to_coeffs(g)
         if nonlinear:
             for _, dp, _, shift in eps_groups:
                 if shift:
@@ -205,7 +207,8 @@ def _simulate_batch(
             wn += h * (ph[:, 1, 0] * f_hat)
         return np.stack([un, wn], axis=-1)
 
-    x = np.array(x0, dtype=float)
+    # C order keeps every row's reductions in one layout, whatever x0's strides
+    x = np.array(x0, dtype=float, order="C")
     if on_step is not None:
         on_step(0, start_interval * dt, x)
 
@@ -222,7 +225,7 @@ def _simulate_batch(
         noise_u = factor[:, 0, 0] * zu + factor[:, 0, 1] * zw
         noise_w = factor[:, 1, 0] * zu + factor[:, 1, 1] * zw
 
-        u_grid = x[..., 0] @ modes
+        u_grid = basis.to_grid(x[..., 0])
         m_col = None
         if nonlinear:
             umax_sq = np.max(u_grid * u_grid, axis=1)
@@ -261,7 +264,7 @@ def _simulate_batch(
                     sub_kernels[m] = build_ou_kernel(params, basis, None, dt / m, shifted=shifted)
                 ker = sub_kernels[m]
                 for _ in range(m):
-                    ug = ys[..., 0] @ modes
+                    ug = basis.to_grid(ys[..., 0])
                     f_hat = explicit_term(ys, ug, eps_cols)
                     ys = apply_update(ys, f_hat, ker, dt / m)
                 x_new[cols] = ys
@@ -341,9 +344,7 @@ def _run_chunk(
         times=np.array(times),
         h_norm_sq=np.stack(h, axis=1),
         v_norm_sq=np.stack(v, axis=1),
-        # a broadcast x0 leaves the path axis innermost in the core's state;
-        # norms summed over a C-ordered terminal do not depend on that layout
-        terminal=np.ascontiguousarray(terminal),
+        terminal=terminal,
     )
 
 
@@ -571,7 +572,7 @@ def eps_convergence_study(
             np.maximum(sup_sq[:, j], d, out=sup_sq[:, j])
         if i > 0:
             for e_i in range(e_count):
-                ug = st[:, e_i, :, 0] @ basis.modes
+                ug = basis.to_grid(st[:, e_i, :, 0])
                 fe = grid_drift(ug, dps[e_i], "eta_eps")
                 f_int[e_i] += cfg.dt * params.gamma * h * float((fe * fe).sum()) / n_paths
 

@@ -81,6 +81,14 @@ class TestConfigValidation:
             ),
             ({"invariant": {"sample_spacing": 0.0}}, "invariant.sample_spacing"),
             ({"invariant": {"sample_spacing": -1.0}}, "invariant.sample_spacing"),
+            (
+                {"run": {"dt": 1e-3}, "invariant": {"sample_spacing": 0.0004}},
+                "invariant.sample_spacing",
+            ),
+            (
+                {"run": {"dt": 1e-3}, "invariant": {"sample_spacing": 1e-12}},
+                "invariant.sample_spacing",
+            ),
         ],
     )
     def test_rejections_carry_path(self, raw, path):
@@ -323,6 +331,14 @@ class TestCLI:
         assert main(["simulate", "--config", str(cfg), "--out", str(out2)]) == 0
         for name in ("path_0000.csv", "path_0002.csv", "summary.json"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    def test_default_sample_spacing_allows_any_dt(self, tmp_path):
+        # the spacing's grid check applies only to a spacing the config sets
+        raw = {"run": {"dt": 3e-3, "T": 0.3}, "paths": 2}
+        assert merge_config(raw)["run"]["dt"] == 3e-3
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
 
     def test_seed_changes_output(self, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"

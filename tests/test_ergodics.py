@@ -150,6 +150,12 @@ class TestInvariantMeasure:
         with pytest.raises(ValueError):
             estimate_invariant_measure(cfg, params, basis, zero_spec, sample_spacing=spacing)
 
+    @pytest.mark.parametrize("spacing", [0.0004, 1e-12])
+    def test_off_grid_sample_spacing_rejected(self, params, basis, zero_spec, spacing):
+        cfg = TrajectoryConfig(T=1.0, dt=1e-3)
+        with pytest.raises(ValueError, match="sample_spacing"):
+            estimate_invariant_measure(cfg, params, basis, zero_spec, sample_spacing=spacing)
+
     def test_linear_pairing_gaussian(self, params, basis, spec):
         # <x,h>_H under the F-disabled stationary law is centered Gaussian with
         # variance g^T Sigma g; one-sample KS at the 5% level

@@ -20,6 +20,7 @@ from fhn_spectral import (
     norm_V_sq,
 )
 from fhn_spectral.model import (
+    DCT_MIN_MODES,
     DerivedConstants,
     _apply_A_arrays,
     norm_H_sq_arrays,
@@ -123,6 +124,43 @@ class TestEigenbasis:
         pv = ModelParams(c_profile=lambda x: 1.0 + 1e-12 * x, n_modes=4, n_grid=2048)
         b = build_eigenbasis(pv)
         assert b.mu[1] == approx(-math.pi**2, rel=1e-5)
+
+
+class TestDctTransforms:
+    """The DCT path of a wide cosine basis against the mode-table matmul."""
+
+    @pytest.mark.parametrize("n", [DCT_MIN_MODES, 1024])
+    def test_matches_mode_table(self, n, rng):
+        b = build_eigenbasis(ModelParams(n_modes=n, n_grid=2 * n))
+        assert b.dct
+        x = rng.standard_normal((5, n, 2))
+        g = rng.standard_normal((5, 2 * n, 2))
+        proj = b.modes.T * b.quad_weight
+        cases = [
+            (x[0, :, 0], g[0, :, 0]),                  # 1-D
+            (x[..., 0].copy(), g[..., 0].copy()),      # contiguous (B, N)
+            (x[..., 0], g[..., 0]),                    # strided view
+        ]
+        for coeffs, values in cases:
+            want_grid = coeffs @ b.modes
+            got_grid = b.to_grid(coeffs)
+            assert got_grid.shape == want_grid.shape
+            assert np.abs(got_grid - want_grid).max() <= 1e-12 * np.abs(want_grid).max()
+            want_coeffs = values @ proj
+            got_coeffs = b.to_coeffs(values)
+            assert got_coeffs.shape == want_coeffs.shape
+            assert np.abs(got_coeffs - want_coeffs).max() <= 1e-12 * np.abs(want_coeffs).max()
+            round_trip = b.to_coeffs(b.to_grid(coeffs))
+            assert np.abs(round_trip - coeffs).max() <= 1e-12 * np.abs(coeffs).max()
+
+    def test_matmul_below_threshold_and_for_variable_c(self):
+        narrow = build_eigenbasis(ModelParams())
+        assert narrow.constant_c and not narrow.dct
+        varying = build_eigenbasis(
+            ModelParams(c_profile=lambda x: 1.0 + 0.5 * x, n_modes=DCT_MIN_MODES,
+                        n_grid=2 * DCT_MIN_MODES)
+        )
+        assert not varying.constant_c and not varying.dct
 
 
 class TestStateAndNorms:

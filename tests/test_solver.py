@@ -172,6 +172,44 @@ class TestEnsembles:
         with pytest.raises(ValueError):
             run_ensemble(TrajectoryConfig(T=0.01), params, basis, spec, 0)
 
+    def test_dct_path_is_batch_independent(self):
+        # a DCT basis is row-local end to end: path 5 has the same bits alone,
+        # in a batch of 7 and in a batch of 100, at different column offsets
+        params = ModelParams(n_modes=256, n_grid=512)
+        basis = build_eigenbasis(params)
+        assert basis.dct
+        spec = NoiseSpec.power_law(params.n_modes)
+        x0 = np.zeros((params.n_modes, 2))
+        x0[:4, 0] = [1.5, -0.8, 0.4, 0.2]
+        x0[0, 1] = 0.3
+
+        def run(path_ids):
+            norms = []
+            terminal = _simulate_batch(
+                params,
+                basis,
+                spec,
+                dt=1e-3,
+                n_steps=50,
+                start_interval=0,
+                x0=np.broadcast_to(x0, (len(path_ids), params.n_modes, 2)),
+                drift="fhn",
+                eps_by_col=np.zeros(len(path_ids)),
+                master_seed=11,
+                path_ids=path_ids,
+                on_step=lambda i, t, x: norms.append(
+                    norm_H_sq_arrays(x[..., 0], x[..., 1], params.gamma)
+                ),
+            )
+            col = list(path_ids).index(5)
+            return terminal[col], np.array([h[col] for h in norms])
+
+        alone = run([5])
+        for ids in (range(7), range(2, 102)):
+            terminal, norms = run(list(ids))
+            assert np.array_equal(terminal, alone[0])
+            assert np.array_equal(norms, alone[1])
+
     def test_resolve_workers_env(self, monkeypatch):
         monkeypatch.setenv("FHN_SPECTRAL_WORKERS", "4")
         assert resolve_workers() == 4
