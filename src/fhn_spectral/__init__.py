@@ -24,28 +24,18 @@ from .model import (
     ModelParams,
     StateH,
     apply_A,
-    apply_A_eta,
     build_eigenbasis,
-    inner_product_H,
-    mode_matrix,
-    mode_matrix_eta,
-    norm_H_sq,
-    norm_V_sq,
 )
 from .nonlinearity import (
     DriftParams,
-    apply_F,
     f,
     f_eta,
     f_eta_eps,
     f_eta_eps_prime,
-    h_eps,
-    monotonicity_gap,
 )
 from .noise import (
     NoiseSpec,
     PathStream,
-    convolution_sup_statistics,
     convolution_trace_integral,
     trace_Q,
 )
@@ -56,7 +46,6 @@ from .solver import (
     backward_run,
     coupled_run,
     eps_convergence_study,
-    integrate,
     run_ensemble,
 )
 
@@ -68,30 +57,19 @@ __all__ = [
     "EigenbasisError",
     "StateH",
     "build_eigenbasis",
-    "inner_product_H",
-    "norm_H_sq",
-    "norm_V_sq",
     "apply_A",
-    "apply_A_eta",
-    "mode_matrix",
-    "mode_matrix_eta",
     "DriftParams",
     "f",
     "f_eta",
     "f_eta_eps",
     "f_eta_eps_prime",
-    "h_eps",
-    "apply_F",
-    "monotonicity_gap",
     "NoiseSpec",
     "PathStream",
     "trace_Q",
     "convolution_trace_integral",
-    "convolution_sup_statistics",
     "TrajectoryConfig",
     "Ensemble",
     "BlowUpError",
-    "integrate",
     "run_ensemble",
     "coupled_run",
     "eps_convergence_study",

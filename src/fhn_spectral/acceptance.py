@@ -38,7 +38,6 @@ from .ergodics import (
     cylinder_exp_functional,
     empirical_mode_covariances,
     estimate_moments,
-    linear_invariant_covariance,
     transition_semigroup,
 )
 from .kolmogorov import CylinderFunction, dynkin_residual, ou_expectation_exact
@@ -46,17 +45,18 @@ from .model import (
     EigenBasis,
     ModelParams,
     StateH,
+    apply_A,
     build_eigenbasis,
     norm_H_sq_arrays,
     norm_V_sq_arrays,
     random_coeff_states,
 )
-from .model import _apply_A_arrays
 from .nonlinearity import DriftParams, apply_F_arrays, f_eta_eps_prime
 from .noise import (
     NoiseSpec,
     convolution_trace_integral,
     convolution_trace_integrand,
+    stationary_mode_covariances,
     trace_Q,
 )
 from .solver import (
@@ -122,7 +122,7 @@ def criterion_2_monotonicity(quick: bool, master_seed: int) -> dict:
     params, basis, _ = _default_setup(master_seed)
     rng = np.random.default_rng(master_seed + 2)
     n_pairs = 10**3 if quick else 10**4
-    dp = DriftParams.from_params(params)
+    dp = DriftParams(params.xi1)
     ux, wx = random_coeff_states(n_pairs, params, rng)
     uy, wy = random_coeff_states(n_pairs, params, rng)
     fx = apply_F_arrays(ux, dp, basis, kind="eta")
@@ -150,7 +150,7 @@ def criterion_3_dissipativity(quick: bool, master_seed: int) -> dict:
     n_states = 10**3 if quick else 10**4
     dc = params.derived()
     u, w = random_coeff_states(n_states, params, rng)
-    au, aw = _apply_A_arrays(u, w, params, basis, eta_shift=dc.eta)
+    au, aw = apply_A(u, w, params, basis, eta_shift=dc.eta)
     quad_form = params.gamma * (au * u).sum(axis=1) + (aw * w).sum(axis=1)
     h_sq = norm_H_sq_arrays(u, w, params.gamma)
     v_sq = norm_V_sq_arrays(u, w, params, basis)
@@ -188,7 +188,7 @@ def criterion_4_trace(quick: bool, master_seed: int) -> dict:
 def criterion_5_linear_oracle(quick: bool, master_seed: int) -> dict:
     """Empirical stationary per-mode covariance vs the Lyapunov solution."""
     params, basis, spec = _default_setup(master_seed)
-    target = linear_invariant_covariance(params, basis, spec, shifted=True)
+    target = stationary_mode_covariances(params, basis, spec, shifted=True)
     n_paths = 128 if quick else 256
     horizon = 80.0 if quick else 150.0
     cfg = TrajectoryConfig(

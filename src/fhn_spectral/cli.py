@@ -35,10 +35,10 @@ from .ergodics import (
     estimate_invariant_measure,
     estimate_moments,
     invariant_moment_integral,
-    linear_invariant_covariance,
 )
 from .kolmogorov import CylinderFunction, dynkin_residual
 from .model import StateH, build_eigenbasis
+from .noise import stationary_mode_covariances
 from .solver import BlowUpError, backward_run, coupled_run, eps_convergence_study, run_ensemble
 
 EXIT_OK = 0
@@ -304,7 +304,7 @@ def cmd_linear_oracle(args: argparse.Namespace) -> int:
     burn = float(block.get("burn_in", 50.0))
     from .ergodics import empirical_mode_covariances
 
-    target = linear_invariant_covariance(params, basis, spec, shifted=run_cfg.drift == "linear_eta")
+    target = stationary_mode_covariances(params, basis, spec, shifted=run_cfg.drift == "linear_eta")
     empirical = empirical_mode_covariances(
         run_cfg, params, basis, spec, n_paths=cfg["paths"], burn_in=burn
     )

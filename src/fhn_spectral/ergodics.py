@@ -27,12 +27,13 @@ from .model import (
     norm_V_sq_arrays,
 )
 from .nonlinearity import DriftParams, apply_F_arrays
-from .noise import NoiseSpec, htrace_mode_cov, stationary_mode_covariances
+from .noise import NoiseSpec
 from .solver import (
     RECORD_ENDPOINTS,
     Ensemble,
     TrajectoryConfig,
     _is_record_step,
+    _require_se_paths,
     _simulate_batch,
     _steps_from,
     _x0_array,
@@ -82,10 +83,6 @@ def bounded_ramp_functional(params: ModelParams, scale: float = 1.0) -> StateFun
     return StateFunctional(f"ramp_{scale:g}", fn)
 
 
-def constant_one_functional() -> StateFunctional:
-    return StateFunctional("one", lambda u, w: np.ones(u.shape[0]))
-
-
 def cylinder_exp_functional(h: StateH, params: ModelParams, name: str = "cyl_exp") -> StateFunctional:
     """exp(<x,h>_H); keep |h| small so paths stay in floating range."""
     pairing = linear_pairing_functional(h, params)
@@ -122,8 +119,7 @@ def estimate_moments(
     if m not in (1, 2):
         raise ValueError("moment order m must be 1 or 2")
     n_paths = ensemble.path_ids.size
-    if n_paths < 2:
-        raise ValueError("need at least 2 paths for standard errors")
+    _require_se_paths(n_paths)
     times = ensemble.times
     hsq = ensemble.h_norm_sq   # (P, R)
     vals = hsq if m == 1 else hsq * hsq
@@ -170,24 +166,6 @@ def estimate_moments(
     )
 
 
-def linear_invariant_covariance(
-    params: ModelParams, basis: EigenBasis, spec: NoiseSpec, shifted: bool = True
-) -> np.ndarray:
-    """Exact stationary per-mode covariances of the F-disabled dynamics.
-
-    Solves M_k S_k + S_k M_k^T + Q_k = 0 for every mode; the defect is
-    checked inside the solve.  ``shifted`` selects the A_eta block, the
-    linear reference used throughout the acceptance harness.
-    """
-    return stationary_mode_covariances(params, basis, spec, shifted=shifted)
-
-
-def linear_stationary_h_moment(params: ModelParams, basis: EigenBasis, spec: NoiseSpec) -> float:
-    """E(|X|_H^2) under the exact Gaussian stationary law of the linear dynamics."""
-    cov = linear_invariant_covariance(params, basis, spec)
-    return htrace_mode_cov(cov, params.gamma)
-
-
 def empirical_mode_covariances(
     cfg: TrajectoryConfig,
     params: ModelParams,
@@ -200,7 +178,7 @@ def empirical_mode_covariances(
 
     Averages the (u_k, w_k) outer products over paths and post-burn-in
     steps; for the zero-started linear dynamics this estimates the
-    stationary covariance that :func:`linear_invariant_covariance`
+    stationary covariance that ``noise.stationary_mode_covariances``
     computes exactly.
     """
     n = basis.n_modes
@@ -424,7 +402,7 @@ def invariant_moment_integral(
     states = measure.states_time_avg
     hsq = norm_H_sq_arrays(states[..., 0], states[..., 1], params.gamma)
     vals = hsq**m
-    dp = DriftParams.from_params(params)
+    dp = DriftParams(params.xi1)
     f_hat = apply_F_arrays(states[..., 0], dp, basis, kind="eta")
     f_sq = params.gamma * (f_hat * f_hat).sum(axis=-1)
     half = states.shape[0] // 2

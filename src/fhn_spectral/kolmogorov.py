@@ -27,17 +27,16 @@ from typing import Sequence
 
 import numpy as np
 
-from .model import (
-    EigenBasis,
-    ModelParams,
-    StateH,
-    _apply_A_arrays,
-    inner_product_H,
-    norm_H_sq_arrays,
-)
+from .model import EigenBasis, ModelParams, StateH, apply_A
 from .nonlinearity import DriftParams, apply_F_arrays
 from .noise import NoiseSpec, build_ou_kernel
-from .solver import DRIFT_MODES, TrajectoryConfig, _simulate_batch, _x0_array
+from .solver import (
+    DRIFT_MODES,
+    TrajectoryConfig,
+    _require_se_paths,
+    _simulate_batch,
+    _x0_array,
+)
 
 # reject paths whose exponent would push phi (or its variance) out of the
 # floating range
@@ -68,8 +67,9 @@ class CylinderFunction:
                 + (self.spec.lambda2 * self.h.w_hat * self.h.w_hat).sum()
             )
         object.__setattr__(self, "q_form", q)
+        hu, hw = self.h.u_hat, self.h.w_hat
         object.__setattr__(
-            self, "h_norm", math.sqrt(inner_product_H(self.h, self.h, self.params))
+            self, "h_norm", math.sqrt(float(self.params.gamma * (hu @ hu) + hw @ hw))
         )
 
     @classmethod
@@ -101,65 +101,37 @@ class CylinderFunction:
         )
 
 
-def log_phi(h: CylinderFunction, x: StateH) -> float:
-    """log phi(x) = <x,h>_H; the overflow-safe companion of phi_eval."""
-    return float(h.pairing(x.u_hat[None], x.w_hat[None])[0])
-
-
-def phi_eval(h: CylinderFunction, x: StateH) -> float:
-    """phi(x) = exp(<x,h>_H); may overflow to inf for extreme states."""
-    return float(np.exp(log_phi(h, x)))
-
-
-def _drift_pairing_arrays(
+def generator_values(
     h: CylinderFunction,
     u_hat: np.ndarray,
     w_hat: np.ndarray,
     params: ModelParams,
     basis: EigenBasis,
-    drift: str,
-    eps: float,
-) -> np.ndarray:
-    """<b(x), h>_H for the effective drift b of the given simulation mode."""
+    drift: str = "fhn",
+    eps: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """N0 phi and phi at batched states (..., N), for the drift of a simulation mode.
+
+    N0 phi(x) = phi(x) (1/2 <Qh,h>_H + <b(x),h>_H), where b is the drift
+    the solver integrates in mode ``drift`` at regularization ``eps``:
+    A x + F(x) for ``fhn`` (f_{eta,eps} + eta u in place of f when eps > 0),
+    A x for ``linear`` (the Ornstein-Uhlenbeck part L) and A_eta x for
+    ``linear_eta``.  The pairing <x,h>_H is formed once; where it exceeds
+    ``_LOG_GUARD`` in size, both outputs are NaN.
+    """
     if drift not in DRIFT_MODES:
         raise ValueError(f"unknown drift mode {drift!r}")
     eta_shift = params.derived().eta if drift == "linear_eta" else 0.0
-    au, aw = _apply_A_arrays(u_hat, w_hat, params, basis, eta_shift=eta_shift)
+    au, aw = apply_A(u_hat, w_hat, params, basis, eta_shift=eta_shift)
     if drift == "fhn":
         dp = DriftParams(params.xi1, eps)
-        if eps == 0.0:
-            au = au + apply_F_arrays(u_hat, dp, basis, kind="cubic")
-        else:
-            au = au + apply_F_arrays(u_hat, dp, basis, kind="eta_eps") + dp.eta * u_hat
-    return params.gamma * (au @ h.h.u_hat) + aw @ h.h.w_hat
-
-
-def apply_L(h: CylinderFunction, x: StateH, params: ModelParams, basis: EigenBasis) -> float:
-    """Ornstein-Uhlenbeck part L phi(x) = phi(x)(1/2 <Qh,h>_H + <Ax,h>_H)."""
-    lp = log_phi(h, x)
-    drift_term = _drift_pairing_arrays(
-        h, x.u_hat[None], x.w_hat[None], params, basis, "linear", 0.0
-    )[0]
-    return float(np.exp(lp) * (0.5 * h.q_form + drift_term))
-
-
-def apply_N0(
-    h: CylinderFunction,
-    x: StateH,
-    params: ModelParams,
-    basis: EigenBasis,
-) -> float:
-    """Full generator N0 phi(x) = phi(x)(1/2 <Qh,h>_H + <Ax,h>_H + <F(x),h>_H)."""
-    lp = log_phi(h, x)
-    drift_term = _drift_pairing_arrays(
-        h, x.u_hat[None], x.w_hat[None], params, basis, "fhn", 0.0
-    )[0]
-    return float(np.exp(lp) * (0.5 * h.q_form + drift_term))
-
-
-def gradient_pairing(h: CylinderFunction, x: StateH, v: StateH, params: ModelParams) -> float:
-    """<D phi(x), v>_H = phi(x) <h, v>_H; oracle target for finite differences."""
-    return float(np.exp(log_phi(h, x)) * inner_product_H(h.h, v, params))
+        au = au + apply_F_arrays(u_hat, dp, basis, kind=dp.grid_kind)
+        if dp.spectral_shift:
+            au = au + dp.spectral_shift * u_hat
+    drift_term = params.gamma * (au @ h.h.u_hat) + aw @ h.h.w_hat
+    lp = h.pairing(u_hat, w_hat)
+    phi = np.exp(np.where(np.abs(lp) > _LOG_GUARD, np.nan, lp))
+    return phi * (0.5 * h.q_form + drift_term), phi
 
 
 @dataclass
@@ -192,6 +164,7 @@ def dynkin_residual(
     range are rejected and counted; the residual's standard error combines
     the per-path fluctuation of phi(X_t) - int N0 phi ds.
     """
+    _require_se_paths(n_paths)
     n = basis.n_modes
     x0 = _x0_array(cfg, n)
     phi0 = float(np.exp(h.pairing(x0[None, :, 0], x0[None, :, 1])[0]))
@@ -206,30 +179,19 @@ def dynkin_residual(
     terminal_phi = np.zeros(n_paths)
     overflow = np.zeros(n_paths, dtype=bool)
 
-    def generator_values(state: np.ndarray) -> np.ndarray:
-        lp = h.pairing(state[..., 0], state[..., 1])
-        bad = np.abs(lp) > _LOG_GUARD
-        if bad.any():
-            overflow[bad] = True
-            lp = np.where(bad, 0.0, lp)
-        drift_term = _drift_pairing_arrays(
-            h, state[..., 0], state[..., 1], params, basis, cfg.drift, cfg.eps
-        )
-        return np.exp(lp) * (0.5 * h.q_form + drift_term)
-
     def on_step(i: int, t_abs: float, state: np.ndarray) -> None:
         nonlocal prev
-        vals = generator_values(state)
+        vals, phi = generator_values(
+            h, state[..., 0], state[..., 1], params, basis, cfg.drift, cfg.eps
+        )
+        overflow[np.isnan(phi)] = True
         if i == 0:
             prev = vals
             return
         integral[:] += 0.5 * cfg.dt * (prev + vals)
         prev = vals
         if i == cfg.n_steps:
-            lp = h.pairing(state[..., 0], state[..., 1])
-            bad = np.abs(lp) > _LOG_GUARD
-            overflow[bad] = True
-            terminal_phi[:] = np.exp(np.where(bad, 0.0, lp))
+            terminal_phi[:] = phi
 
     _simulate_batch(
         params,
@@ -287,82 +249,3 @@ def ou_expectation_exact(
     g = np.stack([params.gamma * h.h.u_hat, h.h.w_hat], axis=-1)  # (N, 2)
     var = float(np.einsum("ki,kij,kj->", g, kernel.cov, g))
     return math.exp(float(mean) + 0.5 * var)
-
-
-@dataclass
-class GrowthEnvelope:
-    """Envelope |L phi(x)| <= a + b |x|_H fitted and validated on fresh states."""
-
-    a: float
-    b: float
-    fit_violation: float
-    fresh_violation: float
-    n_fit: int
-    n_fresh: int
-
-
-def _adjoint_direction_norm(h: CylinderFunction, params: ModelParams, basis: EigenBasis) -> float:
-    """|A* h|_H through the per-mode weighted adjoints [[mu-p, 1], [-gamma, -alpha]]."""
-    mu = basis.mu
-    hu, hw = h.h.u_hat, h.h.w_hat
-    au = (mu - params.p_min) * hu + hw
-    aw = -params.gamma * hu - params.alpha * hw
-    return math.sqrt(float(params.gamma * (au @ au) + aw @ aw))
-
-
-def linear_growth_check_L(
-    h: CylinderFunction,
-    params: ModelParams,
-    basis: EigenBasis,
-    rng: np.random.Generator,
-    n_fit: int = 2000,
-    n_fresh: int = 2000,
-    max_norm: float = 100.0,
-) -> GrowthEnvelope:
-    """Fit a linear-in-|x| envelope for |L phi| and validate it out of sample.
-
-    The least-squares line through (|x|_H, |L phi|) is raised, where
-    necessary, to the chord of the uniform bound
-    e^{|h| r} (<Qh,h>/2 + r |A* h|) over [0, max_norm]; the bound is convex
-    in r, so the chord dominates every state with |x|_H <= max_norm and the
-    envelope carries zero violations on any sample, fresh or not.
-    """
-
-    def sample(n_states: int) -> tuple[np.ndarray, np.ndarray]:
-        n = basis.n_modes
-        raw = rng.standard_normal((n_states, n, 2))
-        norms = np.maximum(
-            np.sqrt(norm_H_sq_arrays(raw[..., 0], raw[..., 1], params.gamma)), 1e-12
-        )
-        target = max_norm * rng.random(n_states) ** 2
-        states = raw * (target / norms)[:, None, None]
-        xs = np.sqrt(norm_H_sq_arrays(states[..., 0], states[..., 1], params.gamma))
-        lp = h.pairing(states[..., 0], states[..., 1])
-        drift_term = _drift_pairing_arrays(
-            h, states[..., 0], states[..., 1], params, basis, "linear", 0.0
-        )
-        vals = np.abs(np.exp(lp) * (0.5 * h.q_form + drift_term))
-        return xs, vals
-
-    xs_fit, vals_fit = sample(n_fit)
-    a_mat = np.stack([np.ones_like(xs_fit), xs_fit], axis=1)
-    coef, *_ = np.linalg.lstsq(a_mat, vals_fit, rcond=None)
-    a0, b0 = abs(float(coef[0])), abs(float(coef[1]))
-    bound0 = 0.5 * h.q_form
-    bound_top = math.exp(h.h_norm * max_norm) * (
-        0.5 * h.q_form + max_norm * _adjoint_direction_norm(h, params, basis)
-    )
-    chord_b = (bound_top - bound0) / max_norm
-    a = max(a0, bound0)
-    b = max(b0, chord_b)
-    fit_violation = float(np.max(vals_fit - (a + b * xs_fit)))
-    xs_new, vals_new = sample(n_fresh)
-    fresh_violation = float(np.max(vals_new - (a + b * xs_new)))
-    return GrowthEnvelope(
-        a=a,
-        b=b,
-        fit_violation=fit_violation,
-        fresh_violation=fresh_violation,
-        n_fit=n_fit,
-        n_fresh=n_fresh,
-    )

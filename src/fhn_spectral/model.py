@@ -321,7 +321,11 @@ def _check_basis(basis: EigenBasis) -> None:
 
 @dataclass
 class StateH:
-    """Element of the truncated state space: spectral coefficients of (u, w)."""
+    """One validated state of the truncated space: spectral coefficients of (u, w).
+
+    Start states and directions are ``StateH``; the kernels take their
+    ``as_array`` or the raw ``(..., N)`` coefficient arrays.
+    """
 
     u_hat: np.ndarray
     w_hat: np.ndarray
@@ -349,52 +353,14 @@ class StateH:
     def n_modes(self) -> int:
         return self.u_hat.shape[0]
 
-    def copy(self) -> "StateH":
-        return StateH(self.u_hat.copy(), self.w_hat.copy())
-
     def as_array(self) -> np.ndarray:
         """Stack into the (N, 2) layout used by the batched kernels."""
         return np.stack([self.u_hat, self.w_hat], axis=-1)
 
 
-def _check_dims(x: StateH, y: StateH) -> None:
-    if x.n_modes != y.n_modes:
-        raise ValueError(f"dimension mismatch: {x.n_modes} vs {y.n_modes} modes")
-
-
-def inner_product_H(x: StateH, y: StateH, params: ModelParams) -> float:
-    """Weighted inner product gamma <u_x,u_y> + <w_x,w_y> in spectral coordinates."""
-    _check_dims(x, y)
-    return float(params.gamma * (x.u_hat @ y.u_hat) + x.w_hat @ y.w_hat)
-
-
-def norm_H_sq(x: StateH, params: ModelParams) -> float:
-    return inner_product_H(x, x, params)
-
-
 def norm_H_sq_arrays(u_hat: np.ndarray, w_hat: np.ndarray, gamma: float) -> np.ndarray:
     """Batched |x|_H^2 for coefficient arrays of shape (..., N)."""
     return gamma * (u_hat * u_hat).sum(axis=-1) + (w_hat * w_hat).sum(axis=-1)
-
-
-def norm_H_sq_quadrature(x: StateH, params: ModelParams, basis: EigenBasis) -> float:
-    """|x|_H^2 through grid values; Parseval counterpart of :func:`norm_H_sq`."""
-    u = basis.to_grid(x.u_hat)
-    w = basis.to_grid(x.w_hat)
-    h = basis.quad_weight
-    return float(params.gamma * h * (u * u).sum() + h * (w * w).sum())
-
-
-def norm_V_sq(x: StateH, params: ModelParams, basis: EigenBasis) -> float:
-    """V-norm squared gamma(|u|^2 + |u'|^2) + |w|^2.
-
-    The derivative term is spectral for constant c and face-difference
-    quadrature otherwise, matching the discrete integration by parts used
-    in the dissipativity estimates.
-    """
-    _check_dims(x, StateH(np.zeros(basis.n_modes), np.zeros(basis.n_modes)))
-    du_sq = float(basis.du_sq(x.u_hat))
-    return float(params.gamma * (x.u_hat @ x.u_hat + du_sq) + x.w_hat @ x.w_hat)
 
 
 def norm_V_sq_arrays(
@@ -404,14 +370,17 @@ def norm_V_sq_arrays(
     return params.gamma * ((u_hat * u_hat).sum(axis=-1) + du_sq) + (w_hat * w_hat).sum(axis=-1)
 
 
-def _apply_A_arrays(
+def apply_A(
     u_hat: np.ndarray,
     w_hat: np.ndarray,
     params: ModelParams,
     basis: EigenBasis,
     eta_shift: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Batched drift block (A0 u - p u + eta_shift u - w, gamma u - alpha w)."""
+    """Linear drift A x on coefficients (..., N): (A0 u - p u + eta_shift u - w, gamma u - alpha w).
+
+    ``eta_shift = eta`` gives the shifted block A_eta of the monotone splitting.
+    """
     if params.p_is_constant:
         pu = params.p_min * u_hat
     else:
@@ -422,40 +391,6 @@ def _apply_A_arrays(
         u_out = u_out + eta_shift * u_hat
     w_out = params.gamma * u_hat - params.alpha * w_hat
     return u_out, w_out
-
-
-def apply_A(x: StateH, params: ModelParams, basis: EigenBasis) -> StateH:
-    """Linear drift A x = (A0 u - p u - w, gamma u - alpha w)."""
-    u_out, w_out = _apply_A_arrays(x.u_hat, x.w_hat, params, basis)
-    return StateH(u_out, w_out)
-
-
-def apply_A_eta(x: StateH, params: ModelParams, basis: EigenBasis) -> StateH:
-    """Shifted drift A_eta x = A x + eta * (u, 0); the monotone-splitting companion."""
-    eta = params.derived().eta
-    u_out, w_out = _apply_A_arrays(x.u_hat, x.w_hat, params, basis, eta_shift=eta)
-    return StateH(u_out, w_out)
-
-
-def mode_matrix(k: int, params: ModelParams, basis: EigenBasis) -> np.ndarray:
-    """Per-mode 2x2 drift block [[mu_k - p, -1], [gamma, -alpha]] (constant p only)."""
-    if not params.p_is_constant:
-        raise ValueError("per-mode matrices need constant p; this configuration has p(xi)")
-    if not (0 <= k < basis.n_modes):
-        raise ValueError(f"mode index {k} out of range [0, {basis.n_modes})")
-    return np.array(
-        [
-            [basis.mu[k] - params.p_min, -1.0],
-            [params.gamma, -params.alpha],
-        ]
-    )
-
-
-def mode_matrix_eta(k: int, params: ModelParams, basis: EigenBasis) -> np.ndarray:
-    """Shifted per-mode block [[mu_k - p + eta, -1], [gamma, -alpha]]."""
-    m = mode_matrix(k, params, basis)
-    m[0, 0] += params.derived().eta
-    return m
 
 
 def mode_matrices(params: ModelParams, basis: EigenBasis, shifted: bool = False) -> np.ndarray:

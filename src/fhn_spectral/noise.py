@@ -22,12 +22,12 @@ linear and stochastic terms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
 from scipy.linalg import expm, solve_continuous_lyapunov
-from scipy.special import ndtri, zeta
+from scipy.special import ndtri
 
 from .model import EigenBasis, ModelParams, mode_matrices
 
@@ -91,13 +91,6 @@ class NoiseSpec:
 def trace_Q(spec: NoiseSpec) -> float:
     """Tr Q = sum of both spectra; independent of the inner-product weight."""
     return float(spec.lambda1.sum() + spec.lambda2.sum())
-
-
-def trace_Q_limit(spec: NoiseSpec) -> float | None:
-    """Full-series trace sigma2*(zeta(2s) per channel) for power-law spectra."""
-    if spec.sigma2 is None or spec.s is None or spec.s <= 0.5:
-        return None
-    return float(2.0 * spec.sigma2 * zeta(2.0 * spec.s))
 
 
 class PathStream:
@@ -278,47 +271,3 @@ def convolution_trace_integral(
         raise ValueError("horizon must be >= 0")
     kernel = build_ou_kernel(params, basis, spec, horizon, shifted=True)
     return htrace_mode_cov(kernel.cov, params.gamma)
-
-
-@dataclass
-class ConvolutionSupReport:
-    """Ensemble statistics of sup_{t<=T} |W_A(t)|_H^{2m} for m in (1, 2)."""
-
-    horizon: float
-    n_paths: int
-    master_seed: int
-    mean: dict[int, float]
-    se: dict[int, float]
-    quantiles: dict[int, dict[float, float]] = field(default_factory=dict)
-
-
-def convolution_sup_statistics(
-    T: float,
-    n_paths: int,
-    params: ModelParams,
-    basis: EigenBasis,
-    spec: NoiseSpec,
-    master_seed: int = 0,
-    dt: float = 0.01,
-    quantile_levels: tuple[float, ...] = (0.5, 0.9),
-) -> ConvolutionSupReport:
-    """Monte Carlo sup statistics of the pure stochastic convolution.
-
-    Simulates the F-disabled dynamics driven by the shifted linear block
-    from x0 = 0, so the trajectory is exactly W_{A_eta}.
-    """
-    from .solver import TrajectoryConfig, run_ensemble
-
-    cfg = TrajectoryConfig(T=T, dt=dt, drift="linear_eta", master_seed=master_seed)
-    sups = run_ensemble(cfg, params, basis, spec, n_paths=n_paths).h_norm_sq.max(axis=1)
-    mean: dict[int, float] = {}
-    se: dict[int, float] = {}
-    quants: dict[int, dict[float, float]] = {}
-    for m in (1, 2):
-        vals = sups**m
-        mean[m] = float(vals.mean())
-        se[m] = float(vals.std(ddof=1) / math.sqrt(n_paths))
-        quants[m] = {q: float(np.quantile(vals, q)) for q in quantile_levels}
-    return ConvolutionSupReport(
-        horizon=T, n_paths=n_paths, master_seed=master_seed, mean=mean, se=se, quantiles=quants
-    )

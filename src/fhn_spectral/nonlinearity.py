@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EigenBasis, ModelParams, StateH, inner_product_H
+from .model import EigenBasis
 
 ArrayLike = np.ndarray | float
 
@@ -53,9 +53,15 @@ class DriftParams:
     def xi0(self) -> float:
         return (1.0 + self.xi1) / 3.0
 
-    @classmethod
-    def from_params(cls, params: ModelParams, eps: float = 0.0) -> "DriftParams":
-        return cls(xi1=params.xi1, eps=eps)
+    @property
+    def grid_kind(self) -> str:
+        """``grid_drift`` kind of the simulated nonlinearity: f at eps = 0, f_{eta,eps} above."""
+        return "cubic" if self.eps == 0.0 else "eta_eps"
+
+    @property
+    def spectral_shift(self) -> float:
+        """Coefficient of u added to the grid drift: 0 at eps = 0, eta above (f_{eta,eps} + eta u)."""
+        return 0.0 if self.eps == 0.0 else self.eta
 
 
 def f(u: ArrayLike, xi1: float) -> ArrayLike:
@@ -108,15 +114,6 @@ def f_eta_eps_prime(u: ArrayLike, dp: DriftParams) -> ArrayLike:
     return (n_prime * den - n_val * d_prime) / (den * den)
 
 
-def h_eps(u: ArrayLike, dp: DriftParams) -> ArrayLike:
-    """Auxiliary cubic -(u-xi0)^3 / (1 + eps(1 - xi0(u-xi0) + (u-xi0)^2))."""
-    v = u - dp.xi0
-    den = _denominator(u, dp)
-    if dp.eps != 0.0:
-        _check_denominator(den, dp)
-    return -(v * v * v) / den
-
-
 def grid_drift(u_grid: np.ndarray, dp: DriftParams, kind: str = "cubic") -> np.ndarray:
     """Pointwise drift values on grid data.
 
@@ -141,19 +138,3 @@ def apply_F_arrays(
     """
     u_grid = basis.to_grid(u_hat)
     return basis.to_coeffs(grid_drift(u_grid, dp, kind))
-
-
-def apply_F(x: StateH, dp: DriftParams, basis: EigenBasis, kind: str = "cubic") -> StateH:
-    """Nonlinear drift F x = (f(u), 0) evaluated pseudo-spectrally."""
-    f_hat = apply_F_arrays(x.u_hat, dp, basis, kind)
-    return StateH(f_hat, np.zeros_like(f_hat))
-
-
-def monotonicity_gap(
-    x: StateH, y: StateH, dp: DriftParams, params: ModelParams, basis: EigenBasis
-) -> float:
-    """<F_eta(x) - F_eta(y), x - y>_H; nonpositive up to quadrature rounding."""
-    fx = apply_F(x, dp, basis, kind="eta")
-    fy = apply_F(y, dp, basis, kind="eta")
-    diff = StateH(x.u_hat - y.u_hat, x.w_hat - y.w_hat)
-    return inner_product_H(StateH(fx.u_hat - fy.u_hat, fx.w_hat - fy.w_hat), diff, params)

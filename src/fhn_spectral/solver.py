@@ -154,7 +154,6 @@ def _simulate_batch(
     path_ids = np.asarray(path_ids)
     stream_keys, stream_ids = np.unique(path_ids, return_inverse=True)
     streams = [PathStream(n, master_seed, int(pid)) for pid in stream_keys]
-    eta = params.derived().eta
     shifted = drift == "linear_eta"
     kernel = build_ou_kernel(params, basis, spec, dt, shifted=shifted)
     sub_kernels: dict[int, OUKernel] = {1: kernel}
@@ -162,14 +161,12 @@ def _simulate_batch(
     needs_remainder = not params.p_is_constant
     rem_grid = (params.p_min - params.p_grid) if needs_remainder else None
     nonlinear = drift == "fhn"
-    eps_groups: list[tuple[np.ndarray, DriftParams, str, float]] = []
-    if nonlinear:
-        for eps in np.unique(eps_by_col):
-            cols = np.nonzero(eps_by_col == eps)[0]
-            dp = DriftParams(xi1=params.xi1, eps=float(eps))
-            kind = "cubic" if eps == 0.0 else "eta_eps"
-            shift = 0.0 if eps == 0.0 else eta
-            eps_groups.append((cols, dp, kind, shift))
+    # one drift per distinct eps; DriftParams says which grid drift and shift it takes
+    eps_drifts = (
+        [DriftParams(xi1=params.xi1, eps=float(eps)) for eps in np.unique(eps_by_col)]
+        if nonlinear
+        else []
+    )
 
     def explicit_term(
         x: np.ndarray, u_grid: np.ndarray, eps_cols: np.ndarray
@@ -179,21 +176,21 @@ def _simulate_batch(
             return None
         if nonlinear:
             g = np.empty_like(u_grid)
-            for _, dp, kind, _ in eps_groups:
+            for dp in eps_drifts:
                 sel = eps_cols == dp.eps
                 if sel.any():
-                    g[sel] = grid_drift(u_grid[sel], dp, kind)
+                    g[sel] = grid_drift(u_grid[sel], dp, dp.grid_kind)
             if needs_remainder:
                 g += rem_grid * u_grid
         else:
             g = rem_grid * u_grid
         f_hat = basis.to_coeffs(g)
         if nonlinear:
-            for _, dp, _, shift in eps_groups:
-                if shift:
+            for dp in eps_drifts:
+                if dp.spectral_shift:
                     sel = eps_cols == dp.eps
                     if sel.any():
-                        f_hat[sel] += shift * x[sel][:, :, 0]
+                        f_hat[sel] += dp.spectral_shift * x[sel][:, :, 0]
         return f_hat
 
     def apply_update(x: np.ndarray, f_hat: np.ndarray | None, ker: OUKernel, h: float) -> np.ndarray:
@@ -296,16 +293,6 @@ def _x0_array(cfg: TrajectoryConfig, n_modes: int) -> np.ndarray:
     return cfg.x0.as_array()
 
 
-def integrate(
-    cfg: TrajectoryConfig,
-    params: ModelParams,
-    basis: EigenBasis,
-    spec: NoiseSpec | None,
-) -> Ensemble:
-    """Integrate a single path; a pure function of (config, master_seed, path_id)."""
-    return run_ensemble(cfg, params, basis, spec, n_paths=1)
-
-
 def _run_chunk(
     cfg: TrajectoryConfig,
     params: ModelParams,
@@ -397,6 +384,11 @@ def run_ensemble(
         v_norm_sq=np.concatenate([c.v_norm_sq for c in chunks]),
         terminal=np.concatenate([c.terminal for c in chunks]),
     )
+
+
+def _require_se_paths(n_paths: int) -> None:
+    if n_paths < 2:
+        raise ValueError("need at least 2 paths for standard errors")
 
 
 def _ols_line(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float, float]:
@@ -544,6 +536,7 @@ def eps_convergence_study(
     |F_{eta,eps}(X_eps)|_H^2, the a-priori bounded statistic from the
     existence proof.
     """
+    _require_se_paths(n_paths)
     ladder = np.asarray(sorted(set(float(e) for e in eps_ladder), reverse=True))
     if ladder.size == 0 or ladder.min() <= 0:
         raise ValueError("eps ladder must contain positive values")
@@ -644,6 +637,7 @@ def backward_run(
     interval they have in common, which is exactly the coupling behind the
     Cauchy property of X_lambda(0).
     """
+    _require_se_paths(n_paths)
     ladder = sorted(set(float(l) for l in lambda_ladder))
     if not ladder or ladder[0] <= 0:
         raise ValueError("lambda ladder must contain positive offsets")

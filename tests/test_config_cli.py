@@ -300,6 +300,21 @@ class TestCLI:
             assert rc == EXIT_CONFIG
             assert path in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["backward", "convergence", "dynkin", "moments"])
+    def test_single_path_standard_errors_are_config_errors(self, tmp_path, capsys, command):
+        # a standard error needs two paths; one path must not give se = nan or a traceback
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"run": {"T": 0.05, "dt": 1e-3}, "backward": {"lambda_ladder": [0.02, 0.04]}}
+        ))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc = main([command, "--config", str(cfg), "--paths", "1", "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "need at least 2 paths" in err
+        assert "Traceback" not in err
+
     def test_bad_workers_env_is_config_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("FHN_SPECTRAL_WORKERS", "junk")
         rc = main(["simulate", "--paths", "1", "--out", str(tmp_path / "o")])

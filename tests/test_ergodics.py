@@ -13,19 +13,18 @@ from fhn_spectral import (
     build_eigenbasis,
 )
 from fhn_spectral.ergodics import (
+    StateFunctional,
     bounded_ramp_functional,
-    constant_one_functional,
     cylinder_exp_functional,
     empirical_mode_covariances,
     estimate_invariant_measure,
     estimate_moments,
     h_norm_functional,
     invariant_moment_integral,
-    linear_invariant_covariance,
     linear_pairing_functional,
-    linear_stationary_h_moment,
     v_norm_functional,
 )
+from fhn_spectral.noise import convolution_trace_integral, stationary_mode_covariances
 from fhn_spectral.solver import _simulate_batch, run_ensemble
 
 class TestMoments:
@@ -45,7 +44,7 @@ class TestMoments:
             estimate_moments(1, run_ensemble(cfg, params, basis, spec, 1), cfg, params)
 
     def test_linear_long_run_matches_lyapunov(self, params, basis, spec):
-        target = linear_stationary_h_moment(params, basis, spec)
+        target = convolution_trace_integral(params, basis, spec, None)
         cfg = TrajectoryConfig(T=60.0, dt=0.05, drift="linear_eta", record_every=1200, master_seed=10)
         rep = estimate_moments(1, run_ensemble(cfg, params, basis, spec, 64), cfg, params)
         gap = abs(rep.estimate[-1] - target)
@@ -66,12 +65,12 @@ class TestMoments:
 class TestLinearOracle:
     def test_zero_noise_covariance(self, params, basis):
         zero = NoiseSpec.from_tables(np.zeros(basis.n_modes), np.zeros(basis.n_modes))
-        cov = linear_invariant_covariance(params, basis, zero)
+        cov = stationary_mode_covariances(params, basis, zero)
         assert np.abs(cov).max() == 0.0
 
     def test_mode0_example(self, params, basis):
         spec = NoiseSpec.from_tables(np.full(32, 0.01), np.full(32, 0.01))
-        cov = linear_invariant_covariance(params, basis, spec, shifted=True)
+        cov = stationary_mode_covariances(params, basis, spec, shifted=True)
         assert cov[0] == approx(
             np.array([[0.022078, 0.0038961], [0.0038961, 0.0069481]]), abs=5e-7
         )
@@ -79,7 +78,7 @@ class TestLinearOracle:
     def test_residual_defect(self, params, basis, spec):
         from fhn_spectral.model import mode_matrices
 
-        cov = linear_invariant_covariance(params, basis, spec, shifted=True)
+        cov = stationary_mode_covariances(params, basis, spec, shifted=True)
         mats = mode_matrices(params, basis, shifted=True)
         qk = spec.mode_cov()
         for k in range(basis.n_modes):
@@ -89,7 +88,7 @@ class TestLinearOracle:
     def test_empirical_covariances_converge(self, params, basis, spec):
         cfg = TrajectoryConfig(T=60.0, dt=0.05, drift="linear_eta", master_seed=77)
         emp = empirical_mode_covariances(cfg, params, basis, spec, n_paths=96, burn_in=20.0)
-        target = linear_invariant_covariance(params, basis, spec, shifted=True)
+        target = stationary_mode_covariances(params, basis, spec, shifted=True)
         rel = np.abs(emp[:4] - target[:4]) / np.abs(target[:4])
         assert rel.max() < 0.15
 
@@ -175,7 +174,7 @@ class TestInvariantMeasure:
             sample_spacing=3.0,
             n_ensemble=64,
         )
-        cov = linear_invariant_covariance(params, basis, spec, shifted=True)
+        cov = stationary_mode_covariances(params, basis, spec, shifted=True)
         g = np.array([params.gamma * 1.0, 0.0])
         sigma = math.sqrt(g @ cov[0] @ g)
         samples = measure.functionals["pair0"].samples_time_avg
@@ -219,7 +218,7 @@ class TestTransitionSemigroup:
         from fhn_spectral.ergodics import transition_semigroup
 
         # several functionals reduce the terminal states of one ensemble
-        phis = [constant_one_functional(), h_norm_functional(params)]
+        phis = [StateFunctional("one", lambda u, w: np.ones(u.shape[0])), h_norm_functional(params)]
         cfg = TrajectoryConfig(T=0.5, dt=1e-3, master_seed=12)
         (est, se), h_norm = transition_semigroup(phis, 8, cfg, params, basis, spec)
         assert est == 1.0
@@ -265,7 +264,7 @@ class TestInvariantMoments:
 
     def test_matches_gaussian_trace(self, params, basis, spec, linear_measure):
         m1 = invariant_moment_integral(1, linear_measure, params, basis)
-        target = linear_stationary_h_moment(params, basis, spec)
+        target = convolution_trace_integral(params, basis, spec, None)
         samples = linear_measure.states_time_avg
         from fhn_spectral.model import norm_H_sq_arrays
 

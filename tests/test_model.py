@@ -11,23 +11,30 @@ from fhn_spectral import (
     ModelParams,
     StateH,
     apply_A,
-    apply_A_eta,
     build_eigenbasis,
-    inner_product_H,
-    mode_matrix,
-    mode_matrix_eta,
-    norm_H_sq,
-    norm_V_sq,
 )
+from fhn_spectral.kolmogorov import CylinderFunction
 from fhn_spectral.model import (
     DCT_MIN_MODES,
     DerivedConstants,
-    _apply_A_arrays,
+    mode_matrices,
     norm_H_sq_arrays,
-    norm_H_sq_quadrature,
     norm_V_sq_arrays,
     random_coeff_states,
 )
+
+
+def norm_H_sq_quadrature(u_hat, w_hat, params, basis):
+    """|x|_H^2 through grid values: the Parseval counterpart of ``norm_H_sq_arrays``."""
+    u = basis.to_grid(u_hat)
+    w = basis.to_grid(w_hat)
+    h = basis.quad_weight
+    return params.gamma * h * (u * u).sum(axis=-1) + h * (w * w).sum(axis=-1)
+
+
+def pairing_H(x, y, params):
+    """<x, y>_H as the program forms it: ``CylinderFunction.pairing`` with direction y."""
+    return float(CylinderFunction(h=y, params=params).pairing(x.u_hat, x.w_hat))
 
 
 class TestModelParams:
@@ -166,14 +173,16 @@ class TestDctTransforms:
 class TestStateAndNorms:
     def test_zero_inner_product(self, params, basis):
         x = StateH.zero(basis.n_modes)
-        assert inner_product_H(x, x, params) == 0.0
-        assert norm_V_sq(x, params, basis) == 0.0
+        assert pairing_H(x, x, params) == 0.0
+        assert norm_H_sq_arrays(x.u_hat, x.w_hat, params.gamma) == 0.0
+        assert norm_V_sq_arrays(x.u_hat, x.w_hat, params, basis) == 0.0
 
     def test_mode0_inner_product(self, params, basis):
         # gamma = 0.5, x = y = (e0, 0) -> 0.5
         x = StateH.zero(basis.n_modes)
         x.u_hat[0] = 1.0
-        assert inner_product_H(x, x, params) == approx(0.5)
+        assert pairing_H(x, x, params) == approx(0.5)
+        assert norm_H_sq_arrays(x.u_hat, x.w_hat, params.gamma) == approx(0.5)
 
     def test_symmetry_random(self, params, basis, rng):
         u1, w1 = random_coeff_states(10, params, rng)
@@ -181,19 +190,15 @@ class TestStateAndNorms:
         for i in range(10):
             x = StateH(u1[i], w1[i])
             y = StateH(u2[i], w2[i])
-            assert inner_product_H(x, y, params) == approx(
-                inner_product_H(y, x, params), rel=1e-12
-            )
-
-    def test_dimension_mismatch(self, params):
-        with pytest.raises(ValueError):
-            inner_product_H(StateH.zero(4), StateH.zero(8), params)
+            assert pairing_H(x, y, params) == approx(pairing_H(y, x, params), rel=1e-12)
 
     def test_norm_V_mode1(self, params, basis):
         # gamma(|e1|^2 + |e1'|^2) = 0.5 (1 + pi^2)
         x = StateH.zero(basis.n_modes)
         x.u_hat[1] = 1.0
-        assert norm_V_sq(x, params, basis) == approx(0.5 * (1.0 + math.pi**2), rel=1e-12)
+        assert norm_V_sq_arrays(x.u_hat, x.w_hat, params, basis) == approx(
+            0.5 * (1.0 + math.pi**2), rel=1e-12
+        )
 
     def test_norm_V_dominates_H(self, params, basis, rng):
         u, w = random_coeff_states(200, params, rng)
@@ -203,19 +208,15 @@ class TestStateAndNorms:
 
     def test_parseval(self, params, basis, rng):
         u, w = random_coeff_states(50, params, rng)
-        for i in range(50):
-            x = StateH(u[i], w[i])
-            spectral = norm_H_sq(x, params)
-            quadrature = norm_H_sq_quadrature(x, params, basis)
-            assert quadrature == approx(spectral, rel=1e-8)
+        spectral = norm_H_sq_arrays(u, w, params.gamma)
+        quadrature = norm_H_sq_quadrature(u, w, params, basis)
+        assert quadrature == approx(spectral, rel=1e-8)
 
     def test_parseval_variable_c(self, rng):
         p = ModelParams(c_profile=lambda x: 1.0 + 0.3 * np.sin(2 * np.pi * x), n_modes=8, n_grid=32)
         b = build_eigenbasis(p)
         u, w = random_coeff_states(20, p, rng)
-        for i in range(20):
-            x = StateH(u[i], w[i])
-            assert norm_H_sq_quadrature(x, p, b) == approx(norm_H_sq(x, p), rel=1e-8)
+        assert norm_H_sq_quadrature(u, w, p, b) == approx(norm_H_sq_arrays(u, w, p.gamma), rel=1e-8)
 
     def test_cross_term_cancellation(self, params, basis, rng):
         # gamma<-w,u> + <gamma u, w> = 0: the weighted product kills the coupling
@@ -231,24 +232,25 @@ class TestStateAndNorms:
 
 class TestDriftOperator:
     def test_apply_A_zero(self, params, basis):
-        out = apply_A(StateH.zero(basis.n_modes), params, basis)
-        assert np.all(out.u_hat == 0) and np.all(out.w_hat == 0)
+        zero = np.zeros((3, basis.n_modes))
+        au, aw = apply_A(zero, zero, params, basis)
+        assert np.all(au == 0) and np.all(aw == 0)
 
     def test_apply_A_mode1(self, params, basis):
         # u = e1, w = 0 -> ((mu_1 - p) e1, gamma e1)
         x = StateH.zero(basis.n_modes)
         x.u_hat[1] = 1.0
-        out = apply_A(x, params, basis)
-        assert out.u_hat[1] == approx(-math.pi**2 - 0.3, rel=1e-12)
-        assert out.w_hat[1] == approx(0.5)
+        au, aw = apply_A(x.u_hat, x.w_hat, params, basis)
+        assert au[1] == approx(-math.pi**2 - 0.3, rel=1e-12)
+        assert aw[1] == approx(0.5)
         mask = np.ones(basis.n_modes, bool)
         mask[1] = False
-        assert np.abs(out.u_hat[mask]).max() == 0.0
+        assert np.abs(au[mask]).max() == 0.0
 
     def test_dissipativity_H_norm(self, params, basis, rng):
         dc = params.derived()
         u, w = random_coeff_states(1000, params, rng)
-        au, aw = _apply_A_arrays(u, w, params, basis, eta_shift=dc.eta)
+        au, aw = apply_A(u, w, params, basis, eta_shift=dc.eta)
         lhs = params.gamma * (au * u).sum(axis=1) + (aw * w).sum(axis=1)
         h_sq = norm_H_sq_arrays(u, w, params.gamma)
         assert np.all(lhs <= -dc.omega1 * h_sq + 1e-9 * h_sq)
@@ -263,7 +265,7 @@ class TestDriftOperator:
         b = build_eigenbasis(p)
         dc = p.derived()
         u, w = random_coeff_states(1000, p, rng)
-        au, aw = _apply_A_arrays(u, w, p, b, eta_shift=dc.eta)
+        au, aw = apply_A(u, w, p, b, eta_shift=dc.eta)
         lhs = p.gamma * (au * u).sum(axis=1) + (aw * w).sum(axis=1)
         v_sq = norm_V_sq_arrays(u, w, p, b)
         h_sq = norm_H_sq_arrays(u, w, p.gamma)
@@ -272,45 +274,31 @@ class TestDriftOperator:
 
     def test_apply_A_eta_shift(self, params, basis, rng):
         u, w = random_coeff_states(5, params, rng)
-        x = StateH(u[0], w[0])
         eta = params.derived().eta
-        plain = apply_A(x, params, basis)
-        shifted = apply_A_eta(x, params, basis)
-        assert shifted.u_hat == approx(plain.u_hat + eta * x.u_hat)
-        assert shifted.w_hat == approx(plain.w_hat)
+        plain_u, plain_w = apply_A(u, w, params, basis)
+        shifted_u, shifted_w = apply_A(u, w, params, basis, eta_shift=eta)
+        assert shifted_u == approx(plain_u + eta * u)
+        assert np.array_equal(shifted_w, plain_w)
 
 
 class TestModeMatrix:
     def test_mode0_matrix(self, params, basis):
-        m = mode_matrix(0, params, basis)
+        m = mode_matrices(params, basis)[0]
         assert m == approx(np.array([[-0.3, -1.0], [0.5, -1.0]]))
 
     def test_mode0_matrix_eta(self, params, basis):
-        m = mode_matrix_eta(0, params, basis)
+        m = mode_matrices(params, basis, shifted=True)[0]
         assert m == approx(np.array([[-0.05, -1.0], [0.5, -1.0]]))
 
     def test_all_modes_hurwitz(self, params, basis):
-        abscissa = []
-        dominant = []
-        for k in range(basis.n_modes):
-            eigs = np.linalg.eigvals(mode_matrix(k, params, basis))
-            abscissa.append(eigs.real.max())
-            dominant.append(eigs.real.min())
+        eigs = np.linalg.eigvals(mode_matrices(params, basis))
+        abscissa = eigs.real.max(axis=1)
+        dominant = eigs.real.min(axis=1)
         # stability, with the numerical-range bound Re <= -min(p, alpha)
-        assert max(abscissa) < 0.0
-        assert max(abscissa) <= -min(params.p_min, params.alpha) + 1e-12
+        assert abscissa.max() < 0.0
+        assert abscissa.max() <= -min(params.p_min, params.alpha) + 1e-12
         # the dominant (diffusion-driven) rate only deepens with the mode index
         assert np.all(np.diff(dominant) <= 1e-12)
-
-    def test_variable_p_rejected(self):
-        p = ModelParams(p_profile=lambda x: 0.3 + 0.1 * x, n_modes=4, n_grid=16)
-        b = build_eigenbasis(p)
-        with pytest.raises(ValueError):
-            mode_matrix(0, p, b)
-
-    def test_out_of_range(self, params, basis):
-        with pytest.raises(ValueError):
-            mode_matrix(basis.n_modes, params, basis)
 
 
 @settings(max_examples=50, deadline=None)
@@ -322,4 +310,6 @@ def test_inner_product_bilinear_symmetric(gamma, uw):
     p = ModelParams(gamma=gamma, n_modes=2, n_grid=4)
     x = StateH(np.array([uw[0], uw[1]]), np.array([uw[2], uw[3]]))
     y = StateH(np.array([uw[3], uw[2]]), np.array([uw[1], uw[0]]))
-    assert inner_product_H(x, y, p) == approx(inner_product_H(y, x, p), rel=1e-12, abs=1e-12)
+    assert pairing_H(x, y, p) == approx(pairing_H(y, x, p), rel=1e-12, abs=1e-12)
+    two_x = StateH(2.0 * x.u_hat, 2.0 * x.w_hat)
+    assert pairing_H(two_x, y, p) == approx(2.0 * pairing_H(x, y, p), rel=1e-12, abs=1e-12)

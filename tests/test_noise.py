@@ -12,11 +12,10 @@ from fhn_spectral import (
     NoiseSpec,
     PathStream,
     build_eigenbasis,
-    convolution_sup_statistics,
     convolution_trace_integral,
     trace_Q,
 )
-from fhn_spectral.model import mode_matrix_eta
+from fhn_spectral.model import mode_matrices
 from fhn_spectral.noise import (
     _INTERVAL_OFFSET,
     _REFILL_UNIFORMS,
@@ -24,7 +23,6 @@ from fhn_spectral.noise import (
     convolution_trace_integrand,
     htrace_mode_cov,
     stationary_mode_covariances,
-    trace_Q_limit,
 )
 
 
@@ -49,12 +47,6 @@ class TestNoiseSpec:
     def test_trace_zero_noise(self):
         spec = NoiseSpec.from_tables(np.zeros(3), np.zeros(3))
         assert trace_Q(spec) == 0.0
-
-    def test_trace_asymptote_zeta2(self):
-        spec = NoiseSpec.power_law(4, sigma2=0.01, s=1.0)
-        limit = trace_Q_limit(spec)
-        assert limit == approx(2 * 0.01 * math.pi**2 / 6)
-        assert limit > trace_Q(spec)
 
     def test_trace_weight_independent(self, basis):
         # Tr_H Q over the H-orthonormal basis {(e_k/sqrt(gamma),0)} u {(0,e_k)}
@@ -163,7 +155,7 @@ class TestExactOUStep:
         target = np.array([[0.022078, 0.0038961], [0.0038961, 0.0069481]])
         cov = stationary_mode_covariances(params, basis, spec, shifted=True)
         assert cov[0] == approx(target, abs=5e-7)
-        assert mode_matrix_eta(0, params, basis) == approx(
+        assert mode_matrices(params, basis, shifted=True)[0] == approx(
             np.array([[-0.05, -1.0], [0.5, -1.0]])
         )
         kernel = build_ou_kernel(params, basis, spec, 200.0, shifted=True)
@@ -217,28 +209,3 @@ class TestTraceIntegral:
         cov = stationary_mode_covariances(params, basis, spec)
         expected = params.gamma * cov[:, 0, 0].sum() + cov[:, 1, 1].sum()
         assert htrace_mode_cov(cov, params.gamma) == approx(expected)
-
-
-class TestConvolutionSup:
-    def test_zero_noise(self, params, basis):
-        zero = NoiseSpec.from_tables(np.zeros(basis.n_modes), np.zeros(basis.n_modes))
-        rep = convolution_sup_statistics(5.0, 8, params, basis, zero, master_seed=1)
-        assert rep.mean[1] == 0.0 and rep.mean[2] == 0.0
-
-    def test_seed_stability(self, params, basis, spec):
-        reps = [
-            convolution_sup_statistics(25.0, 32, params, basis, spec, master_seed=s)
-            for s in (101, 202, 303)
-        ]
-        for m in (1, 2):
-            for i in range(len(reps)):
-                for j in range(i + 1, len(reps)):
-                    gap = abs(reps[i].mean[m] - reps[j].mean[m])
-                    lim = 3.0 * math.hypot(reps[i].se[m], reps[j].se[m])
-                    assert gap <= lim
-
-    def test_growth_sanity_with_horizon(self, params, basis, spec):
-        r25 = convolution_sup_statistics(25.0, 64, params, basis, spec, master_seed=7)
-        r50 = convolution_sup_statistics(50.0, 64, params, basis, spec, master_seed=7)
-        assert r50.mean[1] >= r25.mean[1]  # sup over a longer window
-        assert r50.mean[1] <= 1.1 * r25.mean[1] + 3.0 * math.hypot(r25.se[1], r50.se[1])

@@ -9,20 +9,22 @@ from fhn_spectral import (
     ModelParams,
     StateH,
     apply_A,
-    apply_F,
     build_eigenbasis,
     f,
     f_eta,
     f_eta_eps,
     f_eta_eps_prime,
-    h_eps,
-    inner_product_H,
-    monotonicity_gap,
 )
 from fhn_spectral.model import norm_H_sq_arrays, random_coeff_states
 from fhn_spectral.nonlinearity import apply_F_arrays
 
 DP = DriftParams(xi1=0.5)
+
+
+def h_eps(u, dp):
+    """Auxiliary cubic -(u-xi0)^3 / (1 + eps(1 - xi0(u-xi0) + (u-xi0)^2)) of the regularization bounds."""
+    v = u - dp.xi0
+    return -(v * v * v) / (1.0 + dp.eps * (1.0 - dp.xi0 * v + v * v))
 
 
 class TestScalarDrift:
@@ -170,16 +172,16 @@ class TestHEps:
 
 class TestApplyF:
     def test_zero_state(self, params, basis):
-        out = apply_F(StateH.zero(basis.n_modes), DP, basis)
-        assert np.all(out.u_hat == 0.0) and np.all(out.w_hat == 0.0)
+        out = apply_F_arrays(np.zeros((2, basis.n_modes)), DP, basis)
+        assert np.all(out == 0.0)
 
     def test_constant_field_reduces_to_scalar(self, params, basis):
         ubar = 0.7
         x = StateH.zero(basis.n_modes)
         x.u_hat[0] = ubar  # e_0 = 1 on [0,1]
-        out = apply_F(x, DP, basis)
-        assert out.u_hat[0] == approx(f(ubar, 0.5), abs=1e-10)
-        assert np.abs(out.u_hat[1:]).max() < 1e-10
+        out = apply_F_arrays(x.u_hat, DP, basis)
+        assert out[0] == approx(f(ubar, 0.5), abs=1e-10)
+        assert np.abs(out[1:]).max() < 1e-10
 
     def test_growth_envelope(self, params, basis, rng):
         # |F_eta(x)|_H <= C (1 + |u|_{L6}^3): fit C on one sample, hold on a fresh one
@@ -197,17 +199,33 @@ class TestApplyF:
 
     def test_unknown_kind(self, params, basis):
         with pytest.raises(ValueError):
-            apply_F(StateH.zero(basis.n_modes), DP, basis, kind="quartic")
+            apply_F_arrays(np.zeros(basis.n_modes), DP, basis, kind="quartic")
+
+    def test_simulated_drift_rule(self):
+        # the solver integrates the raw cubic at eps = 0 and f_{eta,eps} + eta u above it
+        assert (DP.grid_kind, DP.spectral_shift) == ("cubic", 0.0)
+        dp = DriftParams(0.5, eps=0.1)
+        assert (dp.grid_kind, dp.spectral_shift) == ("eta_eps", dp.eta)
 
 
 class TestMonotonicity:
     def test_gap_zero_for_equal_states(self, params, basis, rng):
-        u, w = random_coeff_states(1, params, rng)
-        x = StateH(u[0], w[0])
-        assert monotonicity_gap(x, x, DP, params, basis) == 0.0
+        # the gap vanishes at x = y to second order: gap(x, x + s d) / s^2 tends to
+        # gamma * sum_j w f_eta'(u_j) d_j^2 with f_eta' = -3 (u - xi0)^2 on the grid
+        u, _ = random_coeff_states(20, params, rng)
+        d, _ = random_coeff_states(20, params, rng)
+        s = 1e-4
+        fx = apply_F_arrays(u, DP, basis, kind="eta")
+        fy = apply_F_arrays(u + s * d, DP, basis, kind="eta")
+        ratio = params.gamma * ((fy - fx) * d).sum(axis=1) / s
+        u_grid, d_grid = basis.to_grid(u), basis.to_grid(d)
+        limit = -3.0 * params.gamma * basis.quad_weight * (
+            (u_grid - DP.xi0) ** 2 * d_grid**2).sum(axis=1)
+        assert np.all(limit < 0.0)
+        np.testing.assert_allclose(ratio, limit, rtol=1e-2)
 
     def test_gap_nonpositive_random_pairs(self, params, basis, rng):
-        dp = DriftParams.from_params(params)
+        dp = DriftParams(params.xi1)
         ux, wx = random_coeff_states(1000, params, rng)
         uy, wy = random_coeff_states(1000, params, rng)
         fx = apply_F_arrays(ux, dp, basis, kind="eta")
@@ -227,17 +245,10 @@ class TestMonotonicity:
         dc = params.derived()
         ux, wx = random_coeff_states(300, params, rng)
         uy, wy = random_coeff_states(300, params, rng)
-        for i in range(0, 300, 7):
-            x = StateH(ux[i], wx[i])
-            y = StateH(uy[i], wy[i])
-            ax, ay = apply_A(x, params, basis), apply_A(y, params, basis)
-            fx, fy = apply_F(x, DP, basis), apply_F(y, DP, basis)
-            d = StateH(x.u_hat - y.u_hat, x.w_hat - y.w_hat)
-            total = StateH(
-                ax.u_hat - ay.u_hat + fx.u_hat - fy.u_hat,
-                ax.w_hat - ay.w_hat + fx.w_hat - fy.w_hat,
-            )
-            lhs = inner_product_H(total, d, params)
-            d_sq = inner_product_H(d, d, params)
-            assert lhs <= -dc.omega * d_sq + 1e-9 * d_sq
-
+        ux, wx, uy, wy = ux[::7], wx[::7], uy[::7], wy[::7]
+        (axu, axw), (ayu, ayw) = apply_A(ux, wx, params, basis), apply_A(uy, wy, params, basis)
+        fx, fy = apply_F_arrays(ux, DP, basis), apply_F_arrays(uy, DP, basis)
+        du, dw = ux - uy, wx - wy
+        lhs = params.gamma * ((axu - ayu + fx - fy) * du).sum(axis=1) + ((axw - ayw) * dw).sum(axis=1)
+        d_sq = norm_H_sq_arrays(du, dw, params.gamma)
+        assert np.all(lhs <= -dc.omega * d_sq + 1e-9 * d_sq)

@@ -1,0 +1,48 @@
+"""Every public top-level function and class in the package is used by the package.
+
+A public name that only tests call is a second API to keep in step with
+the one the program runs.  Re-exports in ``__init__.py`` do not count as
+a use.
+"""
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import fhn_spectral
+
+SRC = Path(fhn_spectral.__file__).resolve().parent
+
+
+def _modules() -> dict[str, ast.Module]:
+    return {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+
+
+def _uses(tree: ast.AST) -> Counter:
+    """How often each name is read, or taken as an attribute, in ``tree``."""
+    uses: Counter = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            uses[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            uses[node.attr] += 1
+    return uses
+
+
+def test_every_public_definition_is_used_in_src():
+    modules = _modules()
+    total = sum((_uses(tree) for tree in modules.values()), Counter())
+    unused = [
+        f"{name}:{node.name}"
+        for name, tree in modules.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+        # uses inside the definition itself do not count
+        and total[node.name] - _uses(node)[node.name] == 0
+    ]
+    assert not unused, f"public definitions no code in src/ uses: {unused}"

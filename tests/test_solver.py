@@ -16,11 +16,10 @@ from fhn_spectral import (
     build_eigenbasis,
     coupled_run,
     eps_convergence_study,
-    integrate,
     run_ensemble,
 )
 from fhn_spectral import solver
-from fhn_spectral.model import norm_H_sq, norm_H_sq_arrays
+from fhn_spectral.model import norm_H_sq_arrays
 from fhn_spectral.noise import build_ou_kernel
 from fhn_spectral.solver import RECORD_ENDPOINTS, _ols_line, _simulate_batch, resolve_workers
 
@@ -52,21 +51,21 @@ class TestStepAndIntegrate:
     def test_zero_horizon_records_initial(self, params, basis, spec):
         x0 = StateH.zero(basis.n_modes)
         x0.u_hat[0] = 1.0
-        rec = integrate(TrajectoryConfig(T=0.0, x0=x0), params, basis, spec)
+        rec = run_ensemble(TrajectoryConfig(T=0.0, x0=x0), params, basis, spec, 1)
         assert rec.times.shape == (1,)
         assert rec.h_norm_sq.shape == (1, 1)
-        assert rec.h_norm_sq[0, 0] == approx(norm_H_sq(x0, params))
+        assert rec.h_norm_sq[0, 0] == approx(params.gamma)
         assert np.array_equal(rec.terminal[0], x0.as_array())
 
     def test_equilibrium_preserved(self, params, basis, zero_spec):
-        rec = integrate(TrajectoryConfig(T=0.1, dt=1e-3), params, basis, zero_spec)
+        rec = run_ensemble(TrajectoryConfig(T=0.1, dt=1e-3), params, basis, zero_spec, 1)
         assert rec.h_norm_sq.max() == 0.0
         assert np.all(rec.terminal == 0.0)
 
     def test_bitweise_deterministic(self, params, basis, spec):
         cfg = TrajectoryConfig(T=0.3, dt=1e-3, master_seed=99)
-        r1 = integrate(cfg, params, basis, spec)
-        r2 = integrate(cfg, params, basis, spec)
+        r1 = run_ensemble(cfg, params, basis, spec, 1)
+        r2 = run_ensemble(cfg, params, basis, spec, 1)
         assert np.array_equal(r1.h_norm_sq, r2.h_norm_sq)
         assert np.array_equal(r1.terminal, r2.terminal)
 
@@ -76,14 +75,14 @@ class TestStepAndIntegrate:
         x = StateH(rng.standard_normal(n), rng.standard_normal(n))
         dt = 0.05
         cfg = TrajectoryConfig(T=dt, dt=dt, x0=x, drift="linear")
-        out = integrate(cfg, params, basis, zero_spec).terminal[0]
+        out = run_ensemble(cfg, params, basis, zero_spec, 1).terminal[0]
         kernel = build_ou_kernel(params, basis, None, dt, shifted=False)
         expect = np.einsum("kij,kj->ki", kernel.transition, x.as_array())
         assert out == approx(expect, abs=1e-13)
 
     def test_record_times_strictly_increasing(self, params, basis, spec):
         cfg = TrajectoryConfig(T=0.1, dt=1e-3, record_every=7, master_seed=3)
-        rec = integrate(cfg, params, basis, spec)
+        rec = run_ensemble(cfg, params, basis, spec, 1)
         assert np.all(np.diff(rec.times) > 0)
         assert rec.times[-1] == approx(0.1)
         assert rec.h_norm_sq.shape == rec.v_norm_sq.shape == (1, rec.times.size)
@@ -94,7 +93,7 @@ class TestStepAndIntegrate:
         x0 = StateH(np.full(n, 1e6), np.zeros(n))
         cfg = TrajectoryConfig(T=0.01, dt=1e-3, x0=x0)
         with pytest.raises(BlowUpError) as err:
-            integrate(cfg, params, basis, zero_spec)
+            run_ensemble(cfg, params, basis, zero_spec, 1)
         assert err.value.step == 0
 
     def test_blow_up_names_offset_path(self, params, basis, zero_spec):
@@ -116,7 +115,7 @@ class TestStepAndIntegrate:
         # state must still converge to a fine-dt reference as dt shrinks
         x0 = StateH.from_grid(np.full(basis.n_grid, 10.0), np.zeros(basis.n_grid), basis)
         cfg = TrajectoryConfig(T=0.2, dt=1.5625e-5, x0=x0, record_every=RECORD_ENDPOINTS)
-        ref = integrate(cfg, params, basis, zero_spec).terminal[0]
+        ref = run_ensemble(cfg, params, basis, zero_spec, 1).terminal[0]
         kernel_steps = []
         monkeypatch.setattr(
             solver, "build_ou_kernel", lambda *a, **kw: kernel_steps.append(a[3]) or build_ou_kernel(*a, **kw)
@@ -124,9 +123,9 @@ class TestStepAndIntegrate:
         dts, errs = (4e-3, 2e-3, 1e-3), []
         for dt in dts:
             kernel_steps.clear()
-            diff = integrate(replace(cfg, dt=dt), params, basis, zero_spec).terminal[0] - ref
+            diff = run_ensemble(replace(cfg, dt=dt), params, basis, zero_spec, 1).terminal[0] - ref
             assert min(kernel_steps) < dt  # substep kernels were built
-            errs.append(math.sqrt(norm_H_sq(StateH(*diff.T), params)))
+            errs.append(math.sqrt(norm_H_sq_arrays(diff[:, 0], diff[:, 1], params.gamma)))
         assert errs[0] > errs[1] > errs[2]
         assert np.polyfit(np.log(dts), np.log(errs), 1)[0] >= 0.6
 
@@ -229,7 +228,7 @@ class TestSelfConvergence:
         terminal = {}
         for dt in (4e-3, 2e-3, 1e-3, 5e-4):
             cfg = TrajectoryConfig(T=1.0, dt=dt, x0=x0, record_every=RECORD_ENDPOINTS)
-            terminal[dt] = integrate(cfg, params, basis, zero_spec).terminal[0]
+            terminal[dt] = run_ensemble(cfg, params, basis, zero_spec, 1).terminal[0]
         ref = terminal[5e-4]
         errs = [
             math.sqrt(
@@ -258,7 +257,7 @@ class TestSelfConvergence:
         ratios = (8, 4, 2)
         from fhn_spectral.nonlinearity import DriftParams, grid_drift
 
-        dp = DriftParams.from_params(params)
+        dp = DriftParams(params.xi1)
         for r in ratios:
             dt = r * h
             kernel = build_ou_kernel(params, basis, None, dt)
@@ -296,7 +295,7 @@ class TestCoupledRun:
     def test_identical_states_zero_gap(self, params, basis, spec):
         x = StateH.zero(basis.n_modes)
         cfg = TrajectoryConfig(T=0.05, dt=1e-3, x0=x, record_every=10, master_seed=2)
-        rep = coupled_run(x.copy(), cfg, params, basis, spec, n_paths=2)
+        rep = coupled_run(StateH.zero(basis.n_modes), cfg, params, basis, spec, n_paths=2)
         assert rep.delta_sq.max() == 0.0
 
     def test_decay_envelope_and_fit(self, params, basis, spec):
@@ -316,7 +315,7 @@ class TestCoupledRun:
         x = StateH.zero(basis.n_modes)
         cfg = TrajectoryConfig(T=0.1, dt=1e-3, record_every=30, master_seed=8)
         rep = coupled_run(x, cfg, params, basis, spec)
-        assert np.array_equal(rep.times, integrate(cfg, params, basis, spec).times)
+        assert np.array_equal(rep.times, run_ensemble(cfg, params, basis, spec, 1).times)
         assert rep.times.size == 5
 
     def test_noise_free_difference_is_seed_free(self, params, basis, zero_spec):
@@ -353,8 +352,8 @@ class TestEpsStudy:
         # equal, so D(eps, eps) = 0; realized here through determinism of the
         # engine under a fixed (seed, path, interval) indexing
         cfg = TrajectoryConfig(T=0.1, dt=1e-3, eps=0.1, master_seed=6)
-        r1 = integrate(cfg, params, basis, spec)
-        r2 = integrate(cfg, params, basis, spec)
+        r1 = run_ensemble(cfg, params, basis, spec, 1)
+        r2 = run_ensemble(cfg, params, basis, spec, 1)
         assert np.array_equal(r1.terminal, r2.terminal)
 
 

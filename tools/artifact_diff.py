@@ -1,0 +1,189 @@
+"""Compare every CLI artifact of a parent revision with the working tree's.
+
+Usage (from the repository root):
+
+    python3 tools/artifact_diff.py --parent REV [--workers N]
+
+Both trees are laid out the way ``bench_pairs.py`` lays them out: the
+parent from ``git archive REV``, the change from the working tree's tracked
+and unignored files.  Each tree runs ``eigen`` with the default config, the
+eight experiment subcommands with the small fixed configs in ``CONFIGS``
+and ``acceptance --quick``, all with one BLAS thread.  The parent always
+runs with one worker; ``--workers`` sets ``FHN_SPECTRAL_WORKERS`` for the
+change, so a worker count that moves a byte shows up too.
+
+The script prints every output file that is missing on one side or
+differs.  For ``acceptance.json`` it prints, per criterion field, the
+largest relative change over its numbers, ignoring ``elapsed_s``.  Exit
+code 0 means every file is byte-identical and ``acceptance.json`` is equal
+apart from ``elapsed_s``; 1 means something differs.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+from bench_pairs import copy_worktree, extract
+
+CONFIGS: dict[str, dict] = {
+    "eigen": {},
+    "simulate": {
+        "run": {"T": 0.2, "record_every": 7, "x0": {"kind": "constant", "u": 1.5}},
+        "master_seed": 3, "paths": 40,
+    },
+    "couple": {"run": {"T": 0.5, "record_every": 30}, "master_seed": 4, "paths": 3},
+    "convergence": {
+        "run": {"T": 0.1, "x0": {"kind": "cosine", "u_amplitude": 1.5, "u_mode": 1}},
+        "convergence": {"eps_ladder": [0.2, 0.1, 0.05]},
+        "master_seed": 5, "paths": 4,
+    },
+    "backward": {
+        "run": {"dt": 2e-3, "x0": {"kind": "constant", "u": 1.5}},
+        "backward": {"lambda_ladder": [0.5, 1, 2]},
+        "master_seed": 7, "paths": 34,
+    },
+    "moments": {
+        "run": {"T": 2.0, "dt": 2e-3, "record_every": 20, "x0": {"kind": "constant", "u": 2.0}},
+        "master_seed": 8, "paths": 36,
+    },
+    "invariant": {
+        "model": {"p": 0.85},
+        "run": {"T": 1.0, "dt": 2e-3, "x0": {"kind": "constant", "u": 0.5}},
+        "invariant": {"burn_in": 9.0, "n_time_samples": 40, "sample_spacing": 1.0,
+                      "pairing_mode": 0},
+        "master_seed": 9, "paths": 36,
+    },
+    "linear-oracle": {
+        "run": {"T": 30.0, "dt": 0.05, "drift": "linear_eta"},
+        "linear_oracle": {"burn_in": 10.0},
+        "master_seed": 10, "paths": 32,
+    },
+    "dynkin": {
+        "model": {"gamma": 1.0},
+        "run": {"T": 0.2},
+        "dynkin": {"h_u": [[0, 0.4], [1, 0.3]]},
+        "master_seed": 6, "paths": 16,
+    },
+}
+
+
+def run_cli(tree: Path, args: list[str], workers: int) -> None:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1", FHN_SPECTRAL_WORKERS=str(workers))
+    proc = subprocess.run([sys.executable, "-m", "fhn_spectral", *args], cwd=tree, env=env,
+                          capture_output=True, text=True)
+    # acceptance exits 1 when a criterion fails; its table is still compared
+    if proc.returncode not in (0, 1):
+        raise RuntimeError(f"fhn_spectral {' '.join(args)} in {tree} exited "
+                           f"{proc.returncode}:\n{proc.stderr}")
+
+
+def run_tree(tree: Path, out: Path, workers: int) -> None:
+    for name, cfg in CONFIGS.items():
+        cfg_path = tree / f"artifact-diff-{name}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        run_cli(tree, [name, "--config", str(cfg_path), "--out", str(out / name)], workers)
+    run_cli(tree, ["acceptance", "--quick", "--out", str(out / "acceptance")], workers)
+
+
+def numbers(value, path: str = ""):
+    """(path, number-or-other) leaves of a JSON value; list items share their field's path."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from numbers(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for item in value:
+            yield from numbers(item, path)
+    else:
+        yield path, value
+
+
+def rel_change(a, b) -> float:
+    if isinstance(a, bool) or isinstance(b, bool) or not isinstance(a, (int, float)) \
+            or not isinstance(b, (int, float)):
+        return 0.0 if a == b else math.inf
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def acceptance_table(parent: dict, change: dict) -> dict[str, float]:
+    """Largest relative change per criterion field, elapsed_s left out."""
+    def fields(payload: dict) -> dict[str, list]:
+        out: dict[str, list] = {}
+        for crit in payload.get("criteria", []):
+            body = {k: v for k, v in crit.items() if k not in ("id", "elapsed_s")}
+            for path, value in numbers(body):
+                out.setdefault(f"criterion {crit['id']}: {path}", []).append(value)
+        for key in ("all_passed", "quick", "master_seed"):
+            out[key] = [payload.get(key)]
+        return out
+
+    a, b = fields(parent), fields(change)
+    table = {}
+    for key in sorted(set(a) | set(b)):
+        va, vb = a.get(key), b.get(key)
+        if va is None or vb is None or len(va) != len(vb):
+            table[key] = math.inf
+        else:
+            table[key] = max((rel_change(x, y) for x, y in zip(va, vb)), default=0.0)
+    return table
+
+
+def compare(parent_out: Path, change_out: Path) -> int:
+    names = sorted(
+        {p.relative_to(parent_out) for p in parent_out.rglob("*") if p.is_file()}
+        | {p.relative_to(change_out) for p in change_out.rglob("*") if p.is_file()}
+    )
+    differing = 0
+    for name in names:
+        a, b = parent_out / name, change_out / name
+        if not a.is_file() or not b.is_file():
+            print(f"only in {'change' if b.is_file() else 'parent'}: {name}")
+            differing += 1
+        elif name == Path("acceptance/acceptance.json"):
+            table = acceptance_table(json.loads(a.read_text()), json.loads(b.read_text()))
+            moved = {k: v for k, v in table.items() if v > 0.0}
+            for key, value in moved.items():
+                print(f"acceptance.json {key}: largest relative change {value:.3g}")
+            differing += bool(moved)
+        elif a.read_bytes() != b.read_bytes():
+            print(f"differs: {name}")
+            differing += 1
+    print(f"artifact_diff: {len(names)} files compared, {differing} differ")
+    return differing
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent side")
+    parser.add_argument("--workers", type=int, default=1,
+                        help="FHN_SPECTRAL_WORKERS for the change side (default 1)")
+    args = parser.parse_args(argv)
+    if args.workers < 1:
+        parser.error("--workers must be a positive integer")
+
+    with tempfile.TemporaryDirectory(prefix="artifact-diff-") as tmp:
+        root = Path(tmp)
+        trees = {"parent": root / "parent", "change": root / "change"}
+        outs = {"parent": root / "out-parent", "change": root / "out-change"}
+        for path in (*trees.values(), *outs.values()):
+            path.mkdir()
+        sha = extract(args.parent, trees["parent"])
+        copy_worktree(trees["change"])
+        print(f"artifact_diff: parent {sha}, change = working tree "
+              f"(FHN_SPECTRAL_WORKERS={args.workers})")
+        for side in ("parent", "change"):
+            run_tree(trees[side], outs[side], 1 if side == "parent" else args.workers)
+        return 1 if compare(outs["parent"], outs["change"]) else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
