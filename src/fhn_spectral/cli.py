@@ -426,7 +426,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BlowUpError as exc:
-        print(f"blow-up: {exc} (t={exc.time}, path={exc.path_id})", file=sys.stderr)
+        print(
+            f"blow-up: {exc} (t={exc.time}, path={exc.path_id}, |x|_H^2 before the step"
+            f" {exc.h_norm_sq:.6g}, substeps requested {exc.substeps})",
+            file=sys.stderr,
+        )
         return EXIT_BLOWUP
 
 

@@ -161,8 +161,9 @@ def dynkin_residual(
 
     The generator matches the drift mode of ``cfg`` (full cubic, eps-family,
     or either linear reference).  Paths whose exponent leaves the floating
-    range are rejected and counted; the residual's standard error combines
-    the per-path fluctuation of phi(X_t) - int N0 phi ds.
+    range are rejected and counted, and fewer than two kept is a ValueError;
+    the residual's standard error combines the per-path fluctuation of
+    phi(X_t) - int N0 phi ds.
     """
     _require_se_paths(n_paths)
     n = basis.n_modes
@@ -210,7 +211,10 @@ def dynkin_residual(
     ok = ~overflow
     n_ok = int(ok.sum())
     if n_ok < 2:
-        raise RuntimeError(f"only {n_ok} paths stayed in range; shrink |h|")
+        raise ValueError(
+            f"dynkin.h_u/h_w: only {n_ok} of {n_paths} paths kept |<x,h>_H| within"
+            f" {_LOG_GUARD}; shrink |h|"
+        )
     martingale = terminal_phi[ok] - integral[ok]
     residual = float(martingale.mean() - phi0)
     se = float(martingale.std(ddof=1) / math.sqrt(n_ok))

@@ -63,13 +63,21 @@ RECORD_ENDPOINTS = sys.maxsize
 
 
 class BlowUpError(RuntimeError):
-    """Trajectory left the finite range; carries the first offending step."""
+    """Trajectory left the finite range; carries the first offending step.
 
-    def __init__(self, message: str, time: float, step: int, path_id: int):
+    ``h_norm_sq`` is the offending column's |x|_H^2 before that step and
+    ``substeps`` the substep count the step-size ceiling asked for there.
+    """
+
+    def __init__(
+        self, message: str, time: float, step: int, path_id: int, h_norm_sq: float, substeps: int
+    ):
         super().__init__(message)
         self.time = time
         self.step = step
         self.path_id = path_id
+        self.h_norm_sq = h_norm_sq
+        self.substeps = substeps
 
 
 def _steps_from(duration: float, dt: float, what: str) -> int:
@@ -129,6 +137,16 @@ def _is_record_step(i: int, n_steps: int, record_every: int) -> bool:
     return i % record_every == 0 or i == n_steps
 
 
+def _mode_rows(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-mode (N, 2, 2) blocks as (2, N) rows: diagonal [a00; a11], off-diagonal [a01; a10]."""
+    return tuple(np.ascontiguousarray(a[:, [0, 1], cols].T) for cols in ([0, 1], [1, 0]))
+
+
+def _update_rows(ker: OUKernel) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """A step of size h as rows: e^{M h} by ``_mode_rows``, the phi1 column [p00; p10], and h."""
+    return (*_mode_rows(ker.transition), np.ascontiguousarray(ker.phi1[:, :, 0].T), ker.dt)
+
+
 def _simulate_batch(
     params: ModelParams,
     basis: EigenBasis,
@@ -146,9 +164,14 @@ def _simulate_batch(
 ) -> np.ndarray:
     """The integrator: advance B columns for n_steps, return the terminal (B, N, 2) state.
 
-    Each distinct path id owns one counter-based noise stream, drawn once
-    per interval.  ``on_step(i, t, state)`` observes the state after step i
-    (i = 0 is the initial state); it must not modify ``state``.
+    The state is a C-ordered (B, 2, N) array, row 0 the u and row 1 the w
+    coefficients, updated from (2, N) per-mode coefficient rows built once
+    per kernel.  Every product keeps the operands of the per-mode 2x2 form
+    and every sum at most swaps its two terms, so the bits do not depend on
+    the layout.  Each distinct path id owns one counter-based noise stream,
+    drawn once per interval.  ``on_step(i, t, state)`` observes the state
+    after step i (i = 0 is the initial state) through a read-only (B, N, 2)
+    view.
     """
     b, n = x0.shape[0], x0.shape[1]
     path_ids = np.asarray(path_ids)
@@ -156,133 +179,123 @@ def _simulate_batch(
     streams = [PathStream(n, master_seed, int(pid)) for pid in stream_keys]
     shifted = drift == "linear_eta"
     kernel = build_ou_kernel(params, basis, spec, dt, shifted=shifted)
-    sub_kernels: dict[int, OUKernel] = {1: kernel}
+    noise_diag, noise_off = _mode_rows(kernel.factor)
+    kernels = {1: _update_rows(kernel)}
 
     needs_remainder = not params.p_is_constant
     rem_grid = (params.p_min - params.p_grid) if needs_remainder else None
     nonlinear = drift == "fhn"
-    # one drift per distinct eps; DriftParams says which grid drift and shift it takes
-    eps_drifts = (
-        [DriftParams(xi1=params.xi1, eps=float(eps)) for eps in np.unique(eps_by_col)]
-        if nonlinear
-        else []
-    )
 
-    def explicit_term(
-        x: np.ndarray, u_grid: np.ndarray, eps_cols: np.ndarray
-    ) -> np.ndarray | None:
+    def eps_groups(eps_cols: np.ndarray) -> list[tuple[DriftParams, slice | np.ndarray]]:
+        """One drift per distinct eps with its columns; a single eps takes them all by slice."""
+        if not nonlinear:
+            return []
+        values = np.unique(eps_cols)
+        return [
+            (DriftParams(xi1=params.xi1, eps=float(e)),
+             slice(None) if values.size == 1 else np.nonzero(eps_cols == e)[0])
+            for e in values
+        ]
+
+    def explicit_term(x: np.ndarray, u_grid: np.ndarray, groups: list) -> np.ndarray | None:
         """Spectral coefficients of the explicit drift Fhat, or None if absent."""
         if not nonlinear and not needs_remainder:
             return None
         if nonlinear:
             g = np.empty_like(u_grid)
-            for dp in eps_drifts:
-                sel = eps_cols == dp.eps
-                if sel.any():
-                    g[sel] = grid_drift(u_grid[sel], dp, dp.grid_kind)
+            for dp, cols in groups:
+                g[cols] = grid_drift(u_grid[cols], dp, dp.grid_kind)
             if needs_remainder:
                 g += rem_grid * u_grid
         else:
             g = rem_grid * u_grid
         f_hat = basis.to_coeffs(g)
-        if nonlinear:
-            for dp in eps_drifts:
-                if dp.spectral_shift:
-                    sel = eps_cols == dp.eps
-                    if sel.any():
-                        f_hat[sel] += dp.spectral_shift * x[sel][:, :, 0]
+        for dp, cols in groups:
+            if dp.spectral_shift:
+                f_hat[cols] += dp.spectral_shift * x[cols, 0]
         return f_hat
 
-    def apply_update(x: np.ndarray, f_hat: np.ndarray | None, ker: OUKernel, h: float) -> np.ndarray:
-        tr = ker.transition
-        u, w = x[..., 0], x[..., 1]
-        un = tr[:, 0, 0] * u + tr[:, 0, 1] * w
-        wn = tr[:, 1, 0] * u + tr[:, 1, 1] * w
+    def apply_update(x: np.ndarray, f_hat: np.ndarray | None, rows: tuple) -> np.ndarray:
+        diag, off, phi, h = rows
+        xn = diag * x
+        xn += off * x[:, ::-1]
         if f_hat is not None:
-            ph = ker.phi1
-            un += h * (ph[:, 0, 0] * f_hat)
-            wn += h * (ph[:, 1, 0] * f_hat)
-        return np.stack([un, wn], axis=-1)
+            xn += (phi * f_hat[:, None]) * h
+        return xn
+
+    def observe(i: int, x: np.ndarray) -> None:
+        if on_step is not None:
+            view = x.transpose(0, 2, 1)
+            view.flags.writeable = False
+            on_step(i, (start_interval + i) * dt, view)
+
+    def blow_up(what: str, time: float, i: int, x: np.ndarray, col: int, m: int) -> BlowUpError:
+        return BlowUpError(
+            f"{what} at t={time:.6g} (step {i})", time=time, step=i, path_id=int(path_ids[col]),
+            h_norm_sq=float(norm_H_sq_arrays(x[col, 0], x[col, 1], params.gamma)), substeps=m,
+        )
 
     # C order keeps every row's reductions in one layout, whatever x0's strides
-    x = np.array(x0, dtype=float, order="C")
-    if on_step is not None:
-        on_step(0, start_interval * dt, x)
-
-    n_streams = len(streams)
-    z_block = np.empty((n_streams, 2 * n))
-    factor = kernel.factor
+    x = np.array(np.swapaxes(x0, 1, 2), dtype=float, order="C")
+    observe(0, x)
+    batch_groups = eps_groups(eps_by_col)
+    z_block = np.empty((len(streams), 2 * n))
+    z_rows = z_block.reshape(len(streams), 2, n)
+    # distinct ids in ascending order: the stream rows are the batch rows, no gather
+    in_order = np.array_equal(stream_ids, np.arange(b))
 
     for i in range(n_steps):
         interval = start_interval + i
         for s_idx, stream in enumerate(streams):
             z_block[s_idx] = stream.normals(interval)
-        z = z_block[stream_ids]
-        zu, zw = z[:, :n], z[:, n:]
-        noise_u = factor[:, 0, 0] * zu + factor[:, 0, 1] * zw
-        noise_w = factor[:, 1, 0] * zu + factor[:, 1, 1] * zw
+        z = z_rows if in_order else z_rows[stream_ids]
+        noise = noise_diag * z
+        noise += noise_off * z[:, ::-1]
 
-        u_grid = basis.to_grid(x[..., 0])
+        u_grid = basis.to_grid(x[:, 0])
         m_col = None
         if nonlinear:
-            umax_sq = np.max(u_grid * u_grid, axis=1)
-            # the substep count only grows with umax_sq, so if the largest
+            u_sq = u_grid * u_grid
+            # the substep count only grows with max|u|^2, so if the largest
             # needs one step every column takes one step
-            if dt * (1.0 + umax_sq.max()) / _CEILING_SCALE > 1.0:
-                m_col = np.ceil(dt * (1.0 + umax_sq) / _CEILING_SCALE).astype(int)
+            if dt * (1.0 + u_sq.max()) / _CEILING_SCALE > 1.0:
+                m_col = np.ceil(dt * (1.0 + u_sq.max(axis=1)) / _CEILING_SCALE).astype(int)
                 np.clip(m_col, 1, None, out=m_col)
-                if np.max(m_col) > _MAX_SUBSTEPS:
-                    col = int(np.argmax(m_col))
-                    raise BlowUpError(
-                        f"step-size ceiling requested {int(m_col[col])} substeps"
-                        f" at t={interval * dt:.6g}",
-                        time=interval * dt,
-                        step=i,
-                        path_id=int(path_ids[col]),
-                    )
+                col = int(np.argmax(m_col))
+                if m_col[col] > _MAX_SUBSTEPS:
+                    what = f"step-size ceiling requested more than {_MAX_SUBSTEPS} substeps"
+                    raise blow_up(what, interval * dt, i, x, col, int(m_col[col]))
 
         if m_col is None:
-            f_hat = explicit_term(x, u_grid, eps_by_col)
-            x = apply_update(x, f_hat, kernel, dt)
+            x_new = apply_update(x, explicit_term(x, u_grid, batch_groups), kernels[1])
         else:
             # drift-only substeps; the interval's noise is applied once so the
             # absolute-time noise path is independent of the re-stepping choice
             x_new = np.empty_like(x)
-            for m in np.unique(m_col):
+            for m in np.unique(m_col).tolist():
                 cols = np.nonzero(m_col == m)[0]
-                ys = x[cols]
-                eps_cols = eps_by_col[cols]
+                ys, groups = x[cols], eps_groups(eps_by_col[cols])
                 if m == 1:
-                    f_hat = explicit_term(ys, u_grid[cols], eps_cols)
-                    x_new[cols] = apply_update(ys, f_hat, kernel, dt)
+                    f_hat = explicit_term(ys, u_grid[cols], groups)
+                    x_new[cols] = apply_update(ys, f_hat, kernels[1])
                     continue
-                m = int(m)
-                if m not in sub_kernels:
-                    sub_kernels[m] = build_ou_kernel(params, basis, None, dt / m, shifted=shifted)
-                ker = sub_kernels[m]
+                if m not in kernels:
+                    sub = build_ou_kernel(params, basis, None, dt / m, shifted=shifted)
+                    kernels[m] = _update_rows(sub)
                 for _ in range(m):
-                    ug = basis.to_grid(ys[..., 0])
-                    f_hat = explicit_term(ys, ug, eps_cols)
-                    ys = apply_update(ys, f_hat, ker, dt / m)
+                    f_hat = explicit_term(ys, basis.to_grid(ys[:, 0]), groups)
+                    ys = apply_update(ys, f_hat, kernels[m])
                 x_new[cols] = ys
-            x = x_new
 
-        x[..., 0] += noise_u
-        x[..., 1] += noise_w
+        x_new += noise
+        if not np.isfinite(x_new).all():
+            bad = int(np.nonzero(~np.isfinite(x_new).reshape(b, -1).all(axis=1))[0][0])
+            m = 1 if m_col is None else int(m_col[bad])
+            raise blow_up("non-finite state", (interval + 1) * dt, i, x, bad, m)
+        x = x_new
+        observe(i + 1, x)
 
-        if not np.isfinite(x).all():
-            bad = np.nonzero(~np.isfinite(x).reshape(b, -1).all(axis=1))[0][0]
-            raise BlowUpError(
-                f"non-finite state at t={(interval + 1) * dt:.6g} (step {i})",
-                time=(interval + 1) * dt,
-                step=i,
-                path_id=int(path_ids[bad]),
-            )
-
-        if on_step is not None:
-            on_step(i + 1, (interval + 1) * dt, x)
-
-    return x
+    return np.ascontiguousarray(x.transpose(0, 2, 1))
 
 
 def _x0_array(cfg: TrajectoryConfig, n_modes: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -376,6 +377,24 @@ class TestCLI:
         )
         rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
         assert rc == EXIT_BLOWUP
+        # exit 3 names the state norm before the step and the substeps the ceiling asked for
+        err = capsys.readouterr().err
+        found = re.search(r"\|x\|_H\^2 before the step (\S+), substeps requested (\d+)", err)
+        assert float(found[1]) == approx(0.5 * 1e14)  # gamma |u_hat_0|^2 at the default gamma
+        assert int(found[2]) > 4096
+        assert "Traceback" not in err
+
+    def test_dynkin_direction_out_of_range_is_config_error(self, tmp_path, capsys):
+        # |<x,h>_H| leaves the exponent's range on every path
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"model": {"gamma": 1.0}, "run": {"T": 0.05, "dt": 2e-3}, "dynkin": {"h_u": [[0, 1e6]]}}
+        ))
+        rc = main(["dynkin", "--config", str(cfg), "--paths", "4", "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "dynkin.h_u" in err
+        assert "Traceback" not in err
 
     def test_dynkin_subcommand(self, tmp_path):
         cfg = tmp_path / "cfg.json"

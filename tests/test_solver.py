@@ -21,6 +21,7 @@ from fhn_spectral import (
 from fhn_spectral import solver
 from fhn_spectral.model import norm_H_sq_arrays
 from fhn_spectral.noise import build_ou_kernel
+from fhn_spectral.nonlinearity import DriftParams, grid_drift
 from fhn_spectral.solver import RECORD_ENDPOINTS, _ols_line, _simulate_batch, resolve_workers
 
 
@@ -108,6 +109,11 @@ class TestStepAndIntegrate:
                 path_ids=np.array([7, 8, 9]),
             )
         assert err.value.path_id == 8
+        # the column's state before the step, and the ceiling's substep count for it
+        assert err.value.h_norm_sq == approx(params.gamma * n * 1e12)
+        umax_sq = (basis.to_grid(x0[1, :, 0]) ** 2).max()
+        assert err.value.substeps == approx(np.ceil(1e-3 * (1.0 + umax_sq) / 0.1), rel=1e-12)
+        assert err.value.substeps > solver._MAX_SUBSTEPS
 
     def test_substepped_run_converges(self, params, basis, zero_spec, monkeypatch):
         # u = 10 puts every dt here above the ceiling 0.1/(1 + max|u|^2), so the
@@ -148,6 +154,129 @@ class TestStepAndIntegrate:
         )
         assert (min(kernel_steps) < dt) == substeps
         assert kernel_steps[0] == dt
+
+
+def _step_per_mode(params, basis, spec, dt, x0, drift, eps_by_col, path_ids, seed, interval):
+    """One exponential Euler-Maruyama step written per mode on a (B, N, 2) state.
+
+    Same operand order as e^{M dt} x + dt phi1(M dt) Fhat + factor z: products
+    of a kernel entry and a coefficient, summed u-term first.  A step above
+    the ceiling takes m drift-only substeps on the whole batch, so every
+    column must ask for the same m.
+    """
+    n = basis.n_modes
+    shifted = drift == "linear_eta"
+    kernel = build_ou_kernel(params, basis, spec, dt, shifted=shifted)
+    dps = [DriftParams(params.xi1, float(e)) for e in eps_by_col]
+
+    def f_hat(x):
+        """Fhat per column, or None for a linear drift with constant p."""
+        u_grid = basis.to_grid(x[..., 0])
+        rem = (params.p_min - params.p_grid) * u_grid
+        if drift == "fhn":
+            g = np.stack([grid_drift(u_grid[b], dp, dp.grid_kind) for b, dp in enumerate(dps)])
+            g = g if params.p_is_constant else g + rem
+        elif not params.p_is_constant:
+            g = rem
+        else:
+            return None
+        fh = basis.to_coeffs(g)
+        for b, dp in enumerate(dps):
+            if drift == "fhn" and dp.spectral_shift:
+                fh[b] = fh[b] + dp.spectral_shift * x[b, :, 0]
+        return fh
+
+    def update(x, ker, h, fh):
+        tr, ph = ker.transition, ker.phi1
+        out = np.empty_like(x)
+        for k in range(n):
+            u, w = x[:, k, 0], x[:, k, 1]
+            un = tr[k, 0, 0] * u + tr[k, 0, 1] * w
+            wn = tr[k, 1, 0] * u + tr[k, 1, 1] * w
+            if fh is not None:
+                un = un + h * (ph[k, 0, 0] * fh[:, k])
+                wn = wn + h * (ph[k, 1, 0] * fh[:, k])
+            out[:, k, 0], out[:, k, 1] = un, wn
+        return out
+
+    x = np.array(x0, dtype=float)
+    m = 1
+    if drift == "fhn":
+        u_grid = basis.to_grid(x[..., 0])
+        m_cols = np.ceil(dt * (1.0 + (u_grid * u_grid).max(axis=1)) / solver._CEILING_SCALE)
+        assert m_cols.min() == m_cols.max()
+        m = max(1, int(m_cols[0]))
+    if m == 1:
+        x = update(x, kernel, dt, f_hat(x))
+    else:
+        sub = build_ou_kernel(params, basis, None, dt / m, shifted=shifted)
+        for _ in range(m):
+            x = update(x, sub, dt / m, f_hat(x))
+    fa = kernel.factor
+    for b, pid in enumerate(path_ids):
+        z = PathStream(n, seed, int(pid)).normals(interval)
+        zu, zw = z[:n], z[n:]
+        for k in range(n):
+            x[b, k, 0] += fa[k, 0, 0] * zu[k] + fa[k, 0, 1] * zw[k]
+            x[b, k, 1] += fa[k, 1, 0] * zu[k] + fa[k, 1, 1] * zw[k]
+    return x, m
+
+
+_VARIABLE_P = ModelParams(p_profile=lambda xi: 0.3 + 0.2 * xi * xi)
+
+
+class TestFusedStepOracle:
+    @pytest.mark.parametrize(
+        "drift,eps,variable_p,start,substeps",
+        [
+            ("fhn", (0.0,) * 6, False, "random", 1),
+            ("linear", (0.0,) * 6, False, "random", 1),
+            ("linear_eta", (0.0,) * 6, False, "random", 1),
+            ("fhn", (0.0, 0.1, 0.05, 0.1, 0.0, 0.05), False, "random", 1),
+            ("fhn", (0.1,) * 6, False, "random", 1),
+            ("fhn", (0.0, 0.1, 0.05, 0.1, 0.0, 0.05), True, "random", 1),
+            ("linear", (0.0,) * 6, True, "random", 1),
+            ("fhn", (0.0,) * 6, False, "u10", 5),
+        ],
+    )
+    @pytest.mark.parametrize("path_ids", [(0, 1, 2, 3, 4, 5), (9, 2, 2, 40, 0, 7)])
+    def test_one_step_is_bitwise_the_per_mode_scheme(
+        self, params, spec, rng, drift, eps, variable_p, start, substeps, path_ids
+    ):
+        params = _VARIABLE_P if variable_p else params
+        basis = build_eigenbasis(params)
+        n, b, dt = basis.n_modes, len(path_ids), 4e-3
+        if start == "u10":
+            # u = 10 everywhere: every column is above the ceiling 0.1/(1 + max|u|^2)
+            u10 = StateH.from_grid(np.full(basis.n_grid, 10.0), np.zeros(basis.n_grid), basis)
+            x0 = np.broadcast_to(u10.as_array(), (b, n, 2))
+        else:
+            x0 = 0.4 * rng.standard_normal((b, n, 2)) / (1.0 + np.arange(n))[:, None]
+        expect, m = _step_per_mode(
+            params, basis, spec, dt, x0, drift, eps, path_ids, seed=21, interval=-3
+        )
+        assert m == substeps
+        got = _simulate_batch(
+            params, basis, spec, dt=dt, n_steps=1, start_interval=-3, x0=x0, drift=drift,
+            eps_by_col=np.array(eps), master_seed=21, path_ids=np.array(path_ids),
+        )
+        assert got.shape == (b, n, 2) and got.flags.c_contiguous
+        assert np.array_equal(got, expect)
+
+    def test_observers_get_a_read_only_view(self, params, basis, spec):
+        seen = []
+
+        def observer(i, t, state):
+            seen.append(state.shape)
+            state[0, 0, 0] = 1.0
+
+        with pytest.raises(ValueError, match="read-only"):
+            _simulate_batch(
+                params, basis, spec, dt=1e-3, n_steps=2, start_interval=0,
+                x0=np.zeros((2, basis.n_modes, 2)), drift="fhn", eps_by_col=np.zeros(2),
+                master_seed=0, path_ids=np.arange(2), on_step=observer,
+            )
+        assert seen == [(2, basis.n_modes, 2)]
 
 
 class TestEnsembles:
