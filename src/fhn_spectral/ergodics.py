@@ -17,7 +17,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.stats import ks_2samp
 
 from .model import (
     EigenBasis,
@@ -333,6 +332,9 @@ def estimate_invariant_measure(
         if np.ptp(sa) == 0 and np.ptp(sb) == 0 and sa[0] == sb[0]:
             stat, pval = 0.0, 1.0
         else:
+            # scipy.stats costs most of the CLI's import time; only this call needs it
+            from scipy.stats import ks_2samp
+
             res = ks_2samp(sa, sb)
             stat, pval = float(res.statistic), float(res.pvalue)
         out[func.name] = FunctionalHistogram(

@@ -515,6 +515,33 @@ class TestCLI:
         assert proc.returncode == 0
         assert proc.stdout.strip()
 
+    def test_simulate_does_not_import_stats_or_acceptance(self, tmp_path):
+        # scipy.stats is most of the CLI's start-up; only the KS comparison needs it
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(
+            json.dumps({"model": {"n_modes": 8, "n_grid": 16}, "run": {"T": 0.01}, "paths": 2})
+        )
+        script = (
+            "import sys\n"
+            "from fhn_spectral.cli import main\n"
+            f"code = main(['simulate', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'sim')!r}])\n"
+            "heavy = ('scipy.stats', 'scipy.integrate', 'fhn_spectral.acceptance')\n"
+            "print(code, sorted(m for m in heavy if m in sys.modules))\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "0 []"
+        assert (tmp_path / "sim" / "summary.json").exists()
+
     def test_linear_oracle_subcommand(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from fhn_spectral.kolmogorov import CylinderFunction
 from fhn_spectral.model import (
     DCT_MIN_MODES,
     DerivedConstants,
+    _check_basis,
     mode_matrices,
     norm_H_sq_arrays,
     norm_V_sq_arrays,
@@ -111,6 +113,15 @@ class TestEigenbasis:
         assert b.mu[0] == approx(0.0, abs=1e-6)
         assert np.all(np.diff(b.mu) <= 1e-12)
         assert np.all(b.mu <= 0.0)
+
+    @pytest.mark.parametrize("n", [32, DCT_MIN_MODES])
+    def test_check_rejects_a_scaled_mode(self, n):
+        b = build_eigenbasis(ModelParams(n_modes=n, n_grid=2 * n))
+        assert b.dct == (n >= DCT_MIN_MODES)
+        modes = b.modes.copy()
+        modes[3] *= 1.0 + 1e-6
+        with pytest.raises(EigenbasisError, match=r"<e_3, e_3>"):
+            _check_basis(replace(b, modes=modes))
 
     def test_variable_c_grid_refinement(self):
         # eigenvalues of the leading modes are grid-converged: the M-point and
