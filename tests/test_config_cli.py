@@ -542,6 +542,22 @@ class TestCLI:
         assert proc.stdout.splitlines()[-1] == "0 []"
         assert (tmp_path / "sim" / "summary.json").exists()
 
+    def test_acceptance_does_not_import_stats(self):
+        # criterion 9 takes its KS statistic from ergodics.ks_statistic
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        script = "import sys\nimport fhn_spectral.acceptance\nprint('scipy.stats' in sys.modules)\n"
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "False"
+
     def test_linear_oracle_subcommand(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(

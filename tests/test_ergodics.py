@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from pytest import approx
-from scipy.stats import kstest
+from scipy.stats import ks_2samp, kstest
 
 from fhn_spectral import (
     ModelParams,
@@ -21,6 +21,7 @@ from fhn_spectral.ergodics import (
     estimate_moments,
     h_norm_functional,
     invariant_moment_integral,
+    ks_statistic,
     linear_pairing_functional,
     v_norm_functional,
 )
@@ -199,6 +200,37 @@ class TestInvariantMeasure:
             assert hist.ks_stat < hist.ks_crit_5pct
             assert hist.mass_time_avg.sum() == approx(1.0)
             assert hist.mass_ensemble.sum() == approx(1.0)
+
+
+class TestKSStatistic:
+    # compared with ==: criterion 9 and the invariant artifacts carry these floats
+
+    @pytest.mark.parametrize("n1,n2", [(64, 64), (200, 128), (10_001, 300)])
+    def test_matches_scipy_on_seeded_samples(self, n1, n2):
+        rng = np.random.default_rng(n1 * n2)
+        for shift in (0.0, 0.1, 0.5):
+            a = rng.normal(size=n1)
+            b = rng.normal(shift, 1.0, size=n2)
+            assert ks_statistic(a, b) == ks_2samp(a, b).statistic
+
+    def test_matches_scipy_with_heavy_ties(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            a = rng.integers(0, 5, size=150)
+            b = rng.integers(1, 6, size=90)
+            assert ks_statistic(a, b) == ks_2samp(a, b).statistic
+
+    def test_identical_samples(self):
+        a = np.random.default_rng(12).normal(size=50)
+        assert ks_statistic(a, a.copy()) == ks_2samp(a, a.copy()).statistic == 0.0
+
+    def test_disjoint_samples(self):
+        a = np.random.default_rng(13).normal(size=40)
+        assert ks_statistic(a, a + 100.0) == ks_2samp(a, a + 100.0).statistic == 1.0
+
+    def test_empty_sample_rejected(self):
+        with pytest.raises(ValueError):
+            ks_statistic(np.zeros(3), np.zeros(0))
 
 
 class TestTransitionSemigroup:

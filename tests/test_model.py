@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -114,14 +115,30 @@ class TestEigenbasis:
         assert np.all(np.diff(b.mu) <= 1e-12)
         assert np.all(b.mu <= 0.0)
 
-    @pytest.mark.parametrize("n", [32, DCT_MIN_MODES])
-    def test_check_rejects_a_scaled_mode(self, n):
+    # modes past the first row block of the check must be named by their own index
+    @pytest.mark.parametrize(
+        "n,k", [(32, 3), (128, 100), (DCT_MIN_MODES, 3), (DCT_MIN_MODES, 200)]
+    )
+    def test_check_rejects_a_scaled_mode(self, n, k):
         b = build_eigenbasis(ModelParams(n_modes=n, n_grid=2 * n))
         assert b.dct == (n >= DCT_MIN_MODES)
         modes = b.modes.copy()
-        modes[3] *= 1.0 + 1e-6
-        with pytest.raises(EigenbasisError, match=r"<e_3, e_3>"):
+        modes[k] *= 1.0 + 1e-6
+        with pytest.raises(EigenbasisError, match=rf"<e_{k}, e_{k}>"):
             _check_basis(replace(b, modes=modes))
+
+    def test_build_holds_little_beside_the_table(self):
+        # the cosine table is evaluated in place and the Gram check runs in
+        # row blocks, so a wide basis peaks at its table plus a few MiB
+        params = ModelParams(n_modes=1024, n_grid=2048)
+        tracemalloc.start()
+        try:
+            build_eigenbasis(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table = params.n_modes * params.n_grid * 8
+        assert peak <= table + 4 * 2**20
 
     def test_variable_c_grid_refinement(self):
         # eigenvalues of the leading modes are grid-converged: the M-point and
