@@ -28,8 +28,8 @@ from .config import (
     build_params,
     build_run_config,
     build_x0,
+    experiment_block,
     load_config,
-    merge_config,
 )
 from .ergodics import (
     estimate_invariant_measure,
@@ -37,7 +37,7 @@ from .ergodics import (
     invariant_moment_integral,
 )
 from .kolmogorov import CylinderFunction, dynkin_residual
-from .model import StateH, build_eigenbasis
+from .model import EigenbasisError, StateH, build_eigenbasis
 from .noise import stationary_mode_covariances
 from .solver import BlowUpError, backward_run, coupled_run, eps_convergence_study, run_ensemble
 
@@ -68,22 +68,16 @@ def _summary(cfg: dict[str, Any], **extra: Any) -> dict[str, Any]:
     body = {
         "version": __version__,
         "config": cfg,
-        "master_seed": cfg.get("master_seed", 0),
-        "paths": cfg.get("paths", 1),
+        "master_seed": cfg["master_seed"],
+        "paths": cfg["paths"],
     }
     body.update(extra)
     return body
 
 
 def _load(args: argparse.Namespace) -> dict[str, Any]:
-    cfg = load_config(args.config) if args.config else merge_config({})
-    if args.seed is not None:
-        cfg["master_seed"] = args.seed
-    if args.paths is not None:
-        if args.paths < 1:
-            raise ConfigError("paths", "expected a positive integer")
-        cfg["paths"] = args.paths
-    return cfg
+    overrides = {"master_seed": args.seed, "paths": args.paths}
+    return load_config(args.config or None, {k: v for k, v in overrides.items() if v is not None})
 
 
 def _out_dir(args: argparse.Namespace, name: str) -> Path:
@@ -144,11 +138,9 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 def cmd_couple(args: argparse.Namespace) -> int:
     cfg, out, params, basis, spec, run_cfg = _experiment(args, "couple")
-    block = cfg.get("couple", {})
-    default_b = {"kind": "scaled", "base": {"kind": "constant", "u": 1.0}, "h_norm": 1.0}
-    x_b_cfg = block.get("x0_b", default_b)
-    x_b = build_x0(x_b_cfg, params, basis, "couple.x0_b") or StateH.zero(basis.n_modes)
-    tol = float(block.get("envelope_tol", 0.05))
+    block = experiment_block(cfg, "couple")
+    x_b = build_x0(block["x0_b"], params, basis, "couple.x0_b") or StateH.zero(basis.n_modes)
+    tol = float(block["envelope_tol"])
     report = coupled_run(x_b, run_cfg, params, basis, spec, n_paths=cfg["paths"], envelope_tol=tol)
     rows = np.column_stack([report.times] + [report.delta_sq[p] for p in range(cfg["paths"])])
     write_csv(out / "decay.csv", ["t"] + [f"delta_sq_{p}" for p in range(cfg["paths"])], rows)
@@ -173,7 +165,7 @@ def cmd_couple(args: argparse.Namespace) -> int:
 
 def cmd_convergence(args: argparse.Namespace) -> int:
     cfg, out, params, basis, spec, run_cfg = _experiment(args, "convergence")
-    ladder = cfg.get("convergence", {}).get("eps_ladder", [0.2, 0.1, 0.05, 0.025])
+    ladder = experiment_block(cfg, "convergence")["eps_ladder"]
     report = eps_convergence_study(ladder, run_cfg, params, basis, spec, n_paths=cfg["paths"])
     rows = np.column_stack([report.eps_ladder, report.distance, report.distance_se])
     write_csv(out / "distances.csv", ["eps", "distance", "se"], rows)
@@ -192,7 +184,7 @@ def cmd_convergence(args: argparse.Namespace) -> int:
 
 def cmd_backward(args: argparse.Namespace) -> int:
     cfg, out, params, basis, spec, run_cfg = _experiment(args, "backward")
-    ladder = cfg.get("backward", {}).get("lambda_ladder", [5.0, 10.0, 20.0, 40.0])
+    ladder = experiment_block(cfg, "backward")["lambda_ladder"]
     report = backward_run(ladder, run_cfg, params, basis, spec, n_paths=cfg["paths"])
     rows = [
         [lam, gam, d, report.distance_se[(lam, gam)]] for (lam, gam), d in report.distances.items()
@@ -241,14 +233,14 @@ def cmd_moments(args: argparse.Namespace) -> int:
 
 def cmd_invariant(args: argparse.Namespace) -> int:
     cfg, out, params, basis, spec, run_cfg = _experiment(args, "invariant")
-    block = cfg.get("invariant", {})
+    block = experiment_block(cfg, "invariant")
     from .ergodics import h_norm_functional, linear_pairing_functional, v_norm_functional
 
     functionals = [h_norm_functional(params), v_norm_functional(params, basis)]
-    if "pairing_mode" in block:
+    mode = block["pairing_mode"]
+    if mode is not None:
         h = StateH.zero(basis.n_modes)
-        mode = block["pairing_mode"]
-        if block.get("pairing_channel", "u") == "w":
+        if block["pairing_channel"] == "w":
             h.w_hat[mode] = 1.0
         else:
             h.u_hat[mode] = 1.0
@@ -259,9 +251,9 @@ def cmd_invariant(args: argparse.Namespace) -> int:
         basis,
         spec,
         functionals=functionals,
-        burn_in=block.get("burn_in"),
-        n_time_samples=int(block.get("n_time_samples", 200)),
-        sample_spacing=float(block.get("sample_spacing", 2.0)),
+        burn_in=block["burn_in"],
+        n_time_samples=int(block["n_time_samples"]),
+        sample_spacing=float(block["sample_spacing"]),
         n_ensemble=cfg["paths"],
     )
     ks = {}
@@ -300,8 +292,7 @@ def cmd_linear_oracle(args: argparse.Namespace) -> int:
     cfg, out, params, basis, spec, run_cfg = _experiment(args, "linear-oracle")
     if run_cfg.drift == "fhn":
         run_cfg = replace(run_cfg, drift="linear_eta")
-    block = cfg.get("linear_oracle", {})
-    burn = float(block.get("burn_in", 50.0))
+    burn = float(experiment_block(cfg, "linear_oracle")["burn_in"])
     from .ergodics import empirical_mode_covariances
 
     target = stationary_mode_covariances(params, basis, spec, shifted=run_cfg.drift == "linear_eta")
@@ -330,9 +321,9 @@ def cmd_linear_oracle(args: argparse.Namespace) -> int:
 
 def cmd_dynkin(args: argparse.Namespace) -> int:
     cfg, out, params, basis, spec, run_cfg = _experiment(args, "dynkin")
-    block = cfg.get("dynkin", {})
-    h_u = [(int(k), float(c)) for k, c in block.get("h_u", [[0, 0.4]])]
-    h_w = [(int(k), float(c)) for k, c in block.get("h_w", [])]
+    block = experiment_block(cfg, "dynkin")
+    h_u = [(int(k), float(c)) for k, c in block["h_u"]]
+    h_w = [(int(k), float(c)) for k, c in block["h_w"]]
     h = CylinderFunction.from_modes(basis.n_modes, params, spec, u_modes=h_u, w_modes=h_w)
     report = dynkin_residual(h, cfg["paths"], run_cfg, params, basis, spec)
     write_json(
@@ -363,7 +354,7 @@ def cmd_acceptance(args: argparse.Namespace) -> int:
 
     cfg = _load(args)
     out = _out_dir(args, "acceptance")
-    results = run_acceptance(quick=args.quick, master_seed=cfg.get("master_seed", 0))
+    results = run_acceptance(quick=args.quick, master_seed=cfg["master_seed"])
     table = []
     for res in results:
         line = f"[{'PASS' if res.passed else 'FAIL'}] criterion {res.cid:2d}: {res.name} ({res.elapsed:.1f}s)"
@@ -422,7 +413,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, EigenbasisError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except BlowUpError as exc:

@@ -320,10 +320,13 @@ def _check_basis(basis: EigenBasis) -> None:
         dev[rows, start + rows] -= 1.0
         np.abs(dev, out=dev)
         block_worst = float(dev.max())
-        if block_worst > worst:
+        # a NaN entry makes the block's max NaN and stops the scan at it
+        if not block_worst <= worst:
             i, j = np.unravel_index(int(dev.argmax()), dev.shape)
             worst, at = block_worst, (start + int(i), int(j))
-    if worst > 1e-8:
+            if math.isnan(worst):
+                break
+    if not worst <= 1e-8:
         raise EigenbasisError(
             f"mode table not orthonormal: |<e_{at[0]}, e_{at[1]}> - delta| = {worst:.3e}"
         )

@@ -39,6 +39,7 @@ class TestConfigValidation:
             ({"run": {"x0": {"kind": "wavelet"}}}, "run.x0.kind"),
             ({"run": {"x0": {"kind": "zero", "u": 1}}}, "run.x0.u"),
             ({"master_seed": -3}, "master_seed"),
+            ({"master_seed": 2**64}, "master_seed"),
             ({"paths": 0}, "paths"),
             ({"model": {"alpha": "one"}}, "model.alpha"),
             ({"noise": {"lambda1": [1.0]}}, "noise.lambda1"),
@@ -89,6 +90,19 @@ class TestConfigValidation:
             (
                 {"run": {"dt": 1e-3}, "invariant": {"sample_spacing": 1e-12}},
                 "invariant.sample_spacing",
+            ),
+            # every entry of a table is a finite number, not a bool or null
+            ({"model": {"n_modes": 8, "n_grid": 16, "c": [1.0] * 15 + [None]}}, "model.c"),
+            ({"model": {"n_modes": 8, "n_grid": 16, "p": [0.4] * 15 + [None]}}, "model.p"),
+            (
+                {"model": {"n_modes": 8, "n_grid": 16},
+                 "noise": {"lambda1": [0.1] * 7 + [True], "lambda2": [0.1] * 8}},
+                "noise.lambda1",
+            ),
+            (
+                {"model": {"n_modes": 8, "n_grid": 16},
+                 "noise": {"lambda1": [0.1] * 7 + [None], "lambda2": [0.1] * 8}},
+                "noise.lambda1",
             ),
         ],
     )
@@ -216,6 +230,97 @@ class TestConfigProperties:
         assert _merge_error({"run": {"dt": dt, key: value}}).path == f"run.{key}"
 
 
+class _Captured(Exception):
+    pass
+
+
+# the experiment function each subcommand calls, and the module that holds it
+_EXPERIMENT_FUNCTIONS = {
+    "couple": ("solver", "coupled_run"),
+    "convergence": ("solver", "eps_convergence_study"),
+    "backward": ("solver", "backward_run"),
+    "invariant": ("ergodics", "estimate_invariant_measure"),
+    "linear-oracle": ("ergodics", "empirical_mode_covariances"),
+    "dynkin": ("kolmogorov", "dynkin_residual"),
+}
+
+
+class TestExperimentDefaults:
+    """What each subcommand passes on when the config leaves its block out."""
+
+    def _capture(self, command, tmp_path, monkeypatch):
+        import importlib
+
+        import fhn_spectral.cli as cli
+
+        module, name = _EXPERIMENT_FUNCTIONS[command]
+        captured = {}
+
+        def fake(*args, **kwargs):
+            captured.update(args=args, kwargs=kwargs)
+            raise _Captured
+
+        # the CLI imports some experiment functions at its top and some inside the command
+        monkeypatch.setattr(importlib.import_module(f"fhn_spectral.{module}"), name, fake)
+        monkeypatch.setattr(cli, name, fake, raising=False)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"n_modes": 8, "n_grid": 16}, "run": {"T": 0.01}}))
+        with pytest.raises(_Captured):
+            main([command, "--config", str(cfg), "--paths", "2", "--out", str(tmp_path / "o")])
+        return captured["args"], captured["kwargs"]
+
+    def test_couple(self, tmp_path, monkeypatch):
+        args, kwargs = self._capture("couple", tmp_path, monkeypatch)
+        params = build_params(merge_config({"model": {"n_modes": 8, "n_grid": 16}}))
+        basis = build_eigenbasis(params)
+        scaled = {"kind": "scaled", "base": {"kind": "constant", "u": 1.0}, "h_norm": 1.0}
+        expected = build_x0(scaled, params, basis, "couple.x0_b")
+        assert np.array_equal(args[0].u_hat, expected.u_hat)
+        assert np.array_equal(args[0].w_hat, expected.w_hat)
+        assert kwargs["envelope_tol"] == 0.05
+
+    def test_convergence(self, tmp_path, monkeypatch):
+        args, _ = self._capture("convergence", tmp_path, monkeypatch)
+        assert list(args[0]) == [0.2, 0.1, 0.05, 0.025]
+
+    def test_backward(self, tmp_path, monkeypatch):
+        args, _ = self._capture("backward", tmp_path, monkeypatch)
+        assert list(args[0]) == [5, 10, 20, 40]
+
+    def test_invariant(self, tmp_path, monkeypatch):
+        _, kwargs = self._capture("invariant", tmp_path, monkeypatch)
+        assert kwargs["burn_in"] is None
+        assert kwargs["n_time_samples"] == 200
+        assert kwargs["sample_spacing"] == 2.0
+        assert [f.name for f in kwargs["functionals"]] == ["h_norm", "v_norm"]
+
+    def test_linear_oracle(self, tmp_path, monkeypatch):
+        _, kwargs = self._capture("linear-oracle", tmp_path, monkeypatch)
+        assert kwargs["burn_in"] == 50.0
+
+    def test_dynkin(self, tmp_path, monkeypatch):
+        args, _ = self._capture("dynkin", tmp_path, monkeypatch)
+        h = args[0].h
+        assert h.u_hat.tolist() == [0.4] + [0.0] * 7
+        assert not h.w_hat.any()
+
+    def test_merged_defaults(self):
+        # every summary.json echoes this block set; a default added to it would show there
+        assert merge_config({}) == {
+            "model": {
+                "alpha": 1.0, "gamma": 0.5, "xi1": 0.5, "c": 1.0, "p": 0.3,
+                "n_modes": 32, "n_grid": 64,
+            },
+            "noise": {"sigma2": 0.01, "s": 1.0},
+            "run": {
+                "T": 1.0, "dt": 1e-3, "eps": 0.0, "record_every": 1, "start_time": 0.0,
+                "drift": "fhn", "x0": {"kind": "zero"},
+            },
+            "master_seed": 0,
+            "paths": 64,
+        }
+
+
 class TestX0Builders:
     def test_zero(self, params, basis):
         assert build_x0({"kind": "zero"}, params, basis, "run.x0") is None
@@ -258,6 +363,31 @@ class TestCLI:
         rc = main(["simulate", "--paths", "0", "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
         assert "paths" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", ["-1", str(2**64)])
+    def test_seed_out_of_range_is_config_error(self, tmp_path, capsys, seed):
+        # PathStream keeps the low 64 bits, so these would alias seeds 2**64 - 1 and 0
+        rc = main(["simulate", "--seed", seed, "--paths", "1", "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "master_seed" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "path_0000.csv").exists()
+
+    def test_config_seed_out_of_range_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"master_seed": 2**64, "paths": 1}))
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "master_seed" in capsys.readouterr().err
+
+    def test_rejected_eigenbasis_is_config_error(self, tmp_path, capsys):
+        # finite and positive, but 300 orders of magnitude apart: the eigensolve fails
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": {"c": [1e-150] * 32 + [1e150] * 32}, "paths": 1}))
+        rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "eigensolve failed" in err
+        assert "Traceback" not in err
 
     def test_unread_settings_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -127,6 +127,16 @@ class TestEigenbasis:
         with pytest.raises(EigenbasisError, match=rf"<e_{k}, e_{k}>"):
             _check_basis(replace(b, modes=modes))
 
+    @pytest.mark.parametrize("n", [32, DCT_MIN_MODES])
+    def test_check_rejects_a_nan_mode_entry(self, n):
+        # a NaN Gram entry never exceeds the bound, so the check must look for it
+        b = build_eigenbasis(ModelParams(n_modes=n, n_grid=2 * n))
+        assert b.dct == (n >= DCT_MIN_MODES)
+        modes = b.modes.copy()
+        modes[3, 5] = np.nan
+        with pytest.raises(EigenbasisError, match=r"<e_\d+, e_\d+> - delta\| = nan"):
+            _check_basis(replace(b, modes=modes))
+
     def test_build_holds_little_beside_the_table(self):
         # the cosine table is evaluated in place and the Gram check runs in
         # row blocks, so a wide basis peaks at its table plus a few MiB

@@ -10,13 +10,17 @@ and unignored files.  Each tree runs ``eigen`` with the default config, the
 eight experiment subcommands with the small fixed configs in ``CONFIGS``
 and ``acceptance --quick``, all with one BLAS thread.  The parent always
 runs with one worker; ``--workers`` sets ``FHN_SPECTRAL_WORKERS`` for the
-change, so a worker count that moves a byte shows up too.
+change, so a worker count that moves a byte shows up too.  Each tree also
+runs the inputs in ``REJECTED`` and records each one's exit code and first
+stderr line in ``rejected/<name>.txt``, so a move in the error contract
+shows up like a moved artifact.
 
 The script prints every output file that is missing on one side or
-differs.  For ``acceptance.json`` it prints, per criterion field, the
-largest relative change over its numbers, ignoring ``elapsed_s``.  Exit
-code 0 means every file is byte-identical and ``acceptance.json`` is equal
-apart from ``elapsed_s``; 1 means something differs.
+differs, and for a ``rejected/`` file both sides' contents.  For
+``acceptance.json`` it prints, per criterion field, the largest relative
+change over its numbers, ignoring ``elapsed_s``.  Exit code 0 means every
+file is byte-identical and ``acceptance.json`` is equal apart from
+``elapsed_s``; 1 means something differs.
 """
 
 from __future__ import annotations
@@ -73,16 +77,33 @@ CONFIGS: dict[str, dict] = {
     },
 }
 
+# inputs the CLI rejects: (arguments after the subcommand's name, config)
+REJECTED: dict[str, tuple[list[str], dict]] = {
+    "seed-negative": (["simulate", "--seed", "-1"], {"run": {"T": 0.01}, "paths": 1}),
+    "null-in-c": (
+        ["simulate"],
+        {"model": {"n_modes": 8, "n_grid": 16, "c": [1.0] * 15 + [None]}, "run": {"T": 0.01},
+         "paths": 1},
+    ),
+    # finite and positive, but the eigensolve fails on it
+    "ill-conditioned-c": (
+        ["simulate"],
+        {"model": {"c": [1e-150] * 32 + [1e150] * 32}, "run": {"T": 0.01}, "paths": 1},
+    ),
+}
 
-def run_cli(tree: Path, args: list[str], workers: int) -> None:
+
+def run_cli(tree: Path, args: list[str], workers: int, check: bool = True) -> str:
+    """Run the CLI in ``tree``; returns its exit code and first stderr line."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1", FHN_SPECTRAL_WORKERS=str(workers))
     proc = subprocess.run([sys.executable, "-m", "fhn_spectral", *args], cwd=tree, env=env,
                           capture_output=True, text=True)
     # acceptance exits 1 when a criterion fails; its table is still compared
-    if proc.returncode not in (0, 1):
+    if check and proc.returncode not in (0, 1):
         raise RuntimeError(f"fhn_spectral {' '.join(args)} in {tree} exited "
                            f"{proc.returncode}:\n{proc.stderr}")
+    return f"exit {proc.returncode}\n{(proc.stderr.splitlines() or [''])[0]}\n"
 
 
 def run_tree(tree: Path, out: Path, workers: int) -> None:
@@ -91,6 +112,13 @@ def run_tree(tree: Path, out: Path, workers: int) -> None:
         cfg_path.write_text(json.dumps(cfg))
         run_cli(tree, [name, "--config", str(cfg_path), "--out", str(out / name)], workers)
     run_cli(tree, ["acceptance", "--quick", "--out", str(out / "acceptance")], workers)
+    (out / "rejected").mkdir()
+    for name, (args, cfg) in REJECTED.items():
+        cfg_path = tree / f"artifact-diff-rejected-{name}.json"
+        cfg_path.write_text(json.dumps(cfg))
+        # what a run that is not rejected writes stays out of the comparison
+        argv = [*args, "--config", str(cfg_path), "--out", str(tree / f"out-rejected-{name}")]
+        (out / "rejected" / f"{name}.txt").write_text(run_cli(tree, argv, workers, check=False))
 
 
 def numbers(value, path: str = ""):
@@ -156,6 +184,8 @@ def compare(parent_out: Path, change_out: Path) -> int:
             differing += bool(moved)
         elif a.read_bytes() != b.read_bytes():
             print(f"differs: {name}")
+            if name.parts[0] == "rejected":
+                print(f"  parent: {a.read_text()!r}\n  change: {b.read_text()!r}")
             differing += 1
     print(f"artifact_diff: {len(names)} files compared, {differing} differ")
     return differing
