@@ -293,6 +293,13 @@ def cmd_linear_oracle(args: argparse.Namespace) -> int:
     if run_cfg.drift == "fhn":
         run_cfg = replace(run_cfg, drift="linear_eta")
     burn = float(experiment_block(cfg, "linear_oracle")["burn_in"])
+    # the ensemble samples the steps at or after start_time + burn_in
+    if (run_cfg.start_interval + run_cfg.n_steps) * run_cfg.dt < run_cfg.start_time + burn:
+        raise ConfigError(
+            "linear_oracle.burn_in",
+            f"{burn:g} leaves no samples in run.T={run_cfg.T:g}; "
+            "extend run.T or shrink linear_oracle.burn_in",
+        )
     from .ergodics import empirical_mode_covariances
 
     target = stationary_mode_covariances(params, basis, spec, shifted=run_cfg.drift == "linear_eta")

@@ -21,7 +21,6 @@ from typing import Callable, Union
 
 import numpy as np
 import scipy.fft
-from scipy.linalg import eigh_tridiagonal
 
 ProfileLike = Union[float, int, np.ndarray, list, Callable[[np.ndarray], np.ndarray]]
 
@@ -285,6 +284,9 @@ def _sturm_liouville_modes(
     c_grid: np.ndarray, m: int, n: int, h: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Top-n eigenpairs of the FD Neumann Sturm-Liouville matrix on m midpoints."""
+    # only variable-c bases load scipy.linalg
+    from scipy.linalg import eigh_tridiagonal
+
     # face coefficients at the interior cell boundaries j*h, j=1..m-1,
     # interpolated from the midpoint tabulation
     faces = 0.5 * (c_grid[:-1] + c_grid[1:])

@@ -14,9 +14,10 @@ explicit nonlinearity, and the increment covariance
 
     Sigma(dt) = int_0^dt e^{sM} Q_k e^{sM^T} ds
 
-are all evaluated in closed form (matrix exponentials plus a per-mode
-Lyapunov solve), which removes all time-discretization error from the
-linear and stochastic terms.
+are all evaluated in closed form for every mode at once (e^{M dt} and
+phi1 from the two eigenvalues of the 2x2 block, the covariance from the
+stationary Lyapunov solution of a 3-unknown linear system), which removes
+all time-discretization error from the linear and stochastic terms.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.random import Generator, Philox
-from scipy.linalg import expm, solve_continuous_lyapunov
 from scipy.special import ndtri
 
 from .model import EigenBasis, ModelParams, mode_matrices
@@ -176,6 +176,108 @@ def _psd_sqrt(cov: np.ndarray) -> np.ndarray:
     return np.einsum("...ij,...j,...kj->...ik", v, w, v)
 
 
+def _mode_exponentials(
+    a: np.ndarray, alpha: float, gamma: float, t: np.ndarray | float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """e^{Mt}, e^{Mt} - I and phi1 = (e^{Mt} - I)(Mt)^{-1} of M = [[a, -1], [gamma, -alpha]].
+
+    Broadcasts over a and t; each result has shape ``broadcast(a, t) + (2, 2)``.
+    A function g of M is g(l) I + g[l+, l-] (M - l I) for either eigenvalue
+    l, with g[l+, l-] the divided difference.  Modes split two ways:
+
+    * Well-separated real eigenvalues (stiff, or half gap z = gap t / 2 > 1)
+      give each diagonal entry the eigenvalue l_near or l_far that keeps its
+      correction g[l+, l-] (a - l_near) small.  a - l_near comes from
+      (a - l-)(a - l+) = gamma, both eigenvalues from it (l_near = a -
+      (a - l_near), l_far = (a - l_near) - alpha), and the exponential's
+      divided difference is e^{l+ t} (-expm1(-gap t))/gap, so a stiff mode
+      neither cancels nor overflows.
+    * Complex and near-repeated eigenvalues use e^{mu t} [C I + t S (M - mu I)]
+      with C, S = cos z, sin(z)/z (or cosh z, sinh(z)/z), which depend on
+      the gap only through its square and so stay exact through a double
+      eigenvalue; phi1 there is (e^{Mt} - I) adj(M) / (det M t).
+
+    At t = 0 the blocks are I, 0 and I.
+    """
+    a, t = np.broadcast_arrays(np.asarray(a, dtype=float), np.asarray(t, dtype=float))
+    s = a + alpha                        # a - mu = s / 2 for the mean eigenvalue mu
+    det = gamma - a * alpha              # l+ l-, positive when a <= 0
+    disc = s * s - 4.0 * gamma           # (l+ - l-)^2
+    gap = np.sqrt(np.abs(disc))
+    z = 0.5 * gap * t
+    # stiff (gap^2 > 4 gamma) or long-step real modes; the rest have |s| <= sqrt(8 gamma)
+    sep = (disc > 4.0 * gamma) | ((disc > 0.0) & (z > 1.0))
+    out = np.empty(a.shape + (3, 4))     # rows E, E - I, phi1; columns 11, 12, 21, 22
+
+    # well-separated real eigenvalues
+    a_s, t_s, s_s, r = a[sep], t[sep], s[sep], gap[sep]
+    # a - l_far = (s +- gap) / 2 with no cancellation; l_near lies on s's side of l_far
+    a_near = gamma / (0.5 * (s_s + np.copysign(r, s_s)))
+    # l_near + l_far = a - alpha; for a <= 0 neither sum cancels
+    near, far = a_s - a_near, a_near - alpha
+    lam_plus = np.maximum(near, far)
+    d_exp = np.exp(lam_plus * t_s) * (-np.expm1(-r * t_s)) / r
+    # phi(l) = expm1(l t) / (l t), 1 at t = 0
+    phi_near, phi_far = (
+        np.divide(np.expm1(lam * t_s), lam * t_s, out=np.ones_like(t_s), where=t_s != 0.0)
+        for lam in (near, far)
+    )
+    d_phi = (phi_near - phi_far) / np.where(s_s < 0.0, -r, r)
+    # each row: g(l_near) + dd (a - l_near), -dd, gamma dd, g(l_far) - dd (a - l_near)
+    out[sep] = np.stack([
+        np.stack([g_near + dd * a_near, -dd, gamma * dd, g_far - dd * a_near], -1)
+        for g_near, g_far, dd in (
+            (np.exp(near * t_s), np.exp(far * t_s), d_exp),
+            (np.expm1(near * t_s), np.expm1(far * t_s), d_exp),
+            (phi_near, phi_far, d_phi),
+        )
+    ], -2)
+
+    # complex or near-repeated eigenvalues
+    sym = ~sep
+    a_c, t_c, s_c, z_c, real = a[sym], t[sym], s[sym], z[sym], disc[sym] > 0.0
+    mu_t = 0.5 * (a_c - alpha) * t_c
+    # real gaps here have z <= 1; the hyperbolic functions see only those
+    z_h, z_t = np.where(real, z_c, 0.0), np.where(real, 0.0, z_c)
+    half = np.where(real, np.sinh(0.5 * z_h), np.sin(0.5 * z_t))
+    cos_z = np.where(real, np.cosh(z_h), np.cos(z_t))
+    sin_z = np.where(real, np.sinh(z_h), np.sin(z_t))
+    sinc = np.divide(sin_z, z_c, out=np.ones_like(z_c), where=z_c > 0.0)
+    d = np.exp(mu_t) * t_c * sinc
+    diag = np.exp(mu_t) * cos_z
+    diag_m1 = np.expm1(mu_t) * cos_z + np.where(real, 2.0, -2.0) * half * half
+    f11, f22 = diag_m1 + 0.5 * s_c * d, diag_m1 - 0.5 * s_c * d
+    # phi1 = (e^{Mt} - I) adj M / (det M t) with adj M = [[-alpha, 1], [-gamma, a]]
+    scale = np.divide(1.0, det[sym] * t_c, out=np.zeros_like(t_c), where=t_c != 0.0)
+    p11 = np.where(t_c != 0.0, -(alpha * f11 - gamma * d) * scale, 1.0)
+    p22 = np.where(t_c != 0.0, (gamma * d + a_c * f22) * scale, 1.0)
+    p12 = (f11 - a_c * d) * scale
+    p21 = -gamma * (alpha * d + f22) * scale
+    out[sym] = np.stack([
+        np.stack([diag + 0.5 * s_c * d, -d, gamma * d, diag - 0.5 * s_c * d], -1),
+        np.stack([f11, -d, gamma * d, f22], -1),
+        np.stack([p11, p12, p21, p22], -1),
+    ], -2)
+    out = out.reshape(a.shape + (3, 2, 2))
+    return out[..., 0, :, :], out[..., 1, :, :], out[..., 2, :, :]
+
+
+def _stationary_blocks(
+    a: np.ndarray, alpha: float, gamma: float, q1: np.ndarray, q2: np.ndarray
+) -> np.ndarray:
+    """Solutions S of M S + S M^T + diag(q1, q2) = 0, from the 3-unknown system.
+
+    For a <= 0 every term of s11, s22 and the common denominator is
+    nonnegative, so a stiff mode loses no digits.
+    """
+    det = gamma - a * alpha
+    scale = 0.5 / ((alpha - a) * det)
+    s11 = (q2 + (gamma + alpha * (alpha - a)) * q1) * scale
+    s12 = (a * q2 + alpha * gamma * q1) * scale
+    s22 = ((det + a * a) * q2 + gamma * gamma * q1) * scale
+    return np.stack([np.stack([s11, s12], -1), np.stack([s12, s22], -1)], -2)
+
+
 def build_ou_kernel(
     params: ModelParams,
     basis: EigenBasis,
@@ -188,33 +290,26 @@ def build_ou_kernel(
     The increment covariance comes from the stationary Lyapunov solution,
     Sigma(dt) = S - e^{M dt} S e^{M^T dt}, which involves only decaying
     exponentials and so stays finite for arbitrarily stiff modes and long
-    steps.  With variable p the minimum of p enters the linear block; the
-    remainder is handled explicitly by the integrator.
+    steps.  It is evaluated as -(F S + S F^T + F S F^T) with F = e^{M dt} - I,
+    the same identity with no O(1) terms to cancel at small steps.  With
+    variable p the minimum of p enters the linear block; the remainder is
+    handled explicitly by the integrator.
     """
     if dt < 0:
         raise ValueError("dt must be >= 0")
-    mats = mode_matrices(params, basis, shifted=shifted)
-    n = mats.shape[0]
+    a = mode_matrices(params, basis, shifted=shifted)[:, 0, 0]
+    n = a.shape[0]
     if spec is not None and spec.n_modes != n:
         raise ValueError(f"noise spectrum has {spec.n_modes} modes, basis has {n}")
-    qk = spec.mode_cov() if spec is not None else np.zeros((n, 2, 2))
-    eye2 = np.eye(2)
-    transition = np.empty((n, 2, 2))
-    phi1 = np.empty((n, 2, 2))
-    cov = np.empty((n, 2, 2))
-    aug_phi = np.zeros((4, 4))
-    for k in range(n):
-        m = mats[k]
-        aug_phi[:2, :2] = m * dt
-        aug_phi[:2, 2:] = eye2
-        e_phi = expm(aug_phi)
-        transition[k] = e_phi[:2, :2]
-        phi1[k] = e_phi[:2, 2:]
-        if qk[k, 0, 0] == 0.0 and qk[k, 1, 1] == 0.0:
-            cov[k] = 0.0
-        else:
-            s_inf = solve_continuous_lyapunov(m, -qk[k])
-            cov[k] = s_inf - transition[k] @ s_inf @ transition[k].T
+    alpha, gamma = params.alpha, params.gamma
+    transition, em1, phi1 = _mode_exponentials(a, alpha, gamma, dt)
+    if spec is None:
+        cov = np.zeros((n, 2, 2))
+    else:
+        s_inf = _stationary_blocks(a, alpha, gamma, spec.lambda1, spec.lambda2)
+        fs = em1 @ s_inf
+        cov = -(fs + np.swapaxes(fs, -1, -2) + fs @ np.swapaxes(em1, -1, -2))
+        cov[:, 1, 0] = cov[:, 0, 1]
     factor = _psd_sqrt(cov)
     return OUKernel(dt=dt, shifted=shifted, transition=transition, phi1=phi1, cov=cov, factor=factor)
 
@@ -224,13 +319,13 @@ def stationary_mode_covariances(
 ) -> np.ndarray:
     """Per-mode stationary covariances: solutions of M S + S M^T + Q = 0."""
     mats = mode_matrices(params, basis, shifted=shifted)
+    out = _stationary_blocks(mats[:, 0, 0], params.alpha, params.gamma, spec.lambda1, spec.lambda2)
     qk = spec.mode_cov()
-    out = np.empty_like(mats)
-    for k in range(mats.shape[0]):
-        out[k] = solve_continuous_lyapunov(mats[k], -qk[k])
-        residual = mats[k] @ out[k] + out[k] @ mats[k].T + qk[k]
-        if np.abs(residual).max() > 1e-10 * max(1.0, np.abs(qk[k]).max()):
-            raise RuntimeError(f"Lyapunov solve for mode {k} left residual {residual}")
+    residual = np.abs(mats @ out + out @ np.swapaxes(mats, -1, -2) + qk).max(axis=(1, 2))
+    bad = np.flatnonzero(residual > 1e-10 * np.maximum(1.0, np.abs(qk).max(axis=(1, 2))))
+    if bad.size:
+        k = int(bad[0])
+        raise RuntimeError(f"Lyapunov solve for mode {k} left residual {residual[k]:.3e}")
     return out
 
 
@@ -240,17 +335,21 @@ def htrace_mode_cov(cov: np.ndarray, gamma: float) -> float:
 
 
 def convolution_trace_integrand(
-    s: float, params: ModelParams, basis: EigenBasis, spec: NoiseSpec
-) -> float:
-    """Tr_H[e^{sA_eta} Q e^{sA_eta^*}] assembled from the per-mode blocks."""
-    mats = mode_matrices(params, basis, shifted=True)
-    qk = spec.mode_cov()
-    total = 0.0
-    for k in range(mats.shape[0]):
-        e = expm(mats[k] * s)
-        t = e @ qk[k] @ e.T
-        total += params.gamma * t[0, 0] + t[1, 1]
-    return total
+    s: float | np.ndarray, params: ModelParams, basis: EigenBasis, spec: NoiseSpec
+) -> float | np.ndarray:
+    """Tr_H[e^{sA_eta} Q e^{sA_eta^*}] assembled from the per-mode blocks.
+
+    ``s`` may be an array of times; the result then has its shape.
+    """
+    a = mode_matrices(params, basis, shifted=True)[:, 0, 0]
+    times = np.asarray(s, dtype=float)
+    e = _mode_exponentials(a, params.alpha, params.gamma, times[..., None])[0]
+    q1, q2 = spec.lambda1, spec.lambda2
+    # diagonal of E Q E^T, weighted by (gamma, 1), summed over the modes
+    uu = e[..., 0, 0] ** 2 * q1 + e[..., 0, 1] ** 2 * q2
+    ww = e[..., 1, 0] ** 2 * q1 + e[..., 1, 1] ** 2 * q2
+    total = (params.gamma * uu + ww).sum(axis=-1)
+    return float(total) if total.ndim == 0 else total
 
 
 def convolution_trace_integral(

@@ -1,14 +1,19 @@
 """Acceptance gate: every criterion at its stated tolerance, one line each.
 
-These are the exit criteria of the package.  Each test executes one
-criterion at full (non-quick) scale with the pinned master seed and
-asserts the pass flag; the measured quantities are printed so a log of
-this module doubles as the acceptance report.
+These are the exit criteria of the package.  Each ``test_criterion``
+executes one criterion at full (non-quick) scale with the pinned master
+seed and asserts the pass flag; the measured quantities are printed so a
+log of this module doubles as the acceptance report.  ``TestTraceQuadrature``
+checks that criterion 4's quadrature has the power to fail.
 """
 
+import numpy as np
 import pytest
+from scipy.integrate import quad
 
-from fhn_spectral.acceptance import CRITERIA, run_criterion
+from fhn_spectral import ModelParams, NoiseSpec, acceptance, build_eigenbasis
+from fhn_spectral.acceptance import CRITERIA, _exp_sinh_integral, run_criterion
+from fhn_spectral.noise import convolution_trace_integral, convolution_trace_integrand
 
 MASTER_SEED = 0
 
@@ -21,3 +26,39 @@ def test_criterion(cid, name):
     for key, value in result.details.items():
         print(f"         {key} = {value}")
     assert result.passed, f"criterion {cid} ({name}) failed: {result.details}"
+
+
+class TestTraceQuadrature:
+    """Criterion 4's exp-sinh rule against quad, finite horizons and a wrong closed form."""
+
+    @pytest.mark.parametrize(
+        "overrides", [{}, {"alpha": 0.12, "p_profile": 0.26}], ids=["default", "criterion9"]
+    )
+    def test_rule_matches_quad(self, overrides):
+        params = ModelParams(**overrides)
+        basis = build_eigenbasis(params)
+        spec = NoiseSpec.power_law(params.n_modes)
+        rule, gap = _exp_sinh_integral(lambda s: convolution_trace_integrand(s, params, basis, spec))
+        reference, _ = quad(
+            lambda s: convolution_trace_integrand(s, params, basis, spec),
+            0.0, np.inf, epsabs=1e-13, epsrel=1e-13, limit=500,
+        )
+        assert abs(rule - reference) <= 1e-12 * abs(reference)
+        assert gap <= 1e-13 * abs(rule)
+
+    @pytest.mark.parametrize("horizon", [1.0, 40.0])
+    def test_finite_horizon_matches_closed_form(self, params, basis, spec, horizon):
+        # int_0^T f = int_0^inf [f(s) - f(s + T)] ds, both on the exp-sinh nodes
+        f = lambda s: convolution_trace_integrand(s, params, basis, spec)
+        rule, _ = _exp_sinh_integral(lambda s: f(s) - f(s + horizon))
+        closed = convolution_trace_integral(params, basis, spec, horizon=horizon)
+        assert rule == pytest.approx(closed, rel=1e-12)
+
+    def test_closed_form_off_by_1e7_fails(self, monkeypatch):
+        true_closed = acceptance.convolution_trace_integral
+        assert acceptance.criterion_4_trace(True, MASTER_SEED)["passed"]
+        monkeypatch.setattr(
+            acceptance, "convolution_trace_integral",
+            lambda *a, **kw: true_closed(*a, **kw) * (1.0 + 1e-7),
+        )
+        assert not acceptance.criterion_4_trace(True, MASTER_SEED)["passed"]

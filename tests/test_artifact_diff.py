@@ -1,0 +1,46 @@
+"""tools/artifact_diff.py reports per-column and per-field changes of differing artifacts."""
+
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import artifact_diff  # noqa: E402
+
+
+def _write(root: Path, files: dict[str, str]) -> None:
+    for name, text in files.items():
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+
+
+def test_csv_and_json_changes_per_field(tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    common = {"eigen/summary.json": json.dumps({"mu": [0.0, -9.8]})}
+    _write(parent, {**common,
+                    "simulate/path_0000.csv": "t,h\n0,1.0\n1,2.0\n",
+                    "simulate/path_0001.csv": "t,h\n0,1.0\n1,4.0\n",
+                    "simulate/summary.json": json.dumps({"mean": 3.0, "config": {"T": 1}})})
+    _write(change, {**common,
+                    "simulate/path_0000.csv": "t,h\n0,1.0\n1,2.000000000002\n",
+                    "simulate/path_0001.csv": "t,h\n0,1.0\n1,4.00000000004\n",
+                    "simulate/summary.json": json.dumps({"mean": 3.000003, "config": {"T": 1}})})
+    assert artifact_diff.compare(parent, change) == 3
+    out = capsys.readouterr().out
+    assert "differs: simulate/path_0000.csv\n  h: largest relative change 1e-12\n" in out
+    assert "differs: simulate/summary.json\n  mean: largest relative change 1e-06\n" in out
+    # the closing table takes the largest change over files of one kind
+    assert "  simulate/path_*.csv h: 1e-11\n" in out
+    assert "eigen" not in out and " t:" not in out
+    assert out.endswith("artifact_diff: 4 files compared, 3 differ\n")
+
+
+@pytest.mark.parametrize("parent_csv,change_csv", [("a,b\n1,2\n", "a,b\n1,2\n3,4\n"),
+                                                    ("a,b\n1,2\n", "a,c\n1,2\n")])
+def test_reshaped_csv_reads_as_infinite_change(parent_csv, change_csv, tmp_path):
+    (tmp_path / "p.csv").write_text(parent_csv)
+    (tmp_path / "c.csv").write_text(change_csv)
+    table = artifact_diff.file_table(Path("x.csv"), tmp_path / "p.csv", tmp_path / "c.csv")
+    assert max(table.values()) == float("inf")

@@ -248,7 +248,7 @@ _EXPERIMENT_FUNCTIONS = {
 class TestExperimentDefaults:
     """What each subcommand passes on when the config leaves its block out."""
 
-    def _capture(self, command, tmp_path, monkeypatch):
+    def _capture(self, command, tmp_path, monkeypatch, horizon=0.01):
         import importlib
 
         import fhn_spectral.cli as cli
@@ -264,7 +264,7 @@ class TestExperimentDefaults:
         monkeypatch.setattr(importlib.import_module(f"fhn_spectral.{module}"), name, fake)
         monkeypatch.setattr(cli, name, fake, raising=False)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"model": {"n_modes": 8, "n_grid": 16}, "run": {"T": 0.01}}))
+        cfg.write_text(json.dumps({"model": {"n_modes": 8, "n_grid": 16}, "run": {"T": horizon}}))
         with pytest.raises(_Captured):
             main([command, "--config", str(cfg), "--paths", "2", "--out", str(tmp_path / "o")])
         return captured["args"], captured["kwargs"]
@@ -295,7 +295,8 @@ class TestExperimentDefaults:
         assert [f.name for f in kwargs["functionals"]] == ["h_norm", "v_norm"]
 
     def test_linear_oracle(self, tmp_path, monkeypatch):
-        _, kwargs = self._capture("linear-oracle", tmp_path, monkeypatch)
+        # a horizon short of the default burn-in is rejected before the call
+        _, kwargs = self._capture("linear-oracle", tmp_path, monkeypatch, horizon=60.0)
         assert kwargs["burn_in"] == 50.0
 
     def test_dynkin(self, tmp_path, monkeypatch):
@@ -645,48 +646,73 @@ class TestCLI:
         assert proc.returncode == 0
         assert proc.stdout.strip()
 
-    def test_simulate_does_not_import_stats_or_acceptance(self, tmp_path):
-        # scipy.stats is most of the CLI's start-up; only the KS comparison needs it
+    @staticmethod
+    def _run_fresh(script: str):
+        """Run ``script`` in a fresh interpreter on this tree's src; returns its last stdout line."""
         import os
         import subprocess
         import sys
         from pathlib import Path
 
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(
-            json.dumps({"model": {"n_modes": 8, "n_grid": 16}, "run": {"T": 0.01}, "paths": 2})
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
         )
-        script = (
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout.splitlines()[-1]
+
+    def _simulate_modules(self, tmp_path, model: dict) -> str:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"model": model, "run": {"T": 0.01}, "paths": 2}))
+        return self._run_fresh(
             "import sys\n"
             "from fhn_spectral.cli import main\n"
             f"code = main(['simulate', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'sim')!r}])\n"
-            "heavy = ('scipy.stats', 'scipy.integrate', 'fhn_spectral.acceptance')\n"
-            "print(code, sorted(m for m in heavy if m in sys.modules))\n"
+            "subpackages = {m for m, mod in sys.modules.items() if m.count('.') == 1\n"
+            "               and m.startswith('scipy.') and '._' not in m and hasattr(mod, '__path__')}\n"
+            "print(code, sorted(subpackages | {'fhn_spectral.acceptance'} & set(sys.modules)))\n"
         )
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "0 []"
+
+    def test_simulate_does_not_import_stats_or_acceptance(self, tmp_path):
+        # scipy.stats is most of the CLI's start-up; only the KS comparison needs it.
+        # A constant-c run needs only the DCTs and ndtri: no scipy.linalg or scipy.integrate
+        line = self._simulate_modules(tmp_path, {"n_modes": 8, "n_grid": 16})
+        assert line == "0 ['scipy.fft', 'scipy.special']"
         assert (tmp_path / "sim" / "summary.json").exists()
 
-    def test_acceptance_does_not_import_stats(self):
-        # criterion 9 takes its KS statistic from ergodics.ks_statistic
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
+    def test_variable_c_simulate_runs(self, tmp_path):
+        # the tridiagonal eigensolve loads scipy.linalg on demand
+        c = [1.0 + 0.5 * math.sin(3.0 * (j + 0.5) / 16) for j in range(16)]
+        line = self._simulate_modules(tmp_path, {"n_modes": 8, "n_grid": 16, "c": c})
+        assert line.startswith("0 [") and "'scipy.linalg'" in line
+        assert "scipy.stats" not in line and "fhn_spectral.acceptance" not in line
+        summary = json.loads((tmp_path / "sim" / "summary.json").read_text())
+        assert math.isfinite(summary["terminal_h_norm_sq_mean"])
 
-        script = "import sys\nimport fhn_spectral.acceptance\nprint('scipy.stats' in sys.modules)\n"
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run(
-            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=120
+    def test_acceptance_does_not_import_stats(self):
+        # criterion 9 takes its KS statistic from ergodics.ks_statistic and criterion 4
+        # integrates by its own exp-sinh rule, so none of these heavy subpackages loads
+        heavy = ("scipy.integrate", "scipy.linalg", "scipy.sparse", "scipy.optimize", "scipy.stats")
+        line = self._run_fresh(
+            f"import sys\nimport fhn_spectral.acceptance\nprint([m for m in {heavy!r} if m in sys.modules])\n"
         )
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.splitlines()[-1] == "False"
+        assert line == "[]"
+
+    def test_linear_oracle_burn_in_past_T_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # the defaults, linear_oracle.burn_in 50 and run.T 1, leave no samples: the
+        # error names both keys and comes before any path is simulated
+        from fhn_spectral import ergodics
+
+        simulated = []
+        monkeypatch.setattr(ergodics, "_simulate_batch", lambda *a, **kw: simulated.append(a))
+        rc = main(["linear-oracle", "--paths", "2", "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "linear_oracle.burn_in: 50 " in err and "run.T=1;" in err
+        assert "Traceback" not in err
+        assert not simulated
+        assert not (tmp_path / "o" / "covariances.csv").exists()
 
     def test_linear_oracle_subcommand(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,10 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from numpy.random import Generator, Philox
 from pytest import approx
 from scipy.integrate import quad, solve_ivp
+from scipy.linalg import expm, solve_continuous_lyapunov
 from scipy.special import ndtri
 
 from fhn_spectral import (
@@ -16,6 +18,7 @@ from fhn_spectral import (
     trace_Q,
 )
 from fhn_spectral.model import mode_matrices
+import fhn_spectral.noise as noise
 from fhn_spectral.noise import (
     _INTERVAL_OFFSET,
     _REFILL_UNIFORMS,
@@ -209,3 +212,116 @@ class TestTraceIntegral:
         cov = stationary_mode_covariances(params, basis, spec)
         expected = params.gamma * cov[:, 0, 0].sum() + cov[:, 1, 1].sum()
         assert htrace_mode_cov(cov, params.gamma) == approx(expected)
+
+
+def _oracle_blocks(a, alpha, gamma, q1, q2, t):
+    """E, phi1, S and Sigma of one block at 40 digits: mp.expm and the exact 3-unknown solve."""
+    with mp.workdps(40):
+        a, alpha, gamma, q1, q2, t = (mp.mpf(float(x)) for x in (a, alpha, gamma, q1, q2, t))
+        m = mp.matrix([[a, -1], [gamma, -alpha]])
+        eye = mp.eye(2)
+        e = eye if t == 0 else mp.expm(m * t)
+        phi1 = eye if t == 0 else (e - eye) * mp.inverse(m * t)
+        # M S + S M^T + Q = 0 in the unknowns (s11, s12, s22)
+        lhs = mp.matrix([[2 * a, -2, 0], [gamma, a - alpha, -1], [0, 2 * gamma, -2 * alpha]])
+        x = [+v for v in mp.lu_solve(lhs, mp.matrix([-q1, 0, -q2]))]
+        s = mp.matrix([[x[0], x[1]], [x[1], x[2]]])
+        cov = s - e * s * e.T
+        return [np.array(mat.tolist(), dtype=float) for mat in (e, phi1, s, cov)]
+
+
+def _scipy_blocks(a, alpha, gamma, q1, q2, t):
+    """The same blocks by the per-mode scipy path: a 4x4 expm and a Lyapunov solve."""
+    m = np.array([[a, -1.0], [gamma, -alpha]])
+    aug = np.zeros((4, 4))
+    aug[:2, :2] = m * t
+    aug[:2, 2:] = np.eye(2)
+    e_aug = expm(aug)
+    e = e_aug[:2, :2]
+    s = solve_continuous_lyapunov(m, -np.diag([q1, q2]))
+    return [e, e_aug[:2, 2:], s, s - e @ s @ e.T]
+
+
+def _near_repeated(disc: float):
+    """Parameters whose mode-0 block has (a + alpha)^2 - 4 gamma = disc, up to rounding."""
+    def make(shifted: bool) -> ModelParams:
+        base = ModelParams()
+        a0 = -base.p_min + (base.derived().eta if shifted else 0.0)
+        return ModelParams(gamma=((a0 + base.alpha) ** 2 - disc) / 4.0)
+
+    return make
+
+
+# criterion 9's slow-mixing set, gamma = 40 for complex eigenvalues on modes 0 and 1,
+# and mode 0 next to a double eigenvalue, its discriminant +-1e-11
+_PARAM_SETS = {
+    "default": lambda shifted: ModelParams(),
+    "criterion9": lambda shifted: ModelParams(alpha=0.12, p_profile=0.26),
+    "complex": lambda shifted: ModelParams(gamma=40.0),
+    "near_repeated_real": _near_repeated(1e-11),
+    "near_repeated_complex": _near_repeated(-1e-11),
+}
+
+
+class TestClosedFormBlocks:
+    """E, phi1, S and Sigma against a 40-digit oracle, block by block."""
+
+    @pytest.mark.parametrize("shifted", [False, True])
+    @pytest.mark.parametrize("name", sorted(_PARAM_SETS))
+    def test_blocks_match_oracle(self, name, shifted):
+        small = _PARAM_SETS[name](shifted)
+        large = ModelParams(
+            alpha=small.alpha, gamma=small.gamma, p_profile=small.p_profile,
+            n_modes=1024, n_grid=2048,
+        )
+        if name.startswith("near_repeated"):
+            a0 = mode_matrices(small, build_eigenbasis(small), shifted=shifted)[0, 0, 0]
+            assert 0.0 < abs((a0 + small.alpha) ** 2 - 4.0 * small.gamma) < 1e-10
+        eps = np.finfo(float).eps
+        for params, modes in ((small, (0, 1, 31)), (large, (1023,))):
+            basis = build_eigenbasis(params)
+            spec = NoiseSpec.power_law(params.n_modes)
+            a = mode_matrices(params, basis, shifted=shifted)[:, 0, 0]
+            stationary = stationary_mode_covariances(params, basis, spec, shifted=shifted)
+            for t in (0.0, 1e-6, 1e-3, 1.0, 80.0):
+                kernel = build_ou_kernel(params, basis, spec, t, shifted=shifted)
+                for k in modes:
+                    args = (a[k], params.alpha, params.gamma, spec.lambda1[k], spec.lambda2[k], t)
+                    oracle = _oracle_blocks(*args)
+                    parent = _scipy_blocks(*args)
+                    # e^{l t} formed from a double l t carries |l t| eps of rounding, l the
+                    # slowest eigenvalue's real part; the scipy path can land closer by luck
+                    slow = np.linalg.eigvals(np.array([[a[k], -1.0], [params.gamma, -params.alpha]]))
+                    floor = eps * max(1.0, t * np.abs(slow.real).min())
+                    ours = (kernel.transition[k], kernel.phi1[k], stationary[k], kernel.cov[k])
+                    for what, got, ref, old in zip(("E", "phi1", "S", "Sigma"), ours, oracle, parent):
+                        where = f"{name} shifted={shifted} N={params.n_modes} k={k} t={t} {what}"
+                        scale = np.abs(ref).max()
+                        if scale == 0.0:
+                            assert np.array_equal(got, ref), where
+                            continue
+                        err = np.abs(got - ref).max() / scale
+                        old_err = np.abs(old - ref).max() / scale
+                        assert err <= 1e-12, f"{where}: {err:.2e}"
+                        assert err <= 10.0 * max(old_err, floor), f"{where}: {err:.2e} vs {old_err:.2e}"
+
+    def test_vectorised_integrand_matches_scalar_calls(self, params, basis, spec):
+        times = np.array([0.0, 1e-5, 0.3, 2.0, 40.0, 1e6])
+        values = convolution_trace_integrand(times, params, basis, spec)
+        assert values.shape == times.shape
+        for t, value in zip(times, values):
+            assert value == convolution_trace_integrand(float(t), params, basis, spec)
+        assert values[0] == approx(params.gamma * spec.lambda1.sum() + spec.lambda2.sum())
+        assert values[-1] == 0.0
+
+    def test_stationary_residual_check(self, params, basis, spec, monkeypatch):
+        good = noise._stationary_blocks
+
+        def off_in_mode_3(*args):
+            out = good(*args)
+            out[3, 0, 0] *= 1.0 + 1e-6
+            return out
+
+        monkeypatch.setattr(noise, "_stationary_blocks", off_in_mode_3)
+        with pytest.raises(RuntimeError, match="mode 3"):
+            stationary_mode_covariances(params, basis, spec)

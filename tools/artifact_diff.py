@@ -16,11 +16,14 @@ stderr line in ``rejected/<name>.txt``, so a move in the error contract
 shows up like a moved artifact.
 
 The script prints every output file that is missing on one side or
-differs, and for a ``rejected/`` file both sides' contents.  For
-``acceptance.json`` it prints, per criterion field, the largest relative
-change over its numbers, ignoring ``elapsed_s``.  Exit code 0 means every
-file is byte-identical and ``acceptance.json`` is equal apart from
-``elapsed_s``; 1 means something differs.
+differs, and for a ``rejected/`` file both sides' contents.  For a
+differing CSV it prints the largest relative change per column, for a
+differing JSON file per field, and for ``acceptance.json`` per criterion
+field, ignoring ``elapsed_s``.  A closing table gives the largest change
+per field over all files of one kind (digits in the file name read as
+``*``).  Exit code 0 means every file is byte-identical and
+``acceptance.json`` is equal apart from ``elapsed_s``; 1 means something
+differs.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -90,6 +94,8 @@ REJECTED: dict[str, tuple[list[str], dict]] = {
         ["simulate"],
         {"model": {"c": [1e-150] * 32 + [1e150] * 32}, "run": {"T": 0.01}, "paths": 1},
     ),
+    # the defaults: linear_oracle.burn_in 50 is past run.T 1
+    "burn-in-past-T": (["linear-oracle", "--paths", "2"], {}),
 }
 
 
@@ -142,19 +148,44 @@ def rel_change(a, b) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
-def acceptance_table(parent: dict, change: dict) -> dict[str, float]:
-    """Largest relative change per criterion field, elapsed_s left out."""
-    def fields(payload: dict) -> dict[str, list]:
-        out: dict[str, list] = {}
-        for crit in payload.get("criteria", []):
-            body = {k: v for k, v in crit.items() if k not in ("id", "elapsed_s")}
-            for path, value in numbers(body):
-                out.setdefault(f"criterion {crit['id']}: {path}", []).append(value)
-        for key in ("all_passed", "quick", "master_seed"):
-            out[key] = [payload.get(key)]
-        return out
+def json_fields(payload) -> dict[str, list]:
+    """Leaf values of a JSON payload grouped by field path."""
+    out: dict[str, list] = {}
+    for path, value in numbers(payload):
+        out.setdefault(path, []).append(value)
+    return out
 
-    a, b = fields(parent), fields(change)
+
+def acceptance_fields(payload: dict) -> dict[str, list]:
+    """Leaf values per criterion field, elapsed_s left out."""
+    out: dict[str, list] = {}
+    for crit in payload.get("criteria", []):
+        body = {k: v for k, v in crit.items() if k not in ("id", "elapsed_s")}
+        for path, value in numbers(body):
+            out.setdefault(f"criterion {crit['id']}: {path}", []).append(value)
+    for key in ("all_passed", "quick", "master_seed"):
+        out[key] = [payload.get(key)]
+    return out
+
+
+def csv_fields(text: str) -> dict[str, list]:
+    """Column values of a CSV with a header row; cells that are not numbers stay strings."""
+    def cell(value: str):
+        try:
+            return float(value)
+        except ValueError:
+            return value
+
+    lines = text.splitlines()
+    rows = [line.split(",") for line in lines[1:]]
+    return {
+        column: [cell(row[j]) if j < len(row) else None for row in rows]
+        for j, column in enumerate(lines[0].split(",") if lines else [])
+    }
+
+
+def change_table(a: dict[str, list], b: dict[str, list]) -> dict[str, float]:
+    """Largest relative change per field; inf where a field is missing or changes length."""
     table = {}
     for key in sorted(set(a) | set(b)):
         va, vb = a.get(key), b.get(key)
@@ -165,28 +196,58 @@ def acceptance_table(parent: dict, change: dict) -> dict[str, float]:
     return table
 
 
+def file_table(name: Path, a: Path, b: Path) -> dict[str, float] | None:
+    """Per-field changes of a CSV or JSON artifact; None for other files or unreadable ones."""
+    try:
+        if name == Path("acceptance/acceptance.json"):
+            return change_table(acceptance_fields(json.loads(a.read_text())),
+                                acceptance_fields(json.loads(b.read_text())))
+        if name.suffix == ".json":
+            return change_table(json_fields(json.loads(a.read_text())),
+                                json_fields(json.loads(b.read_text())))
+        if name.suffix == ".csv":
+            return change_table(csv_fields(a.read_text()), csv_fields(b.read_text()))
+    except (ValueError, UnicodeDecodeError):
+        pass
+    return None
+
+
 def compare(parent_out: Path, change_out: Path) -> int:
     names = sorted(
         {p.relative_to(parent_out) for p in parent_out.rglob("*") if p.is_file()}
         | {p.relative_to(change_out) for p in change_out.rglob("*") if p.is_file()}
     )
     differing = 0
+    # (file kind, field) -> largest relative change over the differing files of that kind
+    summary: dict[tuple[str, str], float] = {}
     for name in names:
         a, b = parent_out / name, change_out / name
         if not a.is_file() or not b.is_file():
             print(f"only in {'change' if b.is_file() else 'parent'}: {name}")
             differing += 1
-        elif name == Path("acceptance/acceptance.json"):
-            table = acceptance_table(json.loads(a.read_text()), json.loads(b.read_text()))
-            moved = {k: v for k, v in table.items() if v > 0.0}
+            continue
+        is_acceptance = name == Path("acceptance/acceptance.json")
+        if not is_acceptance and a.read_bytes() == b.read_bytes():
+            continue
+        moved = {k: v for k, v in (file_table(name, a, b) or {}).items() if v > 0.0}
+        if is_acceptance:
             for key, value in moved.items():
                 print(f"acceptance.json {key}: largest relative change {value:.3g}")
             differing += bool(moved)
-        elif a.read_bytes() != b.read_bytes():
+        else:
             print(f"differs: {name}")
             if name.parts[0] == "rejected":
                 print(f"  parent: {a.read_text()!r}\n  change: {b.read_text()!r}")
+            for key, value in moved.items():
+                print(f"  {key}: largest relative change {value:.3g}")
             differing += 1
+        kind = re.sub(r"\d+", "*", str(name))
+        for key, value in moved.items():
+            summary[kind, key] = max(summary.get((kind, key), 0.0), value)
+    if summary:
+        print("largest relative change per field, over the files of each kind:")
+        for (kind, key), value in sorted(summary.items()):
+            print(f"  {kind} {key}: {value:.3g}")
     print(f"artifact_diff: {len(names)} files compared, {differing} differ")
     return differing
 
