@@ -101,7 +101,7 @@ def cmd_eigen(args: argparse.Namespace) -> int:
     params = build_params(cfg)
     basis = build_eigenbasis(params)
     header = ["xi"] + [f"e_{k}" for k in range(basis.n_modes)]
-    rows = np.column_stack([basis.xi, basis.modes.T])
+    rows = np.column_stack([basis.xi, basis.mode_rows(0, basis.n_modes).T])
     write_csv(out / "eigenbasis.csv", header, rows)
     write_json(
         out / "summary.json",

@@ -164,8 +164,8 @@ class DerivedConstants:
 class EigenBasis:
     """Tabulated Neumann eigenpairs of u -> (c u')' on the collocation grid.
 
-    ``modes[k]`` holds e_k at the grid points, orthonormal under the
-    midpoint quadrature; ``mu`` are the (nonpositive, nonincreasing)
+    Row k of the mode table holds e_k at the grid points, orthonormal under
+    the midpoint quadrature; ``mu`` are the (nonpositive, nonincreasing)
     eigenvalues.  For constant c the analytic cosine family is used and
     ``deriv_sq`` carries the exact spectral derivative factors (k*pi)^2;
     otherwise ``dmodes`` tabulates face differences for the H1 seminorm.
@@ -174,34 +174,41 @@ class EigenBasis:
     transforms by a DCT-III to the grid and a truncated DCT-II back, both
     O(M log M) and row-local, so a row's bits do not depend on the batch it
     sits in; otherwise the transforms are matmuls against the mode table.
+    A DCT basis needs no stored table (``modes`` None): :meth:`mode_rows`
+    evaluates its cosines a block of rows at a time.
     """
 
     mu: np.ndarray                   # (N,)
-    modes: np.ndarray                # (N, M)
+    modes: np.ndarray | None         # (N, M) mode table, None for a DCT cosine basis
     xi: np.ndarray                   # (M,)
     quad_weight: float
     sup_bound: float
     constant_c: bool
     deriv_sq: np.ndarray | None      # (N,) spectral |e_k'|^2 factors, constant c only
     dmodes: np.ndarray | None        # (N, M-1) face differences / h, variable c only
+    dct: bool = field(init=False)    # whether the transforms run by DCT instead of matmul
     _proj: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.dct = self.constant_c and self.n_modes >= DCT_MIN_MODES
+        if self.modes is None and not self.dct:
+            raise ValueError("only a DCT cosine basis may omit its mode table")
         # adjoint of evaluation under the quadrature weight
         self._proj = None if self.dct else self.modes.T * self.quad_weight
 
     @property
     def n_modes(self) -> int:
-        return self.modes.shape[0]
+        return self.mu.shape[0]
 
     @property
     def n_grid(self) -> int:
-        return self.modes.shape[1]
+        return self.xi.shape[0]
 
-    @property
-    def dct(self) -> bool:
-        """Whether the transforms run by DCT instead of matmul."""
-        return self.constant_c and self.n_modes >= DCT_MIN_MODES
+    def mode_rows(self, start: int, stop: int) -> np.ndarray:
+        """Rows start:stop of the mode table, (rows, M); evaluated if the basis stores none."""
+        if self.modes is not None:
+            return self.modes[start:stop]
+        return _cosine_rows(start, min(stop, self.n_modes), self.xi)
 
     def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
         """Evaluate spectral coefficients (..., N) on the grid -> (..., M)."""
@@ -242,13 +249,11 @@ def build_eigenbasis(params: ModelParams) -> EigenBasis:
         c = params.c_min
         k = np.arange(n)
         mu = -c * (k * np.pi) ** 2
-        modes = np.outer(k * np.pi, xi)
-        np.cos(modes, out=modes)
-        modes[1:] *= math.sqrt(2.0)
         deriv_sq = (k * np.pi) ** 2
         basis = EigenBasis(
             mu=mu,
-            modes=modes,
+            # the DCT transforms never read a table; the check evaluates its rows
+            modes=None if n >= DCT_MIN_MODES else _cosine_rows(0, n, xi),
             xi=xi,
             quad_weight=h,
             # analytic sup of the cosine family; the grid max undershoots by O(h^2)
@@ -278,6 +283,14 @@ def build_eigenbasis(params: ModelParams) -> EigenBasis:
         )
     _check_basis(basis)
     return basis
+
+
+def _cosine_rows(start: int, stop: int, xi: np.ndarray) -> np.ndarray:
+    """Cosine modes e_k = sqrt(2) cos(k pi xi) (e_0 = 1) for k in [start, stop), on xi."""
+    rows = np.outer(np.arange(start, stop) * np.pi, xi)
+    np.cos(rows, out=rows)
+    rows[1 if start == 0 else 0 :] *= math.sqrt(2.0)
+    return rows
 
 
 def _sturm_liouville_modes(
@@ -314,10 +327,10 @@ def _sturm_liouville_modes(
 
 def _check_basis(basis: EigenBasis) -> None:
     # the Gram matrix through the basis's own projection: O(N M log M) by DCT,
-    # in row blocks so the check holds O(block M) beside the table
+    # in row blocks so the check holds O(block M) beside any stored table
     worst, at = 0.0, (0, 0)
     for start in range(0, basis.n_modes, _GRAM_BLOCK):
-        dev = basis.to_coeffs(basis.modes[start : start + _GRAM_BLOCK])
+        dev = basis.to_coeffs(basis.mode_rows(start, start + _GRAM_BLOCK))
         rows = np.arange(dev.shape[0])
         dev[rows, start + rows] -= 1.0
         np.abs(dev, out=dev)

@@ -120,35 +120,67 @@ class TestEigenbasis:
         "n,k", [(32, 3), (128, 100), (DCT_MIN_MODES, 3), (DCT_MIN_MODES, 200)]
     )
     def test_check_rejects_a_scaled_mode(self, n, k):
+        # the defect is planted in an explicit table, which the check reads
+        # instead of the cosines a DCT basis evaluates
         b = build_eigenbasis(ModelParams(n_modes=n, n_grid=2 * n))
-        assert b.dct == (n >= DCT_MIN_MODES)
-        modes = b.modes.copy()
+        modes = b.mode_rows(0, n).copy()
         modes[k] *= 1.0 + 1e-6
+        planted = replace(b, modes=modes)
+        assert planted.dct == b.dct == (n >= DCT_MIN_MODES)
         with pytest.raises(EigenbasisError, match=rf"<e_{k}, e_{k}>"):
-            _check_basis(replace(b, modes=modes))
+            _check_basis(planted)
 
     @pytest.mark.parametrize("n", [32, DCT_MIN_MODES])
     def test_check_rejects_a_nan_mode_entry(self, n):
         # a NaN Gram entry never exceeds the bound, so the check must look for it
         b = build_eigenbasis(ModelParams(n_modes=n, n_grid=2 * n))
-        assert b.dct == (n >= DCT_MIN_MODES)
-        modes = b.modes.copy()
+        modes = b.mode_rows(0, n).copy()
         modes[3, 5] = np.nan
+        planted = replace(b, modes=modes)
+        assert planted.dct == b.dct == (n >= DCT_MIN_MODES)
         with pytest.raises(EigenbasisError, match=r"<e_\d+, e_\d+> - delta\| = nan"):
-            _check_basis(replace(b, modes=modes))
+            _check_basis(planted)
 
-    def test_build_holds_little_beside_the_table(self):
-        # the cosine table is evaluated in place and the Gram check runs in
-        # row blocks, so a wide basis peaks at its table plus a few MiB
+    def test_wide_cosine_build_holds_no_table(self):
+        # a DCT basis stores no (N, M) table and the Gram check evaluates its
+        # rows in blocks, so an N = 1024 build peaks at a quarter of the 16 MiB table
         params = ModelParams(n_modes=1024, n_grid=2048)
         tracemalloc.start()
         try:
-            build_eigenbasis(params)
+            b = build_eigenbasis(params)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        table = params.n_modes * params.n_grid * 8
-        assert peak <= table + 4 * 2**20
+        assert peak <= 4 * 2**20
+        assert b.dct and b.modes is None
+
+    @pytest.mark.parametrize("n", [DCT_MIN_MODES, 300, 1024])
+    def test_mode_rows_are_the_cosine_table(self, n):
+        # bitwise the full-table expression, in the check's 64-row blocks
+        # (300 ends on a partial block) and in one call
+        params = ModelParams(n_modes=n, n_grid=2 * n)
+        b = build_eigenbasis(params)
+        k = np.arange(n)
+        table = np.outer(k * np.pi, params.xi)
+        np.cos(table, out=table)
+        table[1:] *= math.sqrt(2.0)
+        blocks = np.concatenate([b.mode_rows(s, s + 64) for s in range(0, n, 64)])
+        assert blocks.shape == table.shape
+        assert np.array_equal(blocks.view(np.int64), table.view(np.int64))
+        assert np.array_equal(b.mode_rows(0, n).view(np.int64), table.view(np.int64))
+
+    def test_only_a_dct_basis_omits_its_table(self):
+        # replace() recomputes dct, so a variable-c basis can never take the
+        # DCT path, and without a table it cannot be built at all
+        wide = build_eigenbasis(ModelParams(n_modes=DCT_MIN_MODES, n_grid=2 * DCT_MIN_MODES))
+        table = wide.mode_rows(0, wide.n_modes)
+        dmodes = np.diff(table, axis=1) / wide.quad_weight
+        varying = replace(wide, constant_c=False, modes=table, deriv_sq=None, dmodes=dmodes)
+        assert not varying.dct
+        with pytest.raises(ValueError, match="mode table"):
+            replace(varying, modes=None)
+        with pytest.raises(ValueError, match="mode table"):
+            replace(build_eigenbasis(ModelParams()), modes=None)
 
     def test_variable_c_grid_refinement(self):
         # eigenvalues of the leading modes are grid-converged: the M-point and
@@ -180,14 +212,15 @@ class TestDctTransforms:
         assert b.dct
         x = rng.standard_normal((5, n, 2))
         g = rng.standard_normal((5, 2 * n, 2))
-        proj = b.modes.T * b.quad_weight
+        table = b.mode_rows(0, n)
+        proj = table.T * b.quad_weight
         cases = [
             (x[0, :, 0], g[0, :, 0]),                  # 1-D
             (x[..., 0].copy(), g[..., 0].copy()),      # contiguous (B, N)
             (x[..., 0], g[..., 0]),                    # strided view
         ]
         for coeffs, values in cases:
-            want_grid = coeffs @ b.modes
+            want_grid = coeffs @ table
             got_grid = b.to_grid(coeffs)
             assert got_grid.shape == want_grid.shape
             assert np.abs(got_grid - want_grid).max() <= 1e-12 * np.abs(want_grid).max()

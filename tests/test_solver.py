@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -337,6 +338,22 @@ class TestEnsembles:
             terminal, norms = run(list(ids))
             assert np.array_equal(terminal, alone[0])
             assert np.array_equal(norms, alone[1])
+
+    def test_wide_run_holds_no_mode_table(self):
+        # an N = 1024 cosine basis and a short run beside it stay well below
+        # the 16 MiB (N, M) table the DCT transforms never read
+        params = ModelParams(n_modes=1024, n_grid=2048)
+        spec = NoiseSpec.power_law(params.n_modes)
+        tracemalloc.start()
+        try:
+            basis = build_eigenbasis(params)
+            tracemalloc.reset_peak()
+            ens = run_ensemble(TrajectoryConfig(T=5e-3, dt=1e-3), params, basis, spec, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ens.terminal.shape == (3, params.n_modes, 2)
+        assert peak <= 4 * 2**20
 
     def test_resolve_workers_env(self, monkeypatch):
         monkeypatch.setenv("FHN_SPECTRAL_WORKERS", "4")

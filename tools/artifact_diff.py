@@ -6,9 +6,10 @@ Usage (from the repository root):
 
 Both trees are laid out the way ``bench_pairs.py`` lays them out: the
 parent from ``git archive REV``, the change from the working tree's tracked
-and unignored files.  Each tree runs ``eigen`` with the default config, the
-eight experiment subcommands with the small fixed configs in ``CONFIGS``
-and ``acceptance --quick``, all with one BLAS thread.  The parent always
+and unignored files.  Each tree runs the inputs in ``CONFIGS`` (``eigen``
+with the default config, the eight experiment subcommands with small fixed
+configs, and ``eigen`` and ``simulate`` on a 256-mode basis, which
+transforms by DCT) and ``acceptance --quick``, all with one BLAS thread.  The parent always
 runs with one worker; ``--workers`` sets ``FHN_SPECTRAL_WORKERS`` for the
 change, so a worker count that moves a byte shows up too.  Each tree also
 runs the inputs in ``REJECTED`` and records each one's exit code and first
@@ -40,45 +41,53 @@ from pathlib import Path
 
 from bench_pairs import copy_worktree, extract
 
-CONFIGS: dict[str, dict] = {
-    "eigen": {},
-    "simulate": {
+# the CLI's inputs: output directory -> (subcommand, config)
+CONFIGS: dict[str, tuple[str, dict]] = {
+    "eigen": ("eigen", {}),
+    "simulate": ("simulate", {
         "run": {"T": 0.2, "record_every": 7, "x0": {"kind": "constant", "u": 1.5}},
         "master_seed": 3, "paths": 40,
-    },
-    "couple": {"run": {"T": 0.5, "record_every": 30}, "master_seed": 4, "paths": 3},
-    "convergence": {
+    }),
+    "couple": ("couple", {"run": {"T": 0.5, "record_every": 30}, "master_seed": 4, "paths": 3}),
+    "convergence": ("convergence", {
         "run": {"T": 0.1, "x0": {"kind": "cosine", "u_amplitude": 1.5, "u_mode": 1}},
         "convergence": {"eps_ladder": [0.2, 0.1, 0.05]},
         "master_seed": 5, "paths": 4,
-    },
-    "backward": {
+    }),
+    "backward": ("backward", {
         "run": {"dt": 2e-3, "x0": {"kind": "constant", "u": 1.5}},
         "backward": {"lambda_ladder": [0.5, 1, 2]},
         "master_seed": 7, "paths": 34,
-    },
-    "moments": {
+    }),
+    "moments": ("moments", {
         "run": {"T": 2.0, "dt": 2e-3, "record_every": 20, "x0": {"kind": "constant", "u": 2.0}},
         "master_seed": 8, "paths": 36,
-    },
-    "invariant": {
+    }),
+    "invariant": ("invariant", {
         "model": {"p": 0.85},
         "run": {"T": 1.0, "dt": 2e-3, "x0": {"kind": "constant", "u": 0.5}},
         "invariant": {"burn_in": 9.0, "n_time_samples": 40, "sample_spacing": 1.0,
                       "pairing_mode": 0},
         "master_seed": 9, "paths": 36,
-    },
-    "linear-oracle": {
+    }),
+    "linear-oracle": ("linear-oracle", {
         "run": {"T": 30.0, "dt": 0.05, "drift": "linear_eta"},
         "linear_oracle": {"burn_in": 10.0},
         "master_seed": 10, "paths": 32,
-    },
-    "dynkin": {
+    }),
+    "dynkin": ("dynkin", {
         "model": {"gamma": 1.0},
         "run": {"T": 0.2},
         "dynkin": {"h_u": [[0, 0.4], [1, 0.3]]},
         "master_seed": 6, "paths": 16,
-    },
+    }),
+    # a DCT basis: no mode table is stored, its rows are evaluated in blocks
+    "eigen-dct": ("eigen", {"model": {"n_modes": 256, "n_grid": 512}}),
+    "simulate-dct": ("simulate", {
+        "model": {"n_modes": 256, "n_grid": 512},
+        "run": {"T": 0.02, "x0": {"kind": "constant", "u": 1.5}},
+        "master_seed": 12, "paths": 4,
+    }),
 }
 
 # inputs the CLI rejects: (arguments after the subcommand's name, config)
@@ -113,10 +122,10 @@ def run_cli(tree: Path, args: list[str], workers: int, check: bool = True) -> st
 
 
 def run_tree(tree: Path, out: Path, workers: int) -> None:
-    for name, cfg in CONFIGS.items():
+    for name, (command, cfg) in CONFIGS.items():
         cfg_path = tree / f"artifact-diff-{name}.json"
         cfg_path.write_text(json.dumps(cfg))
-        run_cli(tree, [name, "--config", str(cfg_path), "--out", str(out / name)], workers)
+        run_cli(tree, [command, "--config", str(cfg_path), "--out", str(out / name)], workers)
     run_cli(tree, ["acceptance", "--quick", "--out", str(out / "acceptance")], workers)
     (out / "rejected").mkdir()
     for name, (args, cfg) in REJECTED.items():
