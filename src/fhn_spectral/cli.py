@@ -17,7 +17,7 @@ import json
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .ergodics import (
     invariant_moment_integral,
 )
 from .kolmogorov import CylinderFunction, dynkin_residual
-from .model import EigenbasisError, StateH, build_eigenbasis
+from .model import EigenBasis, EigenbasisError, StateH, build_eigenbasis
 from .noise import stationary_mode_covariances
 from .solver import BlowUpError, backward_run, coupled_run, eps_convergence_study, run_ensemble
 
@@ -47,15 +47,16 @@ EXIT_CONFIG = 2
 EXIT_BLOWUP = 3
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+# grid points (CSV rows) that `eigen` evaluates and writes at a time
+_EIGEN_BLOCK = 64
 
 
-def write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[float]]) -> None:
+def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
+    fmt = "{:.17g}".format
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(float(v)) for v in row) + "\n")
+            fh.write(",".join(map(fmt, np.asarray(row, dtype=float).tolist())) + "\n")
 
 
 def write_json(path: Path, payload: dict[str, Any]) -> None:
@@ -95,14 +96,20 @@ def _experiment(args: argparse.Namespace, name: str):
     return cfg, out, params, basis, build_noise(cfg), build_run_config(cfg, params, basis)
 
 
+def _eigen_rows(basis: EigenBasis) -> Iterator[np.ndarray]:
+    """CSV rows (xi, e_0(xi), ..., e_{N-1}(xi)), a block of grid points at a time."""
+    for start in range(0, basis.n_grid, _EIGEN_BLOCK):
+        points = slice(start, start + _EIGEN_BLOCK)
+        yield from np.column_stack([basis.xi[points], basis.mode_rows(0, basis.n_modes, points).T])
+
+
 def cmd_eigen(args: argparse.Namespace) -> int:
     cfg = _load(args)
     out = _out_dir(args, "eigen")
     params = build_params(cfg)
     basis = build_eigenbasis(params)
     header = ["xi"] + [f"e_{k}" for k in range(basis.n_modes)]
-    rows = np.column_stack([basis.xi, basis.mode_rows(0, basis.n_modes).T])
-    write_csv(out / "eigenbasis.csv", header, rows)
+    write_csv(out / "eigenbasis.csv", header, _eigen_rows(basis))
     write_json(
         out / "summary.json",
         _summary(

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
-import scipy.fft
 
 ProfileLike = Union[float, int, np.ndarray, list, Callable[[np.ndarray], np.ndarray]]
 
@@ -204,15 +203,21 @@ class EigenBasis:
     def n_grid(self) -> int:
         return self.xi.shape[0]
 
-    def mode_rows(self, start: int, stop: int) -> np.ndarray:
-        """Rows start:stop of the mode table, (rows, M); evaluated if the basis stores none."""
+    def mode_rows(self, start: int, stop: int, points: slice = slice(None)) -> np.ndarray:
+        """Rows start:stop of the mode table at the grid points ``points``, (rows, points).
+
+        Evaluated if the basis stores no table, bitwise equal to the table's slice.
+        """
         if self.modes is not None:
-            return self.modes[start:stop]
-        return _cosine_rows(start, min(stop, self.n_modes), self.xi)
+            return self.modes[start:stop, points]
+        return _cosine_rows(start, min(stop, self.n_modes), self.xi[points])
 
     def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
         """Evaluate spectral coefficients (..., N) on the grid -> (..., M)."""
         if self.dct:
+            # only DCT bases load scipy.fft
+            import scipy.fft
+
             m = self.n_grid
             return math.sqrt(m) * scipy.fft.idct(coeffs, type=2, n=m, norm="ortho", axis=-1)
         return np.asarray(coeffs) @ self.modes
@@ -220,6 +225,8 @@ class EigenBasis:
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:
         """Project grid values (..., M) onto the modes -> (..., N)."""
         if self.dct:
+            import scipy.fft
+
             full = scipy.fft.dct(values, type=2, norm="ortho", axis=-1)
             return full[..., : self.n_modes] / math.sqrt(self.n_grid)
         return np.asarray(values) @ self._proj

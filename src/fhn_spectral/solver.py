@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
@@ -385,6 +384,9 @@ def run_ensemble(
     if workers == 1 or len(id_chunks) == 1:
         chunks = [_run_chunk(cfg, params, basis, spec, ids) for ids in id_chunks]
     else:
+        # a single-worker run never loads the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(workers, len(id_chunks))) as pool:
             futures = [
                 pool.submit(_run_chunk, cfg, params, basis, spec, ids) for ids in id_chunks

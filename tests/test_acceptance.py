@@ -46,6 +46,14 @@ class TestTraceQuadrature:
         assert abs(rule - reference) <= 1e-12 * abs(reference)
         assert gap <= 1e-13 * abs(rule)
 
+    def test_node_blocks_change_no_bit(self, params, basis, spec, monkeypatch):
+        # the integrand treats each node on its own, so handing it the nodes in
+        # blocks gives the rule and its gap exactly as one call per pass does
+        f = lambda s: convolution_trace_integrand(s, params, basis, spec)
+        blocked = _exp_sinh_integral(f)
+        monkeypatch.setattr(acceptance, "_NODE_BLOCK", 10**9)
+        assert _exp_sinh_integral(f) == blocked
+
     @pytest.mark.parametrize("horizon", [1.0, 40.0])
     def test_finite_horizon_matches_closed_form(self, params, basis, spec, horizon):
         # int_0^T f = int_0^inf [f(s) - f(s + T)] ds, both on the exp-sinh nodes

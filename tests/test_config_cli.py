@@ -20,6 +20,7 @@ from fhn_spectral.config import (
     load_config,
     merge_config,
 )
+from fhn_spectral.model import DCT_MIN_MODES
 
 
 class TestConfigValidation:
@@ -674,11 +675,16 @@ class TestCLI:
             "print(code, sorted(subpackages | {'fhn_spectral.acceptance'} & set(sys.modules)))\n"
         )
 
-    def test_simulate_does_not_import_stats_or_acceptance(self, tmp_path):
+    @pytest.mark.parametrize(
+        "n_modes,loaded",
+        [(8, "['scipy.special']"), (DCT_MIN_MODES, "['scipy.fft', 'scipy.special']")],
+    )
+    def test_simulate_does_not_import_stats_or_acceptance(self, tmp_path, n_modes, loaded):
         # scipy.stats is most of the CLI's start-up; only the KS comparison needs it.
-        # A constant-c run needs only the DCTs and ndtri: no scipy.linalg or scipy.integrate
-        line = self._simulate_modules(tmp_path, {"n_modes": 8, "n_grid": 16})
-        assert line == "0 ['scipy.fft', 'scipy.special']"
+        # A constant-c run needs ndtri, and scipy.fft only from DCT_MIN_MODES modes:
+        # no scipy.linalg or scipy.integrate
+        line = self._simulate_modules(tmp_path, {"n_modes": n_modes, "n_grid": 2 * n_modes})
+        assert line == f"0 {loaded}"
         assert (tmp_path / "sim" / "summary.json").exists()
 
     def test_variable_c_simulate_runs(self, tmp_path):
@@ -692,8 +698,10 @@ class TestCLI:
 
     def test_acceptance_does_not_import_stats(self):
         # criterion 9 takes its KS statistic from ergodics.ks_statistic and criterion 4
-        # integrates by its own exp-sinh rule, so none of these heavy subpackages loads
-        heavy = ("scipy.integrate", "scipy.linalg", "scipy.sparse", "scipy.optimize", "scipy.stats")
+        # integrates by its own exp-sinh rule, so none of these heavy subpackages loads;
+        # scipy.fft and the process pool load on first use
+        heavy = ("scipy.integrate", "scipy.linalg", "scipy.sparse", "scipy.optimize", "scipy.stats",
+                 "scipy.fft", "concurrent.futures.process")
         line = self._run_fresh(
             f"import sys\nimport fhn_spectral.acceptance\nprint([m for m in {heavy!r} if m in sys.modules])\n"
         )

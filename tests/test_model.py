@@ -157,7 +157,7 @@ class TestEigenbasis:
     @pytest.mark.parametrize("n", [DCT_MIN_MODES, 300, 1024])
     def test_mode_rows_are_the_cosine_table(self, n):
         # bitwise the full-table expression, in the check's 64-row blocks
-        # (300 ends on a partial block) and in one call
+        # (300 ends on a partial block), in one call
         params = ModelParams(n_modes=n, n_grid=2 * n)
         b = build_eigenbasis(params)
         k = np.arange(n)
@@ -168,6 +168,9 @@ class TestEigenbasis:
         assert blocks.shape == table.shape
         assert np.array_equal(blocks.view(np.int64), table.view(np.int64))
         assert np.array_equal(b.mode_rows(0, n).view(np.int64), table.view(np.int64))
+        # and in `eigen`'s blocks of 64 grid points
+        columns = [b.mode_rows(0, n, slice(s, s + 64)) for s in range(0, 2 * n, 64)]
+        assert np.array_equal(np.hstack(columns).view(np.int64), table.view(np.int64))
 
     def test_only_a_dct_basis_omits_its_table(self):
         # replace() recomputes dct, so a variable-c basis can never take the

@@ -14,7 +14,8 @@ alternates which side goes first.  It refuses to run when the two trees'
 ``perfbench/`` files differ, so both sides are measured by the same code.
 The output holds every run's result line and environment line, and per
 end-to-end metric of ``BENCHMARK.json`` each side's median and quartiles,
-the change/parent ratio of the medians, and how many pairs the change won.
+the change/parent ratio of the medians, how many pairs the change won and
+a ``verdict`` (see :func:`verdict`).
 """
 
 from __future__ import annotations
@@ -85,8 +86,37 @@ def quartiles(values: list[float]) -> dict[str, float]:
     return {"median": med, "q1": q1, "q3": q3, "iqr": q3 - q1}
 
 
+def pairs_won(parent: list[float], change: list[float], lower: bool) -> int:
+    """Pairs in which the change reads strictly better; ties count for neither side."""
+    return sum((c < p) if lower else (c > p) for p, c in zip(parent, change))
+
+
+def verdict(parent: list[float], change: list[float], lower: bool, bound: float) -> str:
+    """One metric's reading from paired runs, ``parent[i]`` paired with ``change[i]``.
+
+    ``gain``: the change won at least nine tenths of the pairs (ties count
+    for neither) and its median is better by more than the parent's IQR.
+    ``regression``: its median is worse by more than the relative ``bound``.
+    ``unresolved``: the parent's IQR is wider than ``bound`` of its median
+    and not every change run beats every parent run.  ``unchanged``: none
+    of these.
+    """
+    sign = 1.0 if lower else -1.0  # sign * (parent - change) > 0 where the change is better
+    p = quartiles(parent)
+    gap = sign * (p["median"] - quartiles(change)["median"])
+    if 10 * pairs_won(parent, change, lower) >= 9 * len(parent) and gap > p["iqr"]:
+        return "gain"
+    if -gap > bound * abs(p["median"]):
+        return "regression"
+    best_parent = min(parent) if lower else max(parent)
+    worst_change = max(change) if lower else min(change)
+    if p["iqr"] > bound * abs(p["median"]) and not sign * (best_parent - worst_change) > 0:
+        return "unresolved"
+    return "unchanged"
+
+
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per metric: each side's quartiles, the median ratio and the pairs won."""
+    """Per metric: each side's quartiles, the median ratio, the pairs won and the verdict."""
     out = {}
     for metric in metrics:
         name, lower = metric["name"], metric["better"] == "lower"
@@ -94,7 +124,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             s: [r["result"]["metrics"][name]["value"] for r in runs if r["side"] == s]
             for s in ("parent", "change")
         }
-        won = sum((c < p) if lower else (c > p) for p, c in zip(side["parent"], side["change"]))
+        won = pairs_won(side["parent"], side["change"], lower)
         parent, change = quartiles(side["parent"]), quartiles(side["change"])
         out[name] = {
             "better": metric["better"],
@@ -104,6 +134,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             "ratio": change["median"] / parent["median"],
             "change_won_pairs": won,
             "pairs": len(side["parent"]),
+            "verdict": verdict(side["parent"], side["change"], lower, metric["bound"]),
         }
     out["failed"] = {
         s: sum(r["result"]["failed"] for r in runs if r["side"] == s) for s in ("parent", "change")
