@@ -132,8 +132,9 @@ def _exp_sinh_integral(f: Callable[[np.ndarray], np.ndarray]) -> tuple[float, fl
     return estimate, gap
 
 
-def _default_setup(master_seed: int, **overrides):
-    params = ModelParams(**overrides) if overrides else ModelParams()
+def _default_setup(**overrides):
+    """The model with ``overrides``, its eigenbasis and the default power-law noise."""
+    params = ModelParams(**overrides)
     basis = build_eigenbasis(params)
     spec = NoiseSpec.power_law(params.n_modes)
     return params, basis, spec
@@ -177,7 +178,7 @@ def criterion_1_drift_identities(quick: bool, master_seed: int) -> dict:
 
 def criterion_2_monotonicity(quick: bool, master_seed: int) -> dict:
     """<F_eta(x)-F_eta(y), x-y>_H <= 0 and nonpositivity of f'_{eta,eps}."""
-    params, basis, _ = _default_setup(master_seed)
+    params, basis, _ = _default_setup()
     rng = np.random.default_rng(master_seed + 2)
     n_pairs = 10**3 if quick else 10**4
     dp = DriftParams(params.xi1)
@@ -203,7 +204,7 @@ def criterion_2_monotonicity(quick: bool, master_seed: int) -> dict:
 
 def criterion_3_dissipativity(quick: bool, master_seed: int) -> dict:
     """<A_eta x, x>_H <= -omega1 |x|_H^2 and <= -omega2 |x|_V^2 on random states."""
-    params, basis, _ = _default_setup(master_seed)
+    params, basis, _ = _default_setup()
     rng = np.random.default_rng(master_seed + 3)
     n_states = 10**3 if quick else 10**4
     dc = params.derived()
@@ -228,7 +229,7 @@ def criterion_3_dissipativity(quick: bool, master_seed: int) -> dict:
 
 def criterion_4_trace(quick: bool, master_seed: int) -> dict:
     """Exp-sinh quadrature of the convolution trace integral vs closed form (1e-8 relative) and bound."""
-    params, basis, spec = _default_setup(master_seed)
+    params, basis, spec = _default_setup()
     closed = convolution_trace_integral(params, basis, spec, horizon=None)
     numeric, quad_err = _exp_sinh_integral(
         lambda s: convolution_trace_integrand(s, params, basis, spec)
@@ -246,7 +247,7 @@ def criterion_4_trace(quick: bool, master_seed: int) -> dict:
 
 def criterion_5_linear_oracle(quick: bool, master_seed: int) -> dict:
     """Empirical stationary per-mode covariance vs the Lyapunov solution."""
-    params, basis, spec = _default_setup(master_seed)
+    params, basis, spec = _default_setup()
     target = stationary_mode_covariances(params, basis, spec, shifted=True)
     n_paths = 128 if quick else 256
     horizon = 80.0 if quick else 150.0
@@ -269,7 +270,7 @@ def criterion_5_linear_oracle(quick: bool, master_seed: int) -> dict:
 
 def criterion_6_contraction(quick: bool, master_seed: int) -> dict:
     """Shared-noise coupling: envelope, fitted exponent, and fit quality."""
-    params, basis, spec = _default_setup(master_seed)
+    params, basis, spec = _default_setup()
     omega = params.derived().omega
     n = basis.n_modes
     u = np.zeros(n)
@@ -294,7 +295,7 @@ def criterion_6_contraction(quick: bool, master_seed: int) -> dict:
 
 def criterion_7_eps_convergence(quick: bool, master_seed: int) -> dict:
     """Order of the shared-noise distance between regularization levels."""
-    params, basis, spec = _default_setup(master_seed)
+    params, basis, spec = _default_setup()
     xi = basis.xi
     x0 = StateH.from_grid(2.0 * np.cos(math.pi * xi), np.zeros_like(xi), basis)
     n_paths = 16 if quick else 48
@@ -323,7 +324,7 @@ def criterion_8_moment_bound(quick: bool, master_seed: int) -> dict:
     measured on the pooled batches, whose size is chosen so the estimator
     noise sits well below the 5% threshold.
     """
-    params, basis, spec = _default_setup(master_seed)
+    params, basis, spec = _default_setup()
     omega1 = params.derived().omega1
     n = basis.n_modes
     u = np.zeros(n)
@@ -376,9 +377,7 @@ def criterion_8_moment_bound(quick: bool, master_seed: int) -> dict:
 def criterion_9_invariant_construction(quick: bool, master_seed: int) -> dict:
     """Backward-ladder Cauchy decay plus two-start distribution equality."""
     # slow-mixing parameters keep the deepest rung above the fp floor
-    params = ModelParams(alpha=0.12, p_profile=0.26)
-    basis = build_eigenbasis(params)
-    spec = NoiseSpec.power_law(params.n_modes)
+    params, basis, spec = _default_setup(alpha=0.12, p_profile=0.26)
     n_paths = 16 if quick else 48
     dt = 2e-3 if quick else 1e-3
     cfg = TrajectoryConfig(T=1.0, dt=dt, master_seed=master_seed + 9)
@@ -389,9 +388,7 @@ def criterion_9_invariant_construction(quick: bool, master_seed: int) -> dict:
     ) / max(report.second_moment[40.0], 1e-300)
 
     # strongly dissipative configuration so burn-in >= 5/omega stays cheap
-    ks_params = ModelParams(p_profile=0.85)
-    ks_basis = build_eigenbasis(ks_params)
-    ks_spec = NoiseSpec.power_law(ks_params.n_modes)
+    ks_params, ks_basis, ks_spec = _default_setup(p_profile=0.85)
     burn = 5.0 / ks_params.derived().omega
     horizon = math.ceil(burn) + 3.0
     n_ks = 64 if quick else 128
@@ -432,7 +429,7 @@ def criterion_9_invariant_construction(quick: bool, master_seed: int) -> dict:
 
 def criterion_10_semigroup_limit(quick: bool, master_seed: int) -> dict:
     """P_t phi(x) becomes independent of x: two far starts at t = 40."""
-    params, basis, spec = _default_setup(master_seed)
+    params, basis, spec = _default_setup()
     n = basis.n_modes
     x1 = StateH.zero(n)
     u = np.zeros(n)
@@ -477,9 +474,7 @@ def criterion_10_semigroup_limit(quick: bool, master_seed: int) -> dict:
 def criterion_11_dynkin(quick: bool, master_seed: int) -> dict:
     """Dynkin identity for the exact OU reference and the full cubic drift."""
     # gamma = 1: the weighted trace term matches the simulated noise exactly
-    params = ModelParams(gamma=1.0)
-    basis = build_eigenbasis(params)
-    spec = NoiseSpec.power_law(params.n_modes)
+    params, basis, spec = _default_setup(gamma=1.0)
     n = basis.n_modes
     n_paths = 96 if quick else 256
     details: dict = {"n_paths": n_paths, "gamma": params.gamma}

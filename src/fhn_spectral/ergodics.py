@@ -31,6 +31,7 @@ from .solver import (
     RECORD_ENDPOINTS,
     Ensemble,
     TrajectoryConfig,
+    _batch_columns,
     _is_record_step,
     _require_se_paths,
     _simulate_batch,
@@ -220,20 +221,8 @@ def empirical_mode_covariances(
         acc[:, 1, 1] += (w * w).sum(axis=0)
         count += state.shape[0]
 
-    _simulate_batch(
-        params,
-        basis,
-        spec,
-        dt=cfg.dt,
-        n_steps=cfg.n_steps,
-        start_interval=cfg.start_interval,
-        x0=np.broadcast_to(_x0_array(cfg, n), (n_paths, n, 2)),
-        drift=cfg.drift,
-        eps_by_col=np.full(n_paths, cfg.eps),
-        master_seed=cfg.master_seed,
-        path_ids=cfg.path_id + np.arange(n_paths),
-        on_step=on_step,
-    )
+    path_ids = cfg.path_id + np.arange(n_paths)
+    _simulate_batch(params, basis, spec, **_batch_columns(cfg, basis, path_ids), on_step=on_step)
     if count == 0:
         raise ValueError("burn-in leaves no samples; extend T or shrink burn_in")
     acc /= count
@@ -319,20 +308,8 @@ def estimate_invariant_measure(
         if _is_record_step(i, long_cfg.n_steps, long_cfg.record_every):
             samples.append(state[0].copy())
 
-    n = basis.n_modes
     _simulate_batch(
-        params,
-        basis,
-        spec,
-        dt=dt,
-        n_steps=long_cfg.n_steps,
-        start_interval=long_cfg.start_interval,
-        x0=np.broadcast_to(_x0_array(cfg, n), (1, n, 2)),
-        drift=cfg.drift,
-        eps_by_col=np.full(1, cfg.eps),
-        master_seed=cfg.master_seed,
-        path_ids=[cfg.path_id],
-        on_step=on_step,
+        params, basis, spec, **_batch_columns(long_cfg, basis, [cfg.path_id]), on_step=on_step
     )
     # the trailing n_time_samples samples all sit past the burn-in window
     states_t = np.stack(samples[-n_time_samples:])

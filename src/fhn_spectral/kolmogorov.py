@@ -33,6 +33,7 @@ from .noise import NoiseSpec, build_ou_kernel
 from .solver import (
     DRIFT_MODES,
     TrajectoryConfig,
+    _batch_columns,
     _require_se_paths,
     _simulate_batch,
     _x0_array,
@@ -166,8 +167,7 @@ def dynkin_residual(
     phi(X_t) - int N0 phi ds.
     """
     _require_se_paths(n_paths)
-    n = basis.n_modes
-    x0 = _x0_array(cfg, n)
+    x0 = _x0_array(cfg, basis.n_modes)
     phi0 = float(np.exp(h.pairing(x0[None, :, 0], x0[None, :, 1])[0]))
     if cfg.n_steps == 0:
         return DynkinReport(
@@ -194,20 +194,8 @@ def dynkin_residual(
         if i == cfg.n_steps:
             terminal_phi[:] = phi
 
-    _simulate_batch(
-        params,
-        basis,
-        spec,
-        dt=cfg.dt,
-        n_steps=cfg.n_steps,
-        start_interval=cfg.start_interval,
-        x0=np.broadcast_to(x0, (n_paths, n, 2)),
-        drift=cfg.drift,
-        eps_by_col=np.full(n_paths, cfg.eps),
-        master_seed=cfg.master_seed,
-        path_ids=cfg.path_id + np.arange(n_paths),
-        on_step=on_step,
-    )
+    path_ids = cfg.path_id + np.arange(n_paths)
+    _simulate_batch(params, basis, spec, **_batch_columns(cfg, basis, path_ids), on_step=on_step)
     ok = ~overflow
     n_ok = int(ok.sum())
     if n_ok < 2:

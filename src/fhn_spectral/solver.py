@@ -17,11 +17,16 @@ Kolmogorov test harnesses.
 
 Paths are vectorized; each path owns a counter-based noise stream, and
 ensembles run in fixed-size chunks, so an ensemble's output does not
-depend on the worker count.  Every spectral<->grid transform goes through
-``EigenBasis.to_grid``/``to_coeffs``.  A constant-c basis with at least
-``DCT_MIN_MODES`` modes transforms by row-local DCTs, so there a path's
-bits do not depend on the batch it runs in; smaller bases use matmuls,
-whose rounding can depend on the batch shape.
+depend on the worker count.  ``_batch_columns`` is the one place a run
+description becomes the integrator's columns: every caller of
+``_simulate_batch`` takes its step, horizon, start, drift, seed, initial
+states and eps column from there.
+
+Every spectral<->grid transform goes through ``EigenBasis.to_grid``/
+``to_coeffs``.  A constant-c basis with at least ``DCT_MIN_MODES`` modes
+transforms by row-local DCTs, so there a path's bits do not depend on
+the batch it runs in; smaller bases use matmuls, whose rounding can
+depend on the batch shape.
 """
 
 from __future__ import annotations
@@ -305,6 +310,29 @@ def _x0_array(cfg: TrajectoryConfig, n_modes: int) -> np.ndarray:
     return cfg.x0.as_array()
 
 
+def _batch_columns(
+    cfg: TrajectoryConfig,
+    basis: EigenBasis,
+    path_ids: Sequence[int],
+    *,
+    x0: np.ndarray | None = None,
+    eps_by_col: np.ndarray | None = None,
+) -> dict:
+    """``_simulate_batch`` keywords that run ``cfg`` with one column per entry of ``path_ids``.
+
+    Every column starts from ``cfg.x0`` at ``cfg.eps`` unless ``x0`` (B, N, 2)
+    or ``eps_by_col`` (B,) says otherwise.
+    """
+    path_ids = np.asarray(path_ids)
+    b, n = path_ids.size, basis.n_modes
+    return dict(
+        dt=cfg.dt, n_steps=cfg.n_steps, start_interval=cfg.start_interval, drift=cfg.drift,
+        master_seed=cfg.master_seed, path_ids=path_ids,
+        x0=np.broadcast_to(_x0_array(cfg, n), (b, n, 2)) if x0 is None else x0,
+        eps_by_col=np.full(b, cfg.eps) if eps_by_col is None else eps_by_col,
+    )
+
+
 def _run_chunk(
     cfg: TrajectoryConfig,
     params: ModelParams,
@@ -313,7 +341,6 @@ def _run_chunk(
     path_ids: Sequence[int],
 ) -> Ensemble:
     """One chunk of ``run_ensemble``, with the H and V norms recorded at record steps."""
-    n = basis.n_modes
     times: list[float] = []
     h: list[np.ndarray] = []
     v: list[np.ndarray] = []
@@ -325,18 +352,7 @@ def _run_chunk(
             v.append(norm_V_sq_arrays(x[..., 0], x[..., 1], params, basis))
 
     terminal = _simulate_batch(
-        params,
-        basis,
-        spec,
-        dt=cfg.dt,
-        n_steps=cfg.n_steps,
-        start_interval=cfg.start_interval,
-        x0=np.broadcast_to(_x0_array(cfg, n), (len(path_ids), n, 2)),
-        drift=cfg.drift,
-        eps_by_col=np.full(len(path_ids), cfg.eps),
-        master_seed=cfg.master_seed,
-        path_ids=path_ids,
-        on_step=record,
+        params, basis, spec, **_batch_columns(cfg, basis, path_ids), on_step=record
     )
     return Ensemble(
         path_ids=np.asarray(path_ids),
@@ -452,8 +468,7 @@ def coupled_run(
     """
     n = basis.n_modes
     omega = params.derived().omega
-    b = 2 * n_paths
-    x0 = np.empty((b, n, 2))
+    x0 = np.empty((2 * n_paths, n, 2))
     x0[:n_paths] = _x0_array(cfg, n)
     x0[n_paths:] = x_bar.as_array()
 
@@ -468,19 +483,9 @@ def coupled_run(
         rec_times.append(t)
         deltas.append(norm_H_sq_arrays(du, dw, params.gamma))
 
+    path_ids = np.tile(cfg.path_id + np.arange(n_paths), 2)
     _simulate_batch(
-        params,
-        basis,
-        spec,
-        dt=cfg.dt,
-        n_steps=cfg.n_steps,
-        start_interval=cfg.start_interval,
-        x0=x0,
-        drift=cfg.drift,
-        eps_by_col=np.full(b, cfg.eps),
-        master_seed=cfg.master_seed,
-        path_ids=np.tile(cfg.path_id + np.arange(n_paths), 2),
-        on_step=on_step,
+        params, basis, spec, **_batch_columns(cfg, basis, path_ids, x0=x0), on_step=on_step
     )
     times = np.array(rec_times)
     delta_sq = np.stack(deltas, axis=1)  # (P, R)
@@ -549,8 +554,11 @@ def eps_convergence_study(
     path, so differences contain no Monte Carlo noise beyond the shared
     trajectory itself.  Also accumulates the time integral of
     |F_{eta,eps}(X_eps)|_H^2, the a-priori bounded statistic from the
-    existence proof.
+    existence proof.  Only the cubic drift ``fhn`` has an eps family;
+    ``cfg.eps`` is not read.
     """
+    if cfg.drift != "fhn":
+        raise ValueError(f"run.drift={cfg.drift!r}: only the cubic drift 'fhn' has an eps family")
     _require_se_paths(n_paths)
     ladder = np.asarray(sorted(set(float(e) for e in eps_ladder), reverse=True))
     if ladder.size == 0 or ladder.min() <= 0:
@@ -562,9 +570,6 @@ def eps_convergence_study(
         (int(np.nonzero(eps_values == e)[0][0]), int(np.nonzero(eps_values == e / 2.0)[0][0]))
         for e in ladder
     ]
-
-    x0 = np.broadcast_to(_x0_array(cfg, n), (n_paths * e_count, n, 2))
-    eps_by_col = np.tile(eps_values, n_paths)
 
     sup_sq = np.zeros((n_paths, len(pair_idx)))
     f_int = np.zeros(e_count)
@@ -584,18 +589,10 @@ def eps_convergence_study(
                 fe = grid_drift(ug, dps[e_i], "eta_eps")
                 f_int[e_i] += cfg.dt * params.gamma * h * float((fe * fe).sum()) / n_paths
 
+    path_ids = np.repeat(cfg.path_id + np.arange(n_paths), e_count)
+    eps_by_col = np.tile(eps_values, n_paths)
     _simulate_batch(
-        params,
-        basis,
-        spec,
-        dt=cfg.dt,
-        n_steps=cfg.n_steps,
-        start_interval=cfg.start_interval,
-        x0=x0,
-        drift="fhn",
-        eps_by_col=eps_by_col,
-        master_seed=cfg.master_seed,
-        path_ids=np.repeat(cfg.path_id + np.arange(n_paths), e_count),
+        params, basis, spec, **_batch_columns(cfg, basis, path_ids, eps_by_col=eps_by_col),
         on_step=on_step,
     )
     dist = sup_sq.mean(axis=0)

@@ -722,6 +722,26 @@ class TestCLI:
         assert not simulated
         assert not (tmp_path / "o" / "covariances.csv").exists()
 
+    @pytest.mark.parametrize("drift", ["linear", "linear_eta"])
+    def test_convergence_without_cubic_drift_is_config_error(
+        self, tmp_path, capsys, monkeypatch, drift
+    ):
+        # only the cubic has an eps family: another drift must not run the cubic
+        # under its name, and is refused before any path is simulated
+        from fhn_spectral import solver
+
+        simulated = []
+        monkeypatch.setattr(solver, "_simulate_batch", lambda *a, **kw: simulated.append(a))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"run": {"T": 0.01, "drift": drift}, "paths": 2}))
+        rc = main(["convergence", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"run.drift={drift!r}" in err
+        assert "Traceback" not in err
+        assert not simulated
+        assert not (tmp_path / "o" / "distances.csv").exists()
+
     def test_linear_oracle_subcommand(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(

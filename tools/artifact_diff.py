@@ -8,10 +8,12 @@ Both trees are laid out the way ``bench_pairs.py`` lays them out: the
 parent from ``git archive REV``, the change from the working tree's tracked
 and unignored files.  Each tree runs the inputs in ``CONFIGS`` (``eigen``
 with the default config, the eight experiment subcommands with small fixed
-configs, and ``eigen`` and ``simulate`` on a 256-mode basis, which
-transforms by DCT) and ``acceptance --quick``, all with one BLAS thread.  The parent always
-runs with one worker; ``--workers`` sets ``FHN_SPECTRAL_WORKERS`` for the
-change, so a worker count that moves a byte shows up too.  Each tree also
+configs, ``couple``, ``dynkin`` and ``linear-oracle`` again with a start
+time and eps off their defaults, and ``eigen`` and ``simulate`` on a
+256-mode basis, which transforms by DCT) and ``acceptance --quick``, all
+with one BLAS thread.  The parent always runs with one worker;
+``--workers`` sets ``FHN_SPECTRAL_WORKERS`` for the change, so a worker
+count that moves a byte shows up too.  Each tree also
 runs the inputs in ``REJECTED`` and records each one's exit code and first
 stderr line in ``rejected/<name>.txt``, so a move in the error contract
 shows up like a moved artifact.
@@ -81,6 +83,22 @@ CONFIGS: dict[str, tuple[str, dict]] = {
         "dynkin": {"h_u": [[0, 0.4], [1, 0.3]]},
         "master_seed": 6, "paths": 16,
     }),
+    # start times and eps off their defaults, so every field a run description
+    # forwards to the integrator is exercised
+    "couple-offset": ("couple", {
+        "run": {"T": 0.4, "record_every": 20, "start_time": -0.2, "eps": 0.1},
+        "master_seed": 13, "paths": 2,
+    }),
+    "dynkin-offset": ("dynkin", {
+        "model": {"gamma": 1.0},
+        "run": {"T": 0.2, "start_time": -0.3, "eps": 0.1},
+        "master_seed": 14, "paths": 8,
+    }),
+    "linear-oracle-offset": ("linear-oracle", {
+        "run": {"T": 20.0, "dt": 0.05, "drift": "linear_eta", "start_time": -5.0},
+        "linear_oracle": {"burn_in": 10.0},
+        "master_seed": 15, "paths": 16,
+    }),
     # a DCT basis: no mode table is stored, its rows are evaluated in blocks
     "eigen-dct": ("eigen", {"model": {"n_modes": 256, "n_grid": 512}}),
     "simulate-dct": ("simulate", {
@@ -105,6 +123,10 @@ REJECTED: dict[str, tuple[list[str], dict]] = {
     ),
     # the defaults: linear_oracle.burn_in 50 is past run.T 1
     "burn-in-past-T": (["linear-oracle", "--paths", "2"], {}),
+    # only the cubic drift has an eps family
+    "convergence-linear-drift": (
+        ["convergence"], {"run": {"T": 0.01, "drift": "linear"}, "paths": 2},
+    ),
 }
 
 
