@@ -53,6 +53,7 @@ _EIGEN_BLOCK = 64
 
 def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[float]]) -> None:
     fmt = "{:.17g}".format
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         fh.write(",".join(header) + "\n")
         for row in rows:
@@ -60,6 +61,7 @@ def write_csv(path: Path, header: Sequence[str], rows: Iterable[Sequence[float]]
 
 
 def write_json(path: Path, payload: dict[str, Any]) -> None:
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -82,8 +84,11 @@ def _load(args: argparse.Namespace) -> dict[str, Any]:
 
 
 def _out_dir(args: argparse.Namespace, name: str) -> Path:
+    """The output directory; the first artifact written creates it, so a failed run leaves none."""
     out = Path(args.out) if args.out else Path(f"out-{name}")
-    out.mkdir(parents=True, exist_ok=True)
+    nearest = next(p for p in (out, *out.parents) if p.exists())
+    if not nearest.is_dir():
+        raise NotADirectoryError(f"--out {out}: {nearest} is not a directory")
     return out
 
 

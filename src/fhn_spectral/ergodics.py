@@ -32,7 +32,6 @@ from .solver import (
     Ensemble,
     TrajectoryConfig,
     _batch_columns,
-    _is_record_step,
     _require_se_paths,
     _simulate_batch,
     _steps_from,
@@ -250,7 +249,6 @@ class EmpiricalMeasure:
     """Empirical invariant-measure evidence from one long and many short runs."""
 
     burn_in: float
-    spacing: float
     functionals: dict[str, FunctionalHistogram]
     states_time_avg: np.ndarray      # (n, N, 2) subsampled long-run states
     states_ensemble: np.ndarray      # (n_ensemble, N, 2) terminal states
@@ -305,11 +303,11 @@ def estimate_invariant_measure(
     samples: list[np.ndarray] = []
 
     def on_step(i: int, t: float, state: np.ndarray) -> None:
-        if _is_record_step(i, long_cfg.n_steps, long_cfg.record_every):
-            samples.append(state[0].copy())
+        samples.append(state[0].copy())
 
     _simulate_batch(
-        params, basis, spec, **_batch_columns(long_cfg, basis, [cfg.path_id]), on_step=on_step
+        params, basis, spec, **_batch_columns(long_cfg, basis, [cfg.path_id]), on_step=on_step,
+        record_every=long_cfg.record_every,
     )
     # the trailing n_time_samples samples all sit past the burn-in window
     states_t = np.stack(samples[-n_time_samples:])
@@ -352,7 +350,6 @@ def estimate_invariant_measure(
         )
     return EmpiricalMeasure(
         burn_in=burn_in,
-        spacing=spacing,
         functionals=out,
         states_time_avg=states_t,
         states_ensemble=states_e,

@@ -161,7 +161,6 @@ class OUKernel:
     """
 
     dt: float
-    shifted: bool
     transition: np.ndarray
     phi1: np.ndarray
     cov: np.ndarray
@@ -311,7 +310,7 @@ def build_ou_kernel(
         cov = -(fs + np.swapaxes(fs, -1, -2) + fs @ np.swapaxes(em1, -1, -2))
         cov[:, 1, 0] = cov[:, 0, 1]
     factor = _psd_sqrt(cov)
-    return OUKernel(dt=dt, shifted=shifted, transition=transition, phi1=phi1, cov=cov, factor=factor)
+    return OUKernel(dt=dt, transition=transition, phi1=phi1, cov=cov, factor=factor)
 
 
 def stationary_mode_covariances(

@@ -165,6 +165,7 @@ def _simulate_batch(
     master_seed: int,
     path_ids: Sequence[int],     # (B,) columns with equal ids share one noise path
     on_step: Callable[[int, float, np.ndarray], None] | None = None,
+    record_every: int = 1,
 ) -> np.ndarray:
     """The integrator: advance B columns for n_steps, return the terminal (B, N, 2) state.
 
@@ -175,7 +176,7 @@ def _simulate_batch(
     the layout.  Each distinct path id owns one counter-based noise stream,
     drawn once per interval.  ``on_step(i, t, state)`` observes the state
     after step i (i = 0 is the initial state) through a read-only (B, N, 2)
-    view.
+    view, at the record steps of ``record_every`` (every step by default).
     """
     b, n = x0.shape[0], x0.shape[1]
     path_ids = np.asarray(path_ids)
@@ -228,7 +229,7 @@ def _simulate_batch(
         return xn
 
     def observe(i: int, x: np.ndarray) -> None:
-        if on_step is not None:
+        if on_step is not None and _is_record_step(i, n_steps, record_every):
             view = x.transpose(0, 2, 1)
             view.flags.writeable = False
             on_step(i, (start_interval + i) * dt, view)
@@ -346,13 +347,13 @@ def _run_chunk(
     v: list[np.ndarray] = []
 
     def record(i: int, t: float, x: np.ndarray) -> None:
-        if _is_record_step(i, cfg.n_steps, cfg.record_every):
-            times.append(t)
-            h.append(norm_H_sq_arrays(x[..., 0], x[..., 1], params.gamma))
-            v.append(norm_V_sq_arrays(x[..., 0], x[..., 1], params, basis))
+        times.append(t)
+        h.append(norm_H_sq_arrays(x[..., 0], x[..., 1], params.gamma))
+        v.append(norm_V_sq_arrays(x[..., 0], x[..., 1], params, basis))
 
     terminal = _simulate_batch(
-        params, basis, spec, **_batch_columns(cfg, basis, path_ids), on_step=record
+        params, basis, spec, **_batch_columns(cfg, basis, path_ids), on_step=record,
+        record_every=cfg.record_every,
     )
     return Ensemble(
         path_ids=np.asarray(path_ids),
@@ -476,8 +477,6 @@ def coupled_run(
     deltas: list[np.ndarray] = []
 
     def on_step(i: int, t: float, state: np.ndarray) -> None:
-        if not _is_record_step(i, cfg.n_steps, cfg.record_every):
-            return
         du = state[:n_paths, :, 0] - state[n_paths:, :, 0]
         dw = state[:n_paths, :, 1] - state[n_paths:, :, 1]
         rec_times.append(t)
@@ -485,7 +484,8 @@ def coupled_run(
 
     path_ids = np.tile(cfg.path_id + np.arange(n_paths), 2)
     _simulate_batch(
-        params, basis, spec, **_batch_columns(cfg, basis, path_ids, x0=x0), on_step=on_step
+        params, basis, spec, **_batch_columns(cfg, basis, path_ids, x0=x0), on_step=on_step,
+        record_every=cfg.record_every,
     )
     times = np.array(rec_times)
     delta_sq = np.stack(deltas, axis=1)  # (P, R)
@@ -535,7 +535,6 @@ class EpsConvergenceReport:
     distance: np.ndarray
     distance_se: np.ndarray
     slope: float
-    intercept: float
     r2: float
     f_eps_integral: dict[float, float]
 
@@ -554,11 +553,13 @@ def eps_convergence_study(
     path, so differences contain no Monte Carlo noise beyond the shared
     trajectory itself.  Also accumulates the time integral of
     |F_{eta,eps}(X_eps)|_H^2, the a-priori bounded statistic from the
-    existence proof.  Only the cubic drift ``fhn`` has an eps family;
-    ``cfg.eps`` is not read.
+    existence proof.  Only the cubic drift ``fhn`` has an eps family, and
+    the ladder sets every column's eps, so ``cfg.eps`` must stay 0.
     """
     if cfg.drift != "fhn":
         raise ValueError(f"run.drift={cfg.drift!r}: only the cubic drift 'fhn' has an eps family")
+    if cfg.eps != 0:
+        raise ValueError(f"run.eps={cfg.eps!r}: convergence.eps_ladder sets every eps; use 0")
     _require_se_paths(n_paths)
     ladder = np.asarray(sorted(set(float(e) for e in eps_ladder), reverse=True))
     if ladder.size == 0 or ladder.min() <= 0:
@@ -599,15 +600,14 @@ def eps_convergence_study(
     dist_se = sup_sq.std(axis=0, ddof=1) / math.sqrt(n_paths)
     good = dist > 0
     if good.sum() >= 2:
-        intercept, slope, r2 = _ols_line(np.log(ladder[good]), np.log(dist[good]))
+        _, slope, r2 = _ols_line(np.log(ladder[good]), np.log(dist[good]))
     else:
-        intercept, slope, r2 = math.nan, math.nan, math.nan
+        slope, r2 = math.nan, math.nan
     return EpsConvergenceReport(
         eps_ladder=ladder,
         distance=dist,
         distance_se=dist_se,
         slope=slope,
-        intercept=intercept,
         r2=r2,
         f_eps_integral={float(e): float(v) for e, v in zip(eps_values, f_int)},
     )
@@ -622,7 +622,6 @@ class BackwardReport:
     ladder levels must decay exponentially in the smaller offset.
     """
 
-    ladder: np.ndarray
     terminal: dict[float, np.ndarray]       # lambda -> (P, N, 2)
     second_moment: dict[float, float]       # lambda -> E|X_lambda(0)|_H^2
     distances: dict[tuple[float, float], float]
@@ -687,7 +686,6 @@ def backward_run(
     envelope = {lam: (2.0 * tq * lam + x0_sq) * math.exp(-2.0 * omega * lam) for lam in ladder}
     env_const = max(second[lam] - envelope[lam] for lam in ladder)
     return BackwardReport(
-        ladder=np.array(ladder),
         terminal=terminal,
         second_moment=second,
         distances=distances,

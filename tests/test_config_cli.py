@@ -515,6 +515,7 @@ class TestCLI:
         assert float(found[1]) == approx(0.5 * 1e14)  # gamma |u_hat_0|^2 at the default gamma
         assert int(found[2]) > 4096
         assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
 
     def test_dynkin_direction_out_of_range_is_config_error(self, tmp_path, capsys):
         # |<x,h>_H| leaves the exponent's range on every path
@@ -720,7 +721,7 @@ class TestCLI:
         assert "linear_oracle.burn_in: 50 " in err and "run.T=1;" in err
         assert "Traceback" not in err
         assert not simulated
-        assert not (tmp_path / "o" / "covariances.csv").exists()
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("drift", ["linear", "linear_eta"])
     def test_convergence_without_cubic_drift_is_config_error(
@@ -740,7 +741,47 @@ class TestCLI:
         assert f"run.drift={drift!r}" in err
         assert "Traceback" not in err
         assert not simulated
-        assert not (tmp_path / "o" / "distances.csv").exists()
+        assert not (tmp_path / "o").exists()
+
+    def test_convergence_with_run_eps_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # the ladder sets every column's eps: a run.eps the study would not read is refused
+        from fhn_spectral import solver
+
+        simulated = []
+        monkeypatch.setattr(solver, "_simulate_batch", lambda *a, **kw: simulated.append(a))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"run": {"T": 0.01, "eps": 0.3}, "paths": 2}))
+        rc = main(["convergence", "--config", str(cfg), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "run.eps=0.3" in err and "convergence.eps_ladder" in err
+        assert "Traceback" not in err
+        assert not simulated
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("out", ["o", "o/sub"])
+    def test_out_under_a_file_is_config_error(self, tmp_path, capsys, monkeypatch, out):
+        # the directory is made at the first write, so a file in its way is refused up front
+        from fhn_spectral import solver
+
+        simulated = []
+        monkeypatch.setattr(solver, "_simulate_batch", lambda *a, **kw: simulated.append(a))
+        (tmp_path / "o").write_text("kept")
+        rc = main(["simulate", "--paths", "1", "--out", str(tmp_path / out)])
+        assert rc == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'o'} is not a directory" in err and "Traceback" not in err
+        assert not simulated
+        assert (tmp_path / "o").read_text() == "kept"
+
+    def test_failed_run_keeps_an_existing_out(self, tmp_path, capsys):
+        # a run that fails after its config loads leaves a directory it did not make as it was
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "earlier.txt").write_text("kept")
+        rc = main(["linear-oracle", "--paths", "2", "--out", str(out)])
+        assert rc == EXIT_CONFIG
+        assert [p.name for p in out.iterdir()] == ["earlier.txt"]
 
     def test_linear_oracle_subcommand(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -90,6 +90,22 @@ class TestStepAndIntegrate:
         assert rec.h_norm_sq.shape == rec.v_norm_sq.shape == (1, rec.times.size)
         assert np.isfinite(rec.h_norm_sq).all() and np.isfinite(rec.v_norm_sq).all()
 
+    @pytest.mark.parametrize(
+        "record_every,steps",
+        [(7, [0, 7, 14, 20]), (RECORD_ENDPOINTS, [0, 20]), (None, list(range(21)))],
+    )
+    def test_observer_sees_only_record_steps(self, params, basis, spec, record_every, steps):
+        # the integrator applies the record rule; None leaves the default of every step
+        seen = []
+        kwargs = {} if record_every is None else {"record_every": record_every}
+        _simulate_batch(
+            params, basis, spec, dt=1e-3, n_steps=20, start_interval=0,
+            x0=np.zeros((2, basis.n_modes, 2)), drift="fhn", eps_by_col=np.zeros(2),
+            master_seed=0, path_ids=np.arange(2),
+            on_step=lambda i, t, state: seen.append((i, t)), **kwargs,
+        )
+        assert seen == [(i, i * 1e-3) for i in steps]
+
     def test_blow_up_raises(self, params, basis, zero_spec):
         n = basis.n_modes
         x0 = StateH(np.full(n, 1e6), np.zeros(n))

@@ -14,9 +14,10 @@ time and eps off their defaults, and ``eigen`` and ``simulate`` on a
 with one BLAS thread.  The parent always runs with one worker;
 ``--workers`` sets ``FHN_SPECTRAL_WORKERS`` for the change, so a worker
 count that moves a byte shows up too.  Each tree also
-runs the inputs in ``REJECTED`` and records each one's exit code and first
-stderr line in ``rejected/<name>.txt``, so a move in the error contract
-shows up like a moved artifact.
+runs the inputs in ``REJECTED`` and records each one's exit code, first
+stderr line and whether it left its ``--out`` directory behind in
+``rejected/<name>.txt``, so a move in the error contract shows up like a
+moved artifact.
 
 The script prints every output file that is missing on one side or
 differs, and for a ``rejected/`` file both sides' contents.  For a
@@ -127,6 +128,8 @@ REJECTED: dict[str, tuple[list[str], dict]] = {
     "convergence-linear-drift": (
         ["convergence"], {"run": {"T": 0.01, "drift": "linear"}, "paths": 2},
     ),
+    # the ladder sets every column's eps
+    "convergence-run-eps": (["convergence"], {"run": {"T": 0.01, "eps": 0.3}, "paths": 2}),
 }
 
 
@@ -154,8 +157,10 @@ def run_tree(tree: Path, out: Path, workers: int) -> None:
         cfg_path = tree / f"artifact-diff-rejected-{name}.json"
         cfg_path.write_text(json.dumps(cfg))
         # what a run that is not rejected writes stays out of the comparison
-        argv = [*args, "--config", str(cfg_path), "--out", str(tree / f"out-rejected-{name}")]
-        (out / "rejected" / f"{name}.txt").write_text(run_cli(tree, argv, workers, check=False))
+        out_dir = tree / f"out-rejected-{name}"
+        argv = [*args, "--config", str(cfg_path), "--out", str(out_dir)]
+        result = run_cli(tree, argv, workers, check=False)
+        (out / "rejected" / f"{name}.txt").write_text(f"{result}--out exists: {out_dir.exists()}\n")
 
 
 def numbers(value, path: str = ""):
