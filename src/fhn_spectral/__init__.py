@@ -23,7 +23,6 @@ from .model import (
     EigenbasisError,
     ModelParams,
     StateH,
-    apply_A,
     build_eigenbasis,
 )
 from .nonlinearity import (
@@ -57,7 +56,6 @@ __all__ = [
     "EigenbasisError",
     "StateH",
     "build_eigenbasis",
-    "apply_A",
     "DriftParams",
     "f",
     "f_eta",

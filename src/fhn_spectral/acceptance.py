@@ -44,7 +44,6 @@ from .model import (
     EigenBasis,
     ModelParams,
     StateH,
-    apply_A,
     build_eigenbasis,
     norm_H_sq_arrays,
     norm_V_sq_arrays,
@@ -64,6 +63,7 @@ from .solver import (
     backward_run,
     coupled_run,
     eps_convergence_study,
+    run_drift,
     run_ensemble,
 )
 
@@ -209,7 +209,7 @@ def criterion_3_dissipativity(quick: bool, master_seed: int) -> dict:
     n_states = 10**3 if quick else 10**4
     dc = params.derived()
     u, w = random_coeff_states(n_states, params, rng)
-    au, aw = apply_A(u, w, params, basis, eta_shift=dc.eta)
+    au, aw = run_drift(params, basis, "linear_eta")(u, w)
     quad_form = params.gamma * (au * u).sum(axis=1) + (aw * w).sum(axis=1)
     h_sq = norm_H_sq_arrays(u, w, params.gamma)
     v_sq = norm_V_sq_arrays(u, w, params, basis)
@@ -234,7 +234,7 @@ def criterion_4_trace(quick: bool, master_seed: int) -> dict:
     numeric, quad_err = _exp_sinh_integral(
         lambda s: convolution_trace_integrand(s, params, basis, spec)
     )
-    bound = trace_Q(spec) / (2.0 * params.derived().omega)
+    bound = trace_Q(spec) / (2.0 * params.derived().omega1)
     agree = abs(numeric - closed) <= 1e-8 * abs(closed)
     return {
         "passed": agree and closed <= bound * (1.0 + 1e-9),
@@ -271,7 +271,7 @@ def criterion_5_linear_oracle(quick: bool, master_seed: int) -> dict:
 def criterion_6_contraction(quick: bool, master_seed: int) -> dict:
     """Shared-noise coupling: envelope, fitted exponent, and fit quality."""
     params, basis, spec = _default_setup()
-    omega = params.derived().omega
+    omega = params.derived().omega1
     n = basis.n_modes
     u = np.zeros(n)
     u[0] = 1.0 / math.sqrt(params.gamma)  # |x - xbar|_H = 1 from x = 0
@@ -389,7 +389,7 @@ def criterion_9_invariant_construction(quick: bool, master_seed: int) -> dict:
 
     # strongly dissipative configuration so burn-in >= 5/omega stays cheap
     ks_params, ks_basis, ks_spec = _default_setup(p_profile=0.85)
-    burn = 5.0 / ks_params.derived().omega
+    burn = 5.0 / ks_params.derived().omega1
     horizon = math.ceil(burn) + 3.0
     n_ks = 64 if quick else 128
     n_modes = ks_basis.n_modes

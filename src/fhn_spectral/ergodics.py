@@ -290,7 +290,7 @@ def estimate_invariant_measure(
         raise ValueError("n_time_samples must be >= 1")
     if sample_spacing <= 0:
         raise ValueError("sample_spacing must be positive")
-    omega = params.derived().omega
+    omega = params.derived().omega1
     if burn_in is None:
         burn_in = 5.0 / omega
     dt = cfg.dt

@@ -9,7 +9,10 @@ closed form
 
 whose first two terms are the Ornstein-Uhlenbeck part L.  The drift
 pairing uses <Ax, Dphi> (well defined on the truncation) rather than the
-formal <x, A Dphi>.  The Dynkin residual
+formal <x, A Dphi>.  The drift is b(x) = A x + F(x) (or its linear or
+eps-regularized form) exactly as the integrator steps it: the
+``mode_matrices`` block M plus the explicit term Fhat, assembled by
+``solver.run_drift``.  The Dynkin residual
 
     E phi(X_t) - phi(x) - E int_0^t N0 phi(X_s) ds
 
@@ -23,20 +26,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import EigenBasis, ModelParams, StateH, apply_A
-from .nonlinearity import DriftParams, apply_F_arrays
+from .model import EigenBasis, ModelParams, StateH
 from .noise import NoiseSpec, build_ou_kernel
 from .solver import (
-    DRIFT_MODES,
     TrajectoryConfig,
     _batch_columns,
     _require_se_paths,
     _simulate_batch,
     _x0_array,
+    run_drift,
 )
 
 # reject paths whose exponent would push phi (or its variance) out of the
@@ -106,30 +108,16 @@ def generator_values(
     h: CylinderFunction,
     u_hat: np.ndarray,
     w_hat: np.ndarray,
-    params: ModelParams,
-    basis: EigenBasis,
-    drift: str = "fhn",
-    eps: float = 0.0,
+    b: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
 ) -> tuple[np.ndarray, np.ndarray]:
-    """N0 phi and phi at batched states (..., N), for the drift of a simulation mode.
+    """N0 phi and phi at batched states (..., N), for the drift ``b`` of ``solver.run_drift``.
 
     N0 phi(x) = phi(x) (1/2 <Qh,h>_H + <b(x),h>_H), where b is the drift
-    the solver integrates in mode ``drift`` at regularization ``eps``:
-    A x + F(x) for ``fhn`` (f_{eta,eps} + eta u in place of f when eps > 0),
-    A x for ``linear`` (the Ornstein-Uhlenbeck part L) and A_eta x for
-    ``linear_eta``.  The pairing <x,h>_H is formed once; where it exceeds
-    ``_LOG_GUARD`` in size, both outputs are NaN.
+    the solver integrates in one run mode.  The pairing <x,h>_H is formed
+    once; where it exceeds ``_LOG_GUARD`` in size, both outputs are NaN.
     """
-    if drift not in DRIFT_MODES:
-        raise ValueError(f"unknown drift mode {drift!r}")
-    eta_shift = params.derived().eta if drift == "linear_eta" else 0.0
-    au, aw = apply_A(u_hat, w_hat, params, basis, eta_shift=eta_shift)
-    if drift == "fhn":
-        dp = DriftParams(params.xi1, eps)
-        au = au + apply_F_arrays(u_hat, dp, basis, kind=dp.grid_kind)
-        if dp.spectral_shift:
-            au = au + dp.spectral_shift * u_hat
-    drift_term = params.gamma * (au @ h.h.u_hat) + aw @ h.h.w_hat
+    bu, bw = b(u_hat, w_hat)
+    drift_term = h.params.gamma * (bu @ h.h.u_hat) + bw @ h.h.w_hat
     lp = h.pairing(u_hat, w_hat)
     phi = np.exp(np.where(np.abs(lp) > _LOG_GUARD, np.nan, lp))
     return phi * (0.5 * h.q_form + drift_term), phi
@@ -179,12 +167,11 @@ def dynkin_residual(
     prev = np.zeros(n_paths)
     terminal_phi = np.zeros(n_paths)
     overflow = np.zeros(n_paths, dtype=bool)
+    b = run_drift(params, basis, cfg.drift, cfg.eps)
 
     def on_step(i: int, t_abs: float, state: np.ndarray) -> None:
         nonlocal prev
-        vals, phi = generator_values(
-            h, state[..., 0], state[..., 1], params, basis, cfg.drift, cfg.eps
-        )
+        vals, phi = generator_values(h, state[..., 0], state[..., 1], b)
         overflow[np.isnan(phi)] = True
         if i == 0:
             prev = vals

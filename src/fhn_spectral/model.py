@@ -139,12 +139,11 @@ class DerivedConstants:
 
     eta is the global maximum of f', attained at the inflection point xi0;
     subtracting eta*u from the drift makes the cubic monotone decreasing.
-    omega/omega1 govern contraction in the H-norm, omega2 in the V-norm.
+    omega1 governs contraction in the H-norm, omega2 in the V-norm.
     """
 
     eta: float
     xi0: float
-    omega: float
     omega1: float
     omega2: float
 
@@ -156,7 +155,7 @@ class DerivedConstants:
         c = params.c_min
         omega1 = min(p - eta, params.alpha)
         omega2 = min(c, p - eta, params.alpha)
-        return cls(eta=eta, xi0=xi0, omega=omega1, omega1=omega1, omega2=omega2)
+        return cls(eta=eta, xi0=xi0, omega1=omega1, omega2=omega2)
 
 
 @dataclass
@@ -405,29 +404,6 @@ def norm_V_sq_arrays(
 ) -> np.ndarray:
     du_sq = basis.du_sq(u_hat)
     return params.gamma * ((u_hat * u_hat).sum(axis=-1) + du_sq) + (w_hat * w_hat).sum(axis=-1)
-
-
-def apply_A(
-    u_hat: np.ndarray,
-    w_hat: np.ndarray,
-    params: ModelParams,
-    basis: EigenBasis,
-    eta_shift: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Linear drift A x on coefficients (..., N): (A0 u - p u + eta_shift u - w, gamma u - alpha w).
-
-    ``eta_shift = eta`` gives the shifted block A_eta of the monotone splitting.
-    """
-    if params.p_is_constant:
-        pu = params.p_min * u_hat
-    else:
-        u_grid = basis.to_grid(u_hat)
-        pu = basis.to_coeffs(params.p_grid * u_grid)
-    u_out = basis.mu * u_hat - pu - w_hat
-    if eta_shift:
-        u_out = u_out + eta_shift * u_hat
-    w_out = params.gamma * u_hat - params.alpha * w_hat
-    return u_out, w_out
 
 
 def mode_matrices(params: ModelParams, basis: EigenBasis, shifted: bool = False) -> np.ndarray:

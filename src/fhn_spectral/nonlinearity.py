@@ -7,10 +7,9 @@ xi0 = (1+xi1)/3) yields the decreasing cubic
     f_eta(u) = f(u) - eta u = -(u - xi0)^3 - xi0^3,
 
 and dividing by 1 + eps*(1 - xi0(u-xi0) + (u-xi0)^2) gives the globally
-Lipschitz family f_{eta,eps} used by the regularized integrator.  The
-denominator's quadratic has negative discriminant (xi0^2 - 4 < 0), so it
-is bounded below by 1 for every eps >= 0; the guard here only protects
-against future parameter generalizations.
+Lipschitz family f_{eta,eps} used by the regularized integrator.  With
+v = u - xi0 the denominator's quadratic 1 - xi0 v + v^2 is at least
+1 - xi0^2/4 > 0, so the denominator is at least 1 for every eps >= 0.
 """
 
 from __future__ import annotations
@@ -22,10 +21,6 @@ import numpy as np
 from .model import EigenBasis
 
 ArrayLike = np.ndarray | float
-
-
-class DriftConfigError(ValueError):
-    """Regularization denominator failed its positivity guard."""
 
 
 @dataclass(frozen=True)
@@ -53,16 +48,6 @@ class DriftParams:
     def xi0(self) -> float:
         return (1.0 + self.xi1) / 3.0
 
-    @property
-    def grid_kind(self) -> str:
-        """``grid_drift`` kind of the simulated nonlinearity: f at eps = 0, f_{eta,eps} above."""
-        return "cubic" if self.eps == 0.0 else "eta_eps"
-
-    @property
-    def spectral_shift(self) -> float:
-        """Coefficient of u added to the grid drift: 0 at eps = 0, eta above (f_{eta,eps} + eta u)."""
-        return 0.0 if self.eps == 0.0 else self.eta
-
 
 def f(u: ArrayLike, xi1: float) -> ArrayLike:
     """FitzHugh-Nagumo cubic -u(u-1)(u-xi1)."""
@@ -74,15 +59,6 @@ def _denominator(u: ArrayLike, dp: DriftParams) -> ArrayLike:
     return 1.0 + dp.eps * (1.0 - dp.xi0 * v + v * v)
 
 
-def _check_denominator(den: ArrayLike, dp: DriftParams) -> None:
-    dmin = float(np.min(den))
-    if dmin <= 0.0:
-        raise DriftConfigError(
-            f"regularization denominator nonpositive (min {dmin:.3e}) "
-            f"for eps={dp.eps}, xi0={dp.xi0}"
-        )
-
-
 def f_eta(u: ArrayLike, dp: DriftParams) -> ArrayLike:
     """Shifted drift f(u) - eta*u; equals -(u-xi0)^3 - xi0^3."""
     return f(u, dp.xi1) - dp.eta * u
@@ -92,9 +68,7 @@ def f_eta_eps(u: ArrayLike, dp: DriftParams) -> ArrayLike:
     """Lipschitz regularization of the shifted drift; eps = 0 returns f_eta."""
     if dp.eps == 0.0:
         return f_eta(u, dp)
-    den = _denominator(u, dp)
-    _check_denominator(den, dp)
-    return f_eta(u, dp) / den
+    return f_eta(u, dp) / _denominator(u, dp)
 
 
 def f_eta_eps_prime(u: ArrayLike, dp: DriftParams) -> ArrayLike:
@@ -106,8 +80,6 @@ def f_eta_eps_prime(u: ArrayLike, dp: DriftParams) -> ArrayLike:
     xi0 = dp.xi0
     v = u - xi0
     den = _denominator(u, dp)
-    if dp.eps != 0.0:
-        _check_denominator(den, dp)
     n_val = -(v * v * v + xi0 * xi0 * xi0)
     n_prime = -3.0 * v * v
     d_prime = dp.eps * (2.0 * v - xi0)

@@ -13,7 +13,9 @@ eps-approximation, never double-shifted.  Two extra drift modes disable
 the nonlinearity entirely: ``linear`` (drift A) and ``linear_eta``
 (drift A_eta, i.e. the stochastic convolution when started at zero);
 these are the exactly solvable references used by the ergodic and
-Kolmogorov test harnesses.
+Kolmogorov test harnesses.  ``drift_split`` and ``explicit_term`` write
+this split once; ``run_drift`` assembles the full drift b = M x + Fhat
+from them for the generator and the dissipativity check.
 
 Paths are vectorized; each path owns a counter-based noise stream, and
 ensembles run in fixed-size chunks, so an ensemble's output does not
@@ -43,6 +45,7 @@ from .model import (
     EigenBasis,
     ModelParams,
     StateH,
+    mode_matrices,
     norm_H_sq_arrays,
     norm_V_sq_arrays,
 )
@@ -151,6 +154,84 @@ def _update_rows(ker: OUKernel) -> tuple[np.ndarray, np.ndarray, np.ndarray, flo
     return (*_mode_rows(ker.transition), np.ascontiguousarray(ker.phi1[:, :, 0].T), ker.dt)
 
 
+def drift_split(
+    drift: str, xi1: float, eps_cols: np.ndarray
+) -> tuple[bool, list[tuple[DriftParams, slice | np.ndarray]]]:
+    """How the integrator splits the drift of mode ``drift`` into b(x) = M x + Fhat(x).
+
+    Returns whether M, the ``mode_matrices`` block at min p, is shifted by
+    eta (A_eta, mode ``linear_eta``), and Fhat's cubic once per distinct eps
+    of ``eps_cols`` with its columns; a single eps takes them all by slice.
+    Only ``fhn`` has a cubic: the raw f at eps = 0, f_{eta,eps} + eta u above.
+    """
+    if drift not in DRIFT_MODES:
+        raise ValueError(f"drift must be one of {DRIFT_MODES}, got {drift!r}")
+    if drift != "fhn":
+        return drift == "linear_eta", []
+    values = np.unique(eps_cols)
+    return False, [
+        (DriftParams(xi1=xi1, eps=float(e)),
+         slice(None) if values.size == 1 else np.nonzero(eps_cols == e)[0])
+        for e in values
+    ]
+
+
+def explicit_term(
+    params: ModelParams,
+    basis: EigenBasis,
+    u: np.ndarray,               # (..., N)
+    groups: list[tuple[DriftParams, slice | np.ndarray]],
+    u_grid: np.ndarray | None = None,
+) -> np.ndarray | None:
+    """Spectral coefficients (..., N) of the explicit drift Fhat at u, or None if absent.
+
+    Fhat is the cubic of each of ``drift_split``'s groups on its columns
+    plus, for variable p, the remainder (min p - p) u that the block at
+    min p leaves out.  ``u_grid`` is u on the grid, if at hand.
+    """
+    rem_grid = None if params.p_is_constant else params.p_min - params.p_grid
+    if not groups and rem_grid is None:
+        return None
+    if u_grid is None:
+        u_grid = basis.to_grid(u)
+    if groups:
+        g = np.empty_like(u_grid)
+        for dp, cols in groups:
+            g[cols] = grid_drift(u_grid[cols], dp, "cubic" if dp.eps == 0.0 else "eta_eps")
+        if rem_grid is not None:
+            g += rem_grid * u_grid
+    else:
+        g = rem_grid * u_grid
+    f_hat = basis.to_coeffs(g)
+    for dp, cols in groups:
+        if dp.eps != 0.0:
+            f_hat[cols] += dp.eta * u[cols]
+    return f_hat
+
+
+def run_drift(
+    params: ModelParams, basis: EigenBasis, drift: str = "fhn", eps: float = 0.0
+) -> Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+    """The drift b(x) = M x + Fhat(x) that the integrator steps in mode ``drift`` at ``eps``.
+
+    Returns b mapping coefficients (u, w) of shape (..., N) to b's (u, w)
+    rows, with M's rows built here once: A x + F(x) for ``fhn``
+    (f_{eta,eps} + eta u in place of f when eps > 0), A x for ``linear``
+    and A_eta x for ``linear_eta``.
+    """
+    shifted, groups = drift_split(drift, params.xi1, np.array([eps]))
+    (a00, a11), (a01, a10) = _mode_rows(mode_matrices(params, basis, shifted=shifted))
+
+    def b(u: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        bu = a00 * u + a01 * w
+        f_hat = explicit_term(params, basis, u, groups)
+        if f_hat is not None:
+            bu += f_hat
+        return bu, a10 * u + a11 * w
+
+    return b
+
+
 def _simulate_batch(
     params: ModelParams,
     basis: EigenBasis,
@@ -182,43 +263,12 @@ def _simulate_batch(
     path_ids = np.asarray(path_ids)
     stream_keys, stream_ids = np.unique(path_ids, return_inverse=True)
     streams = [PathStream(n, master_seed, int(pid)) for pid in stream_keys]
-    shifted = drift == "linear_eta"
+    shifted, batch_groups = drift_split(drift, params.xi1, eps_by_col)
     kernel = build_ou_kernel(params, basis, spec, dt, shifted=shifted)
     noise_diag, noise_off = _mode_rows(kernel.factor)
     kernels = {1: _update_rows(kernel)}
-
-    needs_remainder = not params.p_is_constant
-    rem_grid = (params.p_min - params.p_grid) if needs_remainder else None
-    nonlinear = drift == "fhn"
-
-    def eps_groups(eps_cols: np.ndarray) -> list[tuple[DriftParams, slice | np.ndarray]]:
-        """One drift per distinct eps with its columns; a single eps takes them all by slice."""
-        if not nonlinear:
-            return []
-        values = np.unique(eps_cols)
-        return [
-            (DriftParams(xi1=params.xi1, eps=float(e)),
-             slice(None) if values.size == 1 else np.nonzero(eps_cols == e)[0])
-            for e in values
-        ]
-
-    def explicit_term(x: np.ndarray, u_grid: np.ndarray, groups: list) -> np.ndarray | None:
-        """Spectral coefficients of the explicit drift Fhat, or None if absent."""
-        if not nonlinear and not needs_remainder:
-            return None
-        if nonlinear:
-            g = np.empty_like(u_grid)
-            for dp, cols in groups:
-                g[cols] = grid_drift(u_grid[cols], dp, dp.grid_kind)
-            if needs_remainder:
-                g += rem_grid * u_grid
-        else:
-            g = rem_grid * u_grid
-        f_hat = basis.to_coeffs(g)
-        for dp, cols in groups:
-            if dp.spectral_shift:
-                f_hat[cols] += dp.spectral_shift * x[cols, 0]
-        return f_hat
+    # only the cubic asks for substeps
+    nonlinear = bool(batch_groups)
 
     def apply_update(x: np.ndarray, f_hat: np.ndarray | None, rows: tuple) -> np.ndarray:
         diag, off, phi, h = rows
@@ -243,7 +293,6 @@ def _simulate_batch(
     # C order keeps every row's reductions in one layout, whatever x0's strides
     x = np.array(np.swapaxes(x0, 1, 2), dtype=float, order="C")
     observe(0, x)
-    batch_groups = eps_groups(eps_by_col)
     z_block = np.empty((len(streams), 2 * n))
     z_rows = z_block.reshape(len(streams), 2, n)
     # distinct ids in ascending order: the stream rows are the batch rows, no gather
@@ -272,23 +321,26 @@ def _simulate_batch(
                     raise blow_up(what, interval * dt, i, x, col, int(m_col[col]))
 
         if m_col is None:
-            x_new = apply_update(x, explicit_term(x, u_grid, batch_groups), kernels[1])
+            x_new = apply_update(
+                x, explicit_term(params, basis, x[:, 0], batch_groups, u_grid), kernels[1]
+            )
         else:
             # drift-only substeps; the interval's noise is applied once so the
             # absolute-time noise path is independent of the re-stepping choice
             x_new = np.empty_like(x)
             for m in np.unique(m_col).tolist():
                 cols = np.nonzero(m_col == m)[0]
-                ys, groups = x[cols], eps_groups(eps_by_col[cols])
+                ys = x[cols]
+                groups = drift_split(drift, params.xi1, eps_by_col[cols])[1]
                 if m == 1:
-                    f_hat = explicit_term(ys, u_grid[cols], groups)
+                    f_hat = explicit_term(params, basis, ys[:, 0], groups, u_grid[cols])
                     x_new[cols] = apply_update(ys, f_hat, kernels[1])
                     continue
                 if m not in kernels:
                     sub = build_ou_kernel(params, basis, None, dt / m, shifted=shifted)
                     kernels[m] = _update_rows(sub)
                 for _ in range(m):
-                    f_hat = explicit_term(ys, basis.to_grid(ys[:, 0]), groups)
+                    f_hat = explicit_term(params, basis, ys[:, 0], groups)
                     ys = apply_update(ys, f_hat, kernels[m])
                 x_new[cols] = ys
 
@@ -468,7 +520,7 @@ def coupled_run(
     tolerance) and is fitted for its decay exponent on [T/4, 3T/4].
     """
     n = basis.n_modes
-    omega = params.derived().omega
+    omega = params.derived().omega1
     x0 = np.empty((2 * n_paths, n, 2))
     x0[:n_paths] = _x0_array(cfg, n)
     x0[n_paths:] = x_bar.as_array()
@@ -677,7 +729,7 @@ def backward_run(
         fit_rate, fit_r2 = -slope, r2
     else:
         fit_rate, fit_r2 = math.nan, math.nan
-    omega = params.derived().omega
+    omega = params.derived().omega1
     x0 = cfg.x0
     x0_sq = 0.0 if x0 is None else float(
         params.gamma * (x0.u_hat @ x0.u_hat) + x0.w_hat @ x0.w_hat

@@ -23,6 +23,7 @@ from fhn_spectral.kolmogorov import (
 )
 from fhn_spectral.model import random_coeff_states
 from fhn_spectral.nonlinearity import apply_F_arrays
+from fhn_spectral.solver import _simulate_batch, run_drift
 
 
 def phi_eval(h, x):
@@ -42,7 +43,7 @@ class TestCylinderFunction:
     def test_phi_at_zero_direction(self, params, basis, spec, rng):
         h = CylinderFunction.from_modes(basis.n_modes, params, spec)
         u, w = random_coeff_states(5, params, rng)
-        _, phi = generator_values(h, u, w, params, basis)
+        _, phi = generator_values(h, u, w, run_drift(params, basis))
         assert np.all(phi == 1.0)
 
     def test_phi_at_zero_state(self, params, basis, spec):
@@ -78,14 +79,14 @@ class TestGradients:
     def test_N0_zero_direction(self, params, basis, spec, rng):
         h = CylinderFunction.from_modes(basis.n_modes, params, spec)
         u, w = random_coeff_states(3, params, rng)
-        n0, _ = generator_values(h, u, w, params, basis, "fhn")
+        n0, _ = generator_values(h, u, w, run_drift(params, basis, "fhn"))
         assert np.all(n0 == 0.0)
 
     def test_out_of_range_exponent_is_nan(self, params, basis, spec):
         h = CylinderFunction.from_modes(basis.n_modes, params, spec, u_modes=[(0, 1.0)])
         u = np.zeros((2, basis.n_modes))
         u[1, 0] = 4.0 * _LOG_GUARD / params.gamma     # <x,h>_H = 4 _LOG_GUARD
-        n0, phi = generator_values(h, u, np.zeros_like(u), params, basis, "linear")
+        n0, phi = generator_values(h, u, np.zeros_like(u), run_drift(params, basis, "linear"))
         assert phi[0] == 1.0 and np.isfinite(n0[0])
         assert np.isnan(phi[1]) and np.isnan(n0[1])
 
@@ -94,8 +95,8 @@ class TestGradients:
         u, w = random_coeff_states(4, params, rng, scale=0.5)
         f_hat = apply_F_arrays(u, DriftParams(params.xi1), basis)
         f_pair = h.pairing(f_hat, np.zeros_like(f_hat))
-        n0, phi = generator_values(h, u, w, params, basis, "fhn")
-        l_phi, _ = generator_values(h, u, w, params, basis, "linear")
+        n0, phi = generator_values(h, u, w, run_drift(params, basis, "fhn"))
+        l_phi, _ = generator_values(h, u, w, run_drift(params, basis, "linear"))
         assert n0 == approx(l_phi + phi * f_pair, rel=1e-12)
 
     def test_N0_eps_matches_hand_assembled_drift(self, params, basis, spec, rng):
@@ -114,16 +115,46 @@ class TestGradients:
         pair = params.gamma * (b_u @ h.h.u_hat) + ax_w @ h.h.w_hat
         phi = np.exp(params.gamma * (u @ h.h.u_hat) + w @ h.h.w_hat)
         expected = phi * (0.5 * h.q_form + pair)
-        n0, _ = generator_values(h, u, w, params, basis, "fhn", eps)
+        n0, _ = generator_values(h, u, w, run_drift(params, basis, "fhn", eps))
         assert n0 == approx(expected, rel=1e-12)
-        assert not np.allclose(n0, generator_values(h, u, w, params, basis, "fhn")[0])
+        assert not np.allclose(n0, generator_values(h, u, w, run_drift(params, basis, "fhn"))[0])
+
+    @pytest.mark.parametrize(
+        "drift,eps", [("fhn", 0.0), ("fhn", 0.3), ("linear", 0.0), ("linear_eta", 0.0)]
+    )
+    def test_drift_is_one_integrator_step(self, drift, eps):
+        # (X_dt - x)/dt of one noise-free step pairs with h like <b(x),h>_H up to O(dt),
+        # with c and p variable so the drift carries the remainder (min p - p) u
+        params = ModelParams(
+            c_profile=lambda x: 1.0 + 0.5 * x,
+            p_profile=lambda x: 0.3 + 0.2 * x * x,
+            n_modes=16,
+            n_grid=64,
+        )
+        basis = build_eigenbasis(params)
+        h = CylinderFunction.from_modes(
+            basis.n_modes, params, u_modes=[(0, 0.4), (2, -0.3)], w_modes=[(1, 0.2)]
+        )
+        u, w = random_coeff_states(4, params, np.random.default_rng(5), spectral_decay=2.0)
+        x0 = np.stack([u, w], axis=-1)
+        dt = 1e-7
+        x_dt = _simulate_batch(
+            params, basis, None, dt=dt, n_steps=1, start_interval=0, x0=x0, drift=drift,
+            eps_by_col=np.full(4, eps), master_seed=0, path_ids=np.arange(4),
+        )
+        rate = (x_dt - x0) / dt
+        n0, phi = generator_values(h, u, w, run_drift(params, basis, drift, eps))
+        drift_pair = n0 / phi  # <Qh,h>_H = 0 without a noise spectrum
+        assert np.abs(drift_pair).max() > 0.05
+        err = np.abs(h.pairing(rate[..., 0], rate[..., 1]) - drift_pair)
+        assert err.max() <= 100.0 * dt * np.abs(drift_pair).max()
 
     def test_L_matches_ou_time_derivative(self, gamma1, rng):
         # d/dt E phi(X_t) at t = 0 for the F-disabled dynamics equals L phi(x)
         params, basis, spec = gamma1
         h = CylinderFunction.from_modes(basis.n_modes, params, spec, u_modes=[(0, 0.4)])
         u, w = random_coeff_states(3, params, rng, scale=0.3)
-        l_phi, phi = generator_values(h, u, w, params, basis, "linear")
+        l_phi, phi = generator_values(h, u, w, run_drift(params, basis, "linear"))
         dt = 1e-5
         for i in range(3):
             fwd = ou_expectation_exact(h, StateH(u[i], w[i]), dt, params, basis, spec)
@@ -136,8 +167,8 @@ class TestGradients:
             basis.n_modes, params, spec, u_modes=[(0, 0.4), (1, 0.2)], w_modes=[(0, 0.3)]
         )
         u, w = random_coeff_states(3, params, rng, scale=0.3)
-        l_phi, phi = generator_values(h, u, w, params, basis, "linear_eta")
-        plain, _ = generator_values(h, u, w, params, basis, "linear")
+        l_phi, phi = generator_values(h, u, w, run_drift(params, basis, "linear_eta"))
+        plain, _ = generator_values(h, u, w, run_drift(params, basis, "linear"))
         dt = 1e-5
         for i in range(3):
             x = StateH(u[i], w[i])

@@ -12,7 +12,6 @@ from fhn_spectral import (
     EigenbasisError,
     ModelParams,
     StateH,
-    apply_A,
     build_eigenbasis,
 )
 from fhn_spectral.kolmogorov import CylinderFunction
@@ -25,6 +24,7 @@ from fhn_spectral.model import (
     norm_V_sq_arrays,
     random_coeff_states,
 )
+from fhn_spectral.solver import run_drift
 
 
 def norm_H_sq_quadrature(u_hat, w_hat, params, basis):
@@ -71,7 +71,6 @@ class TestModelParams:
         dc = params.derived()
         assert dc.eta == approx(0.25)
         assert dc.xi0 == approx(0.5)
-        assert dc.omega == approx(0.05)
         assert dc.omega1 == approx(0.05)
         assert dc.omega2 == approx(0.05)
         assert dc.omega2 <= dc.omega1
@@ -305,16 +304,16 @@ class TestStateAndNorms:
 
 
 class TestDriftOperator:
-    def test_apply_A_zero(self, params, basis):
+    def test_linear_drift_zero(self, params, basis):
         zero = np.zeros((3, basis.n_modes))
-        au, aw = apply_A(zero, zero, params, basis)
+        au, aw = run_drift(params, basis, "linear")(zero, zero)
         assert np.all(au == 0) and np.all(aw == 0)
 
-    def test_apply_A_mode1(self, params, basis):
+    def test_linear_drift_mode1(self, params, basis):
         # u = e1, w = 0 -> ((mu_1 - p) e1, gamma e1)
         x = StateH.zero(basis.n_modes)
         x.u_hat[1] = 1.0
-        au, aw = apply_A(x.u_hat, x.w_hat, params, basis)
+        au, aw = run_drift(params, basis, "linear")(x.u_hat, x.w_hat)
         assert au[1] == approx(-math.pi**2 - 0.3, rel=1e-12)
         assert aw[1] == approx(0.5)
         mask = np.ones(basis.n_modes, bool)
@@ -324,7 +323,7 @@ class TestDriftOperator:
     def test_dissipativity_H_norm(self, params, basis, rng):
         dc = params.derived()
         u, w = random_coeff_states(1000, params, rng)
-        au, aw = apply_A(u, w, params, basis, eta_shift=dc.eta)
+        au, aw = run_drift(params, basis, "linear_eta")(u, w)
         lhs = params.gamma * (au * u).sum(axis=1) + (aw * w).sum(axis=1)
         h_sq = norm_H_sq_arrays(u, w, params.gamma)
         assert np.all(lhs <= -dc.omega1 * h_sq + 1e-9 * h_sq)
@@ -339,18 +338,18 @@ class TestDriftOperator:
         b = build_eigenbasis(p)
         dc = p.derived()
         u, w = random_coeff_states(1000, p, rng)
-        au, aw = apply_A(u, w, p, b, eta_shift=dc.eta)
+        au, aw = run_drift(p, b, "linear_eta")(u, w)
         lhs = p.gamma * (au * u).sum(axis=1) + (aw * w).sum(axis=1)
         v_sq = norm_V_sq_arrays(u, w, p, b)
         h_sq = norm_H_sq_arrays(u, w, p.gamma)
         assert np.all(lhs <= -dc.omega2 * v_sq + 1e-9 * v_sq)
         assert np.all(lhs <= -dc.omega1 * h_sq + 1e-9 * h_sq)
 
-    def test_apply_A_eta_shift(self, params, basis, rng):
+    def test_linear_eta_drift_shift(self, params, basis, rng):
         u, w = random_coeff_states(5, params, rng)
         eta = params.derived().eta
-        plain_u, plain_w = apply_A(u, w, params, basis)
-        shifted_u, shifted_w = apply_A(u, w, params, basis, eta_shift=eta)
+        plain_u, plain_w = run_drift(params, basis, "linear")(u, w)
+        shifted_u, shifted_w = run_drift(params, basis, "linear_eta")(u, w)
         assert shifted_u == approx(plain_u + eta * u)
         assert np.array_equal(shifted_w, plain_w)
 

@@ -203,7 +203,7 @@ class TestTraceIntegral:
 
     def test_infinite_horizon_bound(self, params, basis, spec):
         closed = convolution_trace_integral(params, basis, spec)
-        bound = trace_Q(spec) / (2.0 * params.derived().omega)
+        bound = trace_Q(spec) / (2.0 * params.derived().omega1)
         assert closed <= bound * (1.0 + 1e-9)
         finite = convolution_trace_integral(params, basis, spec, horizon=200.0)
         assert finite == approx(closed, rel=1e-10)

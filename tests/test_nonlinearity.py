@@ -8,7 +8,6 @@ from fhn_spectral import (
     DriftParams,
     ModelParams,
     StateH,
-    apply_A,
     build_eigenbasis,
     f,
     f_eta,
@@ -16,7 +15,8 @@ from fhn_spectral import (
     f_eta_eps_prime,
 )
 from fhn_spectral.model import norm_H_sq_arrays, random_coeff_states
-from fhn_spectral.nonlinearity import apply_F_arrays
+from fhn_spectral.nonlinearity import _denominator, apply_F_arrays
+from fhn_spectral.solver import drift_split, explicit_term, run_drift
 
 DP = DriftParams(xi1=0.5)
 
@@ -65,6 +65,16 @@ class TestScalarDrift:
 
 
 class TestRegularization:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        xi1=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        eps=st.floats(0.0, 1e3),
+        u=st.floats(-1e6, 1e6),
+    )
+    def test_denominator_at_least_one(self, xi1, eps, u):
+        # 1 - xi0 v + v^2 >= 1 - xi0^2/4 > 0, so no eps >= 0 needs a positivity guard
+        assert _denominator(u, DriftParams(xi1, eps)) >= 1.0
+
     def test_eps_zero_degenerate(self):
         u = np.linspace(-5, 5, 101)
         assert np.array_equal(f_eta_eps(u, DP), f_eta(u, DP))
@@ -201,11 +211,17 @@ class TestApplyF:
         with pytest.raises(ValueError):
             apply_F_arrays(np.zeros(basis.n_modes), DP, basis, kind="quartic")
 
-    def test_simulated_drift_rule(self):
+    def test_simulated_drift_rule(self, params, basis, rng):
         # the solver integrates the raw cubic at eps = 0 and f_{eta,eps} + eta u above it
-        assert (DP.grid_kind, DP.spectral_shift) == ("cubic", 0.0)
-        dp = DriftParams(0.5, eps=0.1)
-        assert (dp.grid_kind, dp.spectral_shift) == ("eta_eps", dp.eta)
+        u, _ = random_coeff_states(3, params, rng)
+        u_grid = basis.to_grid(u)
+        for eps, expected in (
+            (0.0, basis.to_coeffs(f(u_grid, DP.xi1))),
+            (0.1, basis.to_coeffs(f_eta_eps(u_grid, DriftParams(DP.xi1, 0.1))) + DP.eta * u),
+        ):
+            shifted, groups = drift_split("fhn", DP.xi1, np.full(3, eps))
+            assert not shifted
+            assert explicit_term(params, basis, u, groups) == approx(expected, rel=1e-14)
 
 
 class TestMonotonicity:
@@ -246,9 +262,9 @@ class TestMonotonicity:
         ux, wx = random_coeff_states(300, params, rng)
         uy, wy = random_coeff_states(300, params, rng)
         ux, wx, uy, wy = ux[::7], wx[::7], uy[::7], wy[::7]
-        (axu, axw), (ayu, ayw) = apply_A(ux, wx, params, basis), apply_A(uy, wy, params, basis)
-        fx, fy = apply_F_arrays(ux, DP, basis), apply_F_arrays(uy, DP, basis)
+        b = run_drift(params, basis, "fhn")
+        (bxu, bxw), (byu, byw) = b(ux, wx), b(uy, wy)
         du, dw = ux - uy, wx - wy
-        lhs = params.gamma * ((axu - ayu + fx - fy) * du).sum(axis=1) + ((axw - ayw) * dw).sum(axis=1)
+        lhs = params.gamma * ((bxu - byu) * du).sum(axis=1) + ((bxw - byw) * dw).sum(axis=1)
         d_sq = norm_H_sq_arrays(du, dw, params.gamma)
-        assert np.all(lhs <= -dc.omega * d_sq + 1e-9 * d_sq)
+        assert np.all(lhs <= -dc.omega1 * d_sq + 1e-9 * d_sq)

@@ -191,7 +191,9 @@ def _step_per_mode(params, basis, spec, dt, x0, drift, eps_by_col, path_ids, see
         u_grid = basis.to_grid(x[..., 0])
         rem = (params.p_min - params.p_grid) * u_grid
         if drift == "fhn":
-            g = np.stack([grid_drift(u_grid[b], dp, dp.grid_kind) for b, dp in enumerate(dps)])
+            # the raw cubic at eps = 0, f_{eta,eps} + eta u above it
+            kinds = ["cubic" if dp.eps == 0.0 else "eta_eps" for dp in dps]
+            g = np.stack([grid_drift(u_grid[b], dp, kinds[b]) for b, dp in enumerate(dps)])
             g = g if params.p_is_constant else g + rem
         elif not params.p_is_constant:
             g = rem
@@ -199,8 +201,8 @@ def _step_per_mode(params, basis, spec, dt, x0, drift, eps_by_col, path_ids, see
             return None
         fh = basis.to_coeffs(g)
         for b, dp in enumerate(dps):
-            if drift == "fhn" and dp.spectral_shift:
-                fh[b] = fh[b] + dp.spectral_shift * x[b, :, 0]
+            if drift == "fhn" and dp.eps != 0.0:
+                fh[b] = fh[b] + dp.eta * x[b, :, 0]
         return fh
 
     def update(x, ker, h, fh):

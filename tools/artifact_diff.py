@@ -9,8 +9,8 @@ parent from ``git archive REV``, the change from the working tree's tracked
 and unignored files.  Each tree runs the inputs in ``CONFIGS`` (``eigen``
 with the default config, the eight experiment subcommands with small fixed
 configs, ``couple``, ``dynkin`` and ``linear-oracle`` again with a start
-time and eps off their defaults, and ``eigen`` and ``simulate`` on a
-256-mode basis, which transforms by DCT) and ``acceptance --quick``, all
+time and eps off their defaults, ``dynkin`` with c and p grid tables, and
+``eigen`` and ``simulate`` on a 256-mode basis, which transforms by DCT) and ``acceptance --quick``, all
 with one BLAS thread.  The parent always runs with one worker;
 ``--workers`` sets ``FHN_SPECTRAL_WORKERS`` for the change, so a worker
 count that moves a byte shows up too.  Each tree also
@@ -99,6 +99,15 @@ CONFIGS: dict[str, tuple[str, dict]] = {
         "run": {"T": 20.0, "dt": 0.05, "drift": "linear_eta", "start_time": -5.0},
         "linear_oracle": {"burn_in": 10.0},
         "master_seed": 15, "paths": 16,
+    }),
+    # c and p grid tables: a variable-c basis, and a block at min p whose
+    # remainder (min p - p) u rides in the explicit term of drift and generator
+    "dynkin-variable": ("dynkin", {
+        "model": {"gamma": 1.0, "c": [1.0 + 0.5 * (j + 0.5) / 64 for j in range(64)],
+                  "p": [0.3 + 0.2 * ((j + 0.5) / 64) ** 2 for j in range(64)]},
+        "run": {"T": 0.2, "eps": 0.2},
+        "dynkin": {"h_u": [[0, 0.4], [1, 0.3]], "h_w": [[1, 0.2]]},
+        "master_seed": 16, "paths": 8,
     }),
     # a DCT basis: no mode table is stored, its rows are evaluated in blocks
     "eigen-dct": ("eigen", {"model": {"n_modes": 256, "n_grid": 512}}),
