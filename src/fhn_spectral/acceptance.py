@@ -32,8 +32,8 @@ import numpy as np
 
 from .ergodics import (
     _KS_COEFF_5PCT,
+    StateFunctional,
     bounded_ramp_functional,
-    cylinder_exp_functional,
     empirical_mode_covariances,
     estimate_moments,
     ks_statistic,
@@ -41,15 +41,15 @@ from .ergodics import (
 )
 from .kolmogorov import CylinderFunction, dynkin_residual, ou_expectation_exact
 from .model import (
-    EigenBasis,
     ModelParams,
     StateH,
     build_eigenbasis,
+    inner_H,
     norm_H_sq_arrays,
     norm_V_sq_arrays,
     random_coeff_states,
 )
-from .nonlinearity import DriftParams, apply_F_arrays, f_eta_eps_prime
+from .nonlinearity import DriftParams, f_eta, f_eta_eps_prime
 from .noise import (
     NoiseSpec,
     convolution_trace_integral,
@@ -184,10 +184,12 @@ def criterion_2_monotonicity(quick: bool, master_seed: int) -> dict:
     dp = DriftParams(params.xi1)
     ux, wx = random_coeff_states(n_pairs, params, rng)
     uy, wy = random_coeff_states(n_pairs, params, rng)
-    fx = apply_F_arrays(ux, dp, basis, kind="eta")
-    fy = apply_F_arrays(uy, dp, basis, kind="eta")
-    gap = params.gamma * ((fx - fy) * (ux - uy)).sum(axis=1)
-    diff_sq = norm_H_sq_arrays(ux - uy, wx - wy, params.gamma)
+    fx = basis.to_coeffs(f_eta(basis.to_grid(ux), dp))
+    fy = basis.to_coeffs(f_eta(basis.to_grid(uy), dp))
+    du, dw = ux - uy, wx - wy
+    # F_eta(x) - F_eta(y) has no w component
+    gap = inner_H(fx - fy, np.zeros_like(dw), du, dw, params.gamma)
+    diff_sq = norm_H_sq_arrays(du, dw, params.gamma)
     worst_gap = float((gap / (1.0 + diff_sq)).max())
     eps_levels = [DriftParams(params.xi1, eps) for eps in (1e-3, 1e-1, 1.0)]
     worst_prime = -np.inf
@@ -210,7 +212,7 @@ def criterion_3_dissipativity(quick: bool, master_seed: int) -> dict:
     dc = params.derived()
     u, w = random_coeff_states(n_states, params, rng)
     au, aw = run_drift(params, basis, "linear_eta")(u, w)
-    quad_form = params.gamma * (au * u).sum(axis=1) + (aw * w).sum(axis=1)
+    quad_form = inner_H(au, aw, u, w, params.gamma)
     h_sq = norm_H_sq_arrays(u, w, params.gamma)
     v_sq = norm_V_sq_arrays(u, w, params, basis)
     slack_h = float((quad_form + dc.omega1 * h_sq).max() / max(h_sq.max(), 1.0))
@@ -272,10 +274,8 @@ def criterion_6_contraction(quick: bool, master_seed: int) -> dict:
     """Shared-noise coupling: envelope, fitted exponent, and fit quality."""
     params, basis, spec = _default_setup()
     omega = params.derived().omega1
-    n = basis.n_modes
-    u = np.zeros(n)
-    u[0] = 1.0 / math.sqrt(params.gamma)  # |x - xbar|_H = 1 from x = 0
-    x_bar = StateH(u, np.zeros(n))
+    # |x - xbar|_H = 1 from x = 0
+    x_bar = StateH.from_modes(basis.n_modes, u_modes=[(0, 1.0 / math.sqrt(params.gamma))])
     n_paths = 8 if quick else 32
     cfg = TrajectoryConfig(T=10.0, dt=1e-3, record_every=20, master_seed=master_seed + 6)
     report = coupled_run(x_bar, cfg, params, basis, spec, n_paths=n_paths)
@@ -326,10 +326,8 @@ def criterion_8_moment_bound(quick: bool, master_seed: int) -> dict:
     """
     params, basis, spec = _default_setup()
     omega1 = params.derived().omega1
-    n = basis.n_modes
-    u = np.zeros(n)
-    u[0] = 10.0 / math.sqrt(params.gamma)  # |x0|_H = 10
-    x0 = StateH(u, np.zeros(n))
+    # |x0|_H = 10
+    x0 = StateH.from_modes(basis.n_modes, u_modes=[(0, 10.0 / math.sqrt(params.gamma))])
     horizon = 20.0 if quick else 50.0
     n_paths = 64 if quick else 256
     details: dict = {"horizon": horizon, "n_paths_per_batch": n_paths}
@@ -392,14 +390,9 @@ def criterion_9_invariant_construction(quick: bool, master_seed: int) -> dict:
     burn = 5.0 / ks_params.derived().omega1
     horizon = math.ceil(burn) + 3.0
     n_ks = 64 if quick else 128
-    n_modes = ks_basis.n_modes
-    u5 = np.zeros(n_modes)
-    u5[1] = 5.0 / math.sqrt(ks_params.gamma)
+    far = StateH.from_modes(ks_basis.n_modes, u_modes=[(1, 5.0 / math.sqrt(ks_params.gamma))])
     terminals = {}
-    for name, x0, seed in (
-        ("zero", None, master_seed + 90),
-        ("far", StateH(u5, np.zeros(n_modes)), master_seed + 91),
-    ):
+    for name, x0, seed in (("zero", None, master_seed + 90), ("far", far, master_seed + 91)):
         cfg_ks = TrajectoryConfig(
             T=horizon, dt=1e-3, x0=x0, record_every=RECORD_ENDPOINTS, master_seed=seed
         )
@@ -432,17 +425,12 @@ def criterion_10_semigroup_limit(quick: bool, master_seed: int) -> dict:
     params, basis, spec = _default_setup()
     n = basis.n_modes
     x1 = StateH.zero(n)
-    u = np.zeros(n)
-    u[1] = 5.0 / math.sqrt(params.gamma)  # |x1 - x2|_H = 5
-    x2 = StateH(u, np.zeros(n))
-    h_small = StateH(np.zeros(n), np.zeros(n))
-    h_small.u_hat[0] = 0.3
-    h_mix = StateH(np.zeros(n), np.zeros(n))
-    h_mix.u_hat[1] = 0.3
-    h_mix.w_hat[0] = 0.4
+    x2 = StateH.from_modes(n, u_modes=[(1, 5.0 / math.sqrt(params.gamma))])  # |x1 - x2|_H = 5
+    h_small = CylinderFunction.from_modes(n, params, u_modes=[(0, 0.3)])
+    h_mix = CylinderFunction.from_modes(n, params, u_modes=[(1, 0.3)], w_modes=[(0, 0.4)])
     functionals = {
-        "cyl_mode0": cylinder_exp_functional(h_small, params),
-        "cyl_mixed": cylinder_exp_functional(h_mix, params),
+        "cyl_mode0": StateFunctional("cyl_mode0", h_small.phi),
+        "cyl_mixed": StateFunctional("cyl_mixed", h_mix.phi),
         "ramp": bounded_ramp_functional(params),
     }
     t = 40.0
@@ -481,8 +469,7 @@ def criterion_11_dynkin(quick: bool, master_seed: int) -> dict:
     passed = True
 
     h_ou = CylinderFunction.from_modes(n, params, spec, u_modes=[(0, 0.4)])
-    x0 = StateH.zero(n)
-    x0.u_hat[0] = 0.5
+    x0 = StateH.from_modes(n, u_modes=[(0, 0.5)])
     cfg_ou = TrajectoryConfig(T=1.0, dt=1e-3, x0=x0, drift="linear", master_seed=master_seed + 11)
     rep = dynkin_residual(h_ou, n_paths, cfg_ou, params, basis, spec)
     exact = ou_expectation_exact(h_ou, x0, 1.0, params, basis, spec, shifted=False)

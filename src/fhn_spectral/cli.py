@@ -32,9 +32,12 @@ from .config import (
     load_config,
 )
 from .ergodics import (
+    StateFunctional,
     estimate_invariant_measure,
     estimate_moments,
+    h_norm_functional,
     invariant_moment_integral,
+    v_norm_functional,
 )
 from .kolmogorov import CylinderFunction, dynkin_residual
 from .model import EigenBasis, EigenbasisError, StateH, build_eigenbasis
@@ -246,17 +249,13 @@ def cmd_moments(args: argparse.Namespace) -> int:
 def cmd_invariant(args: argparse.Namespace) -> int:
     cfg, out, params, basis, spec, run_cfg = _experiment(args, "invariant")
     block = experiment_block(cfg, "invariant")
-    from .ergodics import h_norm_functional, linear_pairing_functional, v_norm_functional
-
     functionals = [h_norm_functional(params), v_norm_functional(params, basis)]
     mode = block["pairing_mode"]
     if mode is not None:
-        h = StateH.zero(basis.n_modes)
-        if block["pairing_channel"] == "w":
-            h.w_hat[mode] = 1.0
-        else:
-            h.u_hat[mode] = 1.0
-        functionals.append(linear_pairing_functional(h, params, name=f"pairing_{mode}"))
+        # <x, h>_H with h = e_k on the chosen channel
+        e_k = {f"{block['pairing_channel']}_modes": [(mode, 1.0)]}
+        h = CylinderFunction(StateH.from_modes(basis.n_modes, **e_k), params)
+        functionals.append(StateFunctional(f"pairing_{mode}", h.pairing))
     measure = estimate_invariant_measure(
         run_cfg,
         params,

@@ -20,7 +20,7 @@ from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
-from .model import EigenBasis, ModelParams, StateH
+from .model import EigenBasis, ModelParams, StateH, norm_H_sq_arrays
 from .noise import NoiseSpec
 from .solver import DRIFT_MODES, TrajectoryConfig, _steps_from
 
@@ -298,14 +298,10 @@ def build_x0(
         w = float(x0["w_amplitude"]) * np.cos(int(x0["w_mode"]) * math.pi * xi)
         return StateH.from_grid(u, w, basis)
     if kind == "coeffs":
-        u_hat = np.zeros(basis.n_modes)
-        w_hat = np.zeros(basis.n_modes)
-        u_hat[: len(x0["u_hat"])] = x0["u_hat"]
-        w_hat[: len(x0["w_hat"])] = x0["w_hat"]
-        return StateH(u_hat, w_hat)
+        return StateH.from_modes(basis.n_modes, enumerate(x0["u_hat"]), enumerate(x0["w_hat"]))
     base = build_x0(x0["base"], params, basis, f"{path}.base")
     norm = 0.0 if base is None else math.sqrt(
-        params.gamma * float(base.u_hat @ base.u_hat) + float(base.w_hat @ base.w_hat)
+        float(norm_H_sq_arrays(base.u_hat, base.w_hat, params.gamma))
     )
     if norm == 0.0:
         raise ConfigError(f"{path}.base", "cannot rescale the zero state")

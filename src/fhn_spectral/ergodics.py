@@ -18,14 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import (
-    EigenBasis,
-    ModelParams,
-    StateH,
-    norm_H_sq_arrays,
-    norm_V_sq_arrays,
-)
-from .nonlinearity import DriftParams, apply_F_arrays
+from .model import EigenBasis, ModelParams, norm_H_sq_arrays, norm_V_sq_arrays
+from .nonlinearity import DriftParams, f_eta
 from .noise import NoiseSpec
 from .solver import (
     RECORD_ENDPOINTS,
@@ -91,13 +85,6 @@ def v_norm_functional(params: ModelParams, basis: EigenBasis) -> StateFunctional
     )
 
 
-def linear_pairing_functional(h: StateH, params: ModelParams, name: str = "pairing") -> StateFunctional:
-    """<x, h>_H as a functional; the direction h is fixed."""
-    hu = params.gamma * h.u_hat
-    hw = h.w_hat.copy()
-    return StateFunctional(name, lambda u, w: u @ hu + w @ hw)
-
-
 def bounded_ramp_functional(params: ModelParams, scale: float = 1.0) -> StateFunctional:
     """|x|_H / (scale + |x|_H): bounded, monotone in the norm."""
     def fn(u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -105,12 +92,6 @@ def bounded_ramp_functional(params: ModelParams, scale: float = 1.0) -> StateFun
         return r / (scale + r)
 
     return StateFunctional(f"ramp_{scale:g}", fn)
-
-
-def cylinder_exp_functional(h: StateH, params: ModelParams, name: str = "cyl_exp") -> StateFunctional:
-    """exp(<x,h>_H); keep |h| small so paths stay in floating range."""
-    pairing = linear_pairing_functional(h, params)
-    return StateFunctional(name, lambda u, w: np.exp(pairing(u, w)))
 
 
 @dataclass
@@ -241,7 +222,6 @@ class FunctionalHistogram:
     ks_crit_5pct: float
     ks_pvalue: float
     samples_time_avg: np.ndarray
-    samples_ensemble: np.ndarray
 
 
 @dataclass
@@ -346,7 +326,6 @@ def estimate_invariant_measure(
             ks_crit_5pct=ks_crit,
             ks_pvalue=pval,
             samples_time_avg=sa,
-            samples_ensemble=sb,
         )
     return EmpiricalMeasure(
         burn_in=burn_in,
@@ -404,8 +383,8 @@ def invariant_moment_integral(
     hsq = norm_H_sq_arrays(states[..., 0], states[..., 1], params.gamma)
     vals = hsq**m
     dp = DriftParams(params.xi1)
-    f_hat = apply_F_arrays(states[..., 0], dp, basis, kind="eta")
-    f_sq = params.gamma * (f_hat * f_hat).sum(axis=-1)
+    f_hat = basis.to_coeffs(f_eta(basis.to_grid(states[..., 0]), dp))
+    f_sq = norm_H_sq_arrays(f_hat, np.zeros_like(f_hat), params.gamma)
     half = states.shape[0] // 2
     return InvariantMomentReport(
         m=m,

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .model import EigenBasis, ModelParams, StateH
+from .model import EigenBasis, ModelParams, StateH, inner_H, norm_H_sq_arrays
 from .noise import NoiseSpec, build_ou_kernel
 from .solver import (
     TrajectoryConfig,
@@ -50,8 +50,8 @@ _LOG_GUARD = 250.0
 class CylinderFunction:
     """Direction h of a cylindrical exponential phi(x) = exp(<x,h>_H).
 
-    Built from sparse (mode, coefficient) lists per channel; the H-norm of
-    h and the quadratic form <Qh,h>_H are cached at construction.
+    The H-norm of h and the quadratic form <Qh,h>_H are cached at
+    construction.
     """
 
     h: StateH
@@ -61,18 +61,15 @@ class CylinderFunction:
     h_norm: float = field(init=False)
 
     def __post_init__(self) -> None:
+        hu, hw = self.h.u_hat, self.h.w_hat
         q = 0.0
         if self.spec is not None:
             if self.spec.n_modes != self.h.n_modes:
                 raise ValueError("noise spectrum and direction h disagree on mode count")
-            q = float(
-                self.params.gamma * (self.spec.lambda1 * self.h.u_hat * self.h.u_hat).sum()
-                + (self.spec.lambda2 * self.h.w_hat * self.h.w_hat).sum()
-            )
+            q = float(self.pairing(self.spec.lambda1 * hu, self.spec.lambda2 * hw))
         object.__setattr__(self, "q_form", q)
-        hu, hw = self.h.u_hat, self.h.w_hat
         object.__setattr__(
-            self, "h_norm", math.sqrt(float(self.params.gamma * (hu @ hu) + hw @ hw))
+            self, "h_norm", math.sqrt(float(norm_H_sq_arrays(hu, hw, self.params.gamma)))
         )
 
     @classmethod
@@ -84,24 +81,16 @@ class CylinderFunction:
         u_modes: Sequence[tuple[int, float]] = (),
         w_modes: Sequence[tuple[int, float]] = (),
     ) -> "CylinderFunction":
-        hu = np.zeros(n_modes)
-        hw = np.zeros(n_modes)
-        for k, c in u_modes:
-            if not (0 <= k < n_modes):
-                raise ValueError(f"u-channel mode {k} outside the truncation")
-            hu[k] = c
-        for k, c in w_modes:
-            if not (0 <= k < n_modes):
-                raise ValueError(f"w-channel mode {k} outside the truncation")
-            hw[k] = c
-        return cls(h=StateH(hu, hw), params=params, spec=spec)
+        return cls(h=StateH.from_modes(n_modes, u_modes, w_modes), params=params, spec=spec)
 
     def pairing(self, u_hat: np.ndarray, w_hat: np.ndarray) -> np.ndarray:
         """<x,h>_H for batched coefficients (..., N); batch-size independent."""
-        return (
-            self.params.gamma * (u_hat * self.h.u_hat).sum(axis=-1)
-            + (w_hat * self.h.w_hat).sum(axis=-1)
-        )
+        return inner_H(u_hat, w_hat, self.h.u_hat, self.h.w_hat, self.params.gamma)
+
+    def phi(self, u_hat: np.ndarray, w_hat: np.ndarray) -> np.ndarray:
+        """exp(<x,h>_H) for batched coefficients (..., N); NaN where |<x,h>_H| > ``_LOG_GUARD``."""
+        lp = self.pairing(u_hat, w_hat)
+        return np.exp(np.where(np.abs(lp) > _LOG_GUARD, np.nan, lp))
 
 
 def generator_values(
@@ -113,14 +102,12 @@ def generator_values(
     """N0 phi and phi at batched states (..., N), for the drift ``b`` of ``solver.run_drift``.
 
     N0 phi(x) = phi(x) (1/2 <Qh,h>_H + <b(x),h>_H), where b is the drift
-    the solver integrates in one run mode.  The pairing <x,h>_H is formed
-    once; where it exceeds ``_LOG_GUARD`` in size, both outputs are NaN.
+    the solver integrates in one run mode.  Where phi is NaN (the exponent
+    is out of range), so is N0 phi.
     """
     bu, bw = b(u_hat, w_hat)
-    drift_term = h.params.gamma * (bu @ h.h.u_hat) + bw @ h.h.w_hat
-    lp = h.pairing(u_hat, w_hat)
-    phi = np.exp(np.where(np.abs(lp) > _LOG_GUARD, np.nan, lp))
-    return phi * (0.5 * h.q_form + drift_term), phi
+    phi = h.phi(u_hat, w_hat)
+    return phi * (0.5 * h.q_form + h.pairing(bu, bw)), phi
 
 
 @dataclass
@@ -156,7 +143,7 @@ def dynkin_residual(
     """
     _require_se_paths(n_paths)
     x0 = _x0_array(cfg, basis.n_modes)
-    phi0 = float(np.exp(h.pairing(x0[None, :, 0], x0[None, :, 1])[0]))
+    phi0 = float(h.phi(x0[:, 0], x0[:, 1]))
     if cfg.n_steps == 0:
         return DynkinReport(
             t=0.0, dt=cfg.dt, n_paths=n_paths, n_rejected=0, phi_start=phi0,
@@ -224,7 +211,7 @@ def ou_expectation_exact(
     kernel = build_ou_kernel(params, basis, spec, t, shifted=shifted)
     x_arr = x.as_array()
     mean_state = np.einsum("kij,kj->ki", kernel.transition, x_arr)
-    mean = params.gamma * (mean_state[:, 0] @ h.h.u_hat) + mean_state[:, 1] @ h.h.w_hat
+    mean = h.pairing(mean_state[:, 0], mean_state[:, 1])
     g = np.stack([params.gamma * h.h.u_hat, h.h.w_hat], axis=-1)  # (N, 2)
     var = float(np.einsum("ki,kij,kj->", g, kernel.cov, g))
     return math.exp(float(mean) + 0.5 * var)

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
@@ -382,6 +382,24 @@ class StateH:
         return cls(np.zeros(n_modes), np.zeros(n_modes))
 
     @classmethod
+    def from_modes(
+        cls,
+        n_modes: int,
+        u_modes: Iterable[tuple[int, float]] = (),
+        w_modes: Iterable[tuple[int, float]] = (),
+    ) -> "StateH":
+        """The state with the listed (mode, coefficient) entries per channel, zero elsewhere."""
+        hats = []
+        for channel, entries in (("u", u_modes), ("w", w_modes)):
+            hat = np.zeros(n_modes)
+            for k, c in entries:
+                if not (0 <= k < n_modes):
+                    raise ValueError(f"{channel}-channel mode {k} outside the truncation")
+                hat[k] = c
+            hats.append(hat)
+        return cls(*hats)
+
+    @classmethod
     def from_grid(cls, u_values: np.ndarray, w_values: np.ndarray, basis: EigenBasis) -> "StateH":
         return cls(basis.to_coeffs(u_values), basis.to_coeffs(w_values))
 
@@ -394,9 +412,19 @@ class StateH:
         return np.stack([self.u_hat, self.w_hat], axis=-1)
 
 
+def inner_H(
+    u1: np.ndarray, w1: np.ndarray, u2: np.ndarray, w2: np.ndarray, gamma: float
+) -> np.ndarray:
+    """Batched <x1,x2>_H = gamma <u1,u2> + <w1,w2> for coefficient arrays (..., N).
+
+    Row-wise sums, so a row's bits do not depend on the batch it sits in.
+    """
+    return gamma * (u1 * u2).sum(axis=-1) + (w1 * w2).sum(axis=-1)
+
+
 def norm_H_sq_arrays(u_hat: np.ndarray, w_hat: np.ndarray, gamma: float) -> np.ndarray:
     """Batched |x|_H^2 for coefficient arrays of shape (..., N)."""
-    return gamma * (u_hat * u_hat).sum(axis=-1) + (w_hat * w_hat).sum(axis=-1)
+    return inner_H(u_hat, w_hat, u_hat, w_hat, gamma)
 
 
 def norm_V_sq_arrays(

@@ -50,8 +50,6 @@ class NoiseSpec:
 
     lambda1: np.ndarray
     lambda2: np.ndarray
-    sigma2: float | None = None
-    s: float | None = None
 
     def __post_init__(self) -> None:
         l1 = np.asarray(self.lambda1, dtype=float)
@@ -70,7 +68,7 @@ class NoiseSpec:
         if s <= 0.5 and sigma2 > 0:
             raise ValueError(f"decay exponent s={s} <= 1/2 gives a non-summable spectrum")
         lam = sigma2 * (1.0 + np.arange(n_modes)) ** (-2.0 * s)
-        return cls(lambda1=lam, lambda2=lam.copy(), sigma2=sigma2, s=s)
+        return cls(lambda1=lam, lambda2=lam.copy())
 
     @classmethod
     def from_tables(cls, lambda1: np.ndarray, lambda2: np.ndarray) -> "NoiseSpec":

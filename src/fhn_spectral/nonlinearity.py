@@ -18,8 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EigenBasis
-
 ArrayLike = np.ndarray | float
 
 
@@ -89,24 +87,10 @@ def f_eta_eps_prime(u: ArrayLike, dp: DriftParams) -> ArrayLike:
 def grid_drift(u_grid: np.ndarray, dp: DriftParams, kind: str = "cubic") -> np.ndarray:
     """Pointwise drift values on grid data.
 
-    kind: 'cubic' -> f, 'eta' -> f_eta, 'eta_eps' -> f_{eta,eps}.
+    kind: 'cubic' -> f, 'eta_eps' -> f_{eta,eps} (f_eta at eps = 0).
     """
     if kind == "cubic":
         return f(u_grid, dp.xi1)
-    if kind == "eta":
-        return f_eta(u_grid, dp)
     if kind == "eta_eps":
         return f_eta_eps(u_grid, dp)
     raise ValueError(f"unknown drift kind {kind!r}")
-
-
-def apply_F_arrays(
-    u_hat: np.ndarray, dp: DriftParams, basis: EigenBasis, kind: str = "cubic"
-) -> np.ndarray:
-    """Batched first component of F: transform, pointwise drift, project back.
-
-    The projection onto n_modes <= n_grid/2 modes is the dealiasing
-    truncation for the cubic.
-    """
-    u_grid = basis.to_grid(u_hat)
-    return basis.to_coeffs(grid_drift(u_grid, dp, kind))

@@ -731,9 +731,7 @@ def backward_run(
         fit_rate, fit_r2 = math.nan, math.nan
     omega = params.derived().omega1
     x0 = cfg.x0
-    x0_sq = 0.0 if x0 is None else float(
-        params.gamma * (x0.u_hat @ x0.u_hat) + x0.w_hat @ x0.w_hat
-    )
+    x0_sq = 0.0 if x0 is None else float(norm_H_sq_arrays(x0.u_hat, x0.w_hat, params.gamma))
     tq = trace_Q(spec)
     envelope = {lam: (2.0 * tq * lam + x0_sq) * math.exp(-2.0 * omega * lam) for lam in ladder}
     env_const = max(second[lam] - envelope[lam] for lam in ladder)

@@ -15,16 +15,15 @@ from fhn_spectral import (
 from fhn_spectral.ergodics import (
     StateFunctional,
     bounded_ramp_functional,
-    cylinder_exp_functional,
     empirical_mode_covariances,
     estimate_invariant_measure,
     estimate_moments,
     h_norm_functional,
     invariant_moment_integral,
     ks_statistic,
-    linear_pairing_functional,
     v_norm_functional,
 )
+from fhn_spectral.kolmogorov import CylinderFunction
 from fhn_spectral.noise import convolution_trace_integral, stationary_mode_covariances
 from fhn_spectral.solver import _simulate_batch, run_ensemble
 
@@ -159,10 +158,8 @@ class TestInvariantMeasure:
     def test_linear_pairing_gaussian(self, params, basis, spec):
         # <x,h>_H under the F-disabled stationary law is centered Gaussian with
         # variance g^T Sigma g; one-sample KS at the 5% level
-        n = basis.n_modes
-        h = StateH.zero(n)
-        h.u_hat[0] = 1.0
-        func = linear_pairing_functional(h, params, name="pair0")
+        h = CylinderFunction.from_modes(basis.n_modes, params, u_modes=[(0, 1.0)])
+        func = StateFunctional("pair0", h.pairing)
         cfg = TrajectoryConfig(T=1.0, dt=0.05, drift="linear_eta", master_seed=31)
         measure = estimate_invariant_measure(
             cfg,
@@ -263,10 +260,8 @@ class TestTransitionSemigroup:
         w = rng.standard_normal((3, n))
         ramp = bounded_ramp_functional(params)
         assert np.all((ramp(u, w) >= 0) & (ramp(u, w) < 1))
-        h = StateH.zero(n)
-        h.u_hat[0] = 0.1
-        cyl = cylinder_exp_functional(h, params)
-        assert np.all(cyl(u, w) > 0)
+        cyl = CylinderFunction.from_modes(n, params, u_modes=[(0, 0.1)])
+        assert np.all(cyl.phi(u, w) > 0)
         vf = v_norm_functional(params, basis)
         hf = h_norm_functional(params)
         assert np.all(vf(u, w) >= hf(u, w) * (1 - 1e-12))

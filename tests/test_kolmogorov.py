@@ -11,24 +11,23 @@ from fhn_spectral import (
     StateH,
     TrajectoryConfig,
     build_eigenbasis,
+    f,
     f_eta_eps,
 )
 from fhn_spectral.kolmogorov import (
     _LOG_GUARD,
     CylinderFunction,
-    DynkinReport,
     dynkin_residual,
     generator_values,
     ou_expectation_exact,
 )
-from fhn_spectral.model import random_coeff_states
-from fhn_spectral.nonlinearity import apply_F_arrays
+from fhn_spectral.model import inner_H, random_coeff_states
 from fhn_spectral.solver import _simulate_batch, run_drift
 
 
 def phi_eval(h, x):
     """phi(x) = exp(<x,h>_H) for one state."""
-    return float(np.exp(h.pairing(x.u_hat, x.w_hat)))
+    return float(h.phi(x.u_hat, x.w_hat))
 
 
 @pytest.fixture(scope="module")
@@ -68,9 +67,41 @@ class TestCylinderFunction:
         qh = StateH(spec.lambda1 * h.h.u_hat, spec.lambda2 * h.h.w_hat)
         assert h.q_form == approx(h.pairing(qh.u_hat, qh.w_hat), rel=1e-14)
 
-    def test_mode_out_of_range(self, params, spec):
-        with pytest.raises(ValueError):
-            CylinderFunction.from_modes(8, params, spec, u_modes=[(8, 1.0)])
+
+class TestBatchIndependence:
+    """A row's phi, N0 phi and <x,h>_H do not depend on the batch it sits in.
+
+    The direction is dense, so a pairing by matrix-vector product, whose
+    summation order may follow the batch size, would show.  The generator
+    runs on the linear drift, which is row-local: below 256 modes the cubic's
+    matmul transforms are not.
+    """
+
+    @pytest.fixture(scope="class")
+    def dense(self, params, spec):
+        rng = np.random.default_rng(19)
+        n = params.n_modes
+        h = CylinderFunction(
+            StateH(0.05 * rng.standard_normal(n), 0.05 * rng.standard_normal(n)), params, spec
+        )
+        assert np.all(h.h.u_hat != 0.0) and np.all(h.h.w_hat != 0.0)
+        u, w = random_coeff_states(256, params, rng, scale=0.3)
+        return h, u, w
+
+    @pytest.mark.parametrize("form", ["generator", "phi", "pairing", "inner_H"])
+    def test_row_bits_at_every_batch_size(self, params, basis, dense, form):
+        h, u, w = dense
+        b = run_drift(params, basis, "linear")
+        fn = {
+            "generator": lambda u, w: generator_values(h, u, w, b)[0],
+            "phi": lambda u, w: generator_values(h, u, w, b)[1],
+            "pairing": h.pairing,
+            "inner_H": lambda u, w: inner_H(u, w, h.h.u_hat, h.h.w_hat, params.gamma),
+        }[form]
+        alone = fn(u[:1], w[:1])[0]
+        assert np.isfinite(alone)
+        moved = [size for size in range(2, 257) if fn(u[:size], w[:size])[0] != alone]
+        assert not moved, f"row 0 changed bits at batch sizes {moved[:8]}"
 
 
 class TestGradients:
@@ -93,7 +124,7 @@ class TestGradients:
     def test_N0_decomposes_into_L_plus_F_pairing(self, params, basis, spec, rng):
         h = CylinderFunction.from_modes(basis.n_modes, params, spec, u_modes=[(1, 0.5)])
         u, w = random_coeff_states(4, params, rng, scale=0.5)
-        f_hat = apply_F_arrays(u, DriftParams(params.xi1), basis)
+        f_hat = basis.to_coeffs(f(basis.to_grid(u), params.xi1))
         f_pair = h.pairing(f_hat, np.zeros_like(f_hat))
         n0, phi = generator_values(h, u, w, run_drift(params, basis, "fhn"))
         l_phi, _ = generator_values(h, u, w, run_drift(params, basis, "linear"))
@@ -197,7 +228,7 @@ class TestOUExpectation:
             T=t, dt=1e-3, x0=x, drift="linear", record_every=RECORD_ENDPOINTS, master_seed=44
         )
         arr = run_ensemble(cfg, params, basis, spec, 128).terminal
-        vals = np.exp(h.pairing(arr[..., 0], arr[..., 1]))
+        vals = h.phi(arr[..., 0], arr[..., 1])
         se = vals.std(ddof=1) / math.sqrt(len(vals))
         assert abs(vals.mean() - ou_expectation_exact(h, x, t, params, basis, spec)) <= 3 * se
 

@@ -14,11 +14,11 @@ from fhn_spectral import (
     StateH,
     build_eigenbasis,
 )
-from fhn_spectral.kolmogorov import CylinderFunction
 from fhn_spectral.model import (
     DCT_MIN_MODES,
     DerivedConstants,
     _check_basis,
+    inner_H,
     mode_matrices,
     norm_H_sq_arrays,
     norm_V_sq_arrays,
@@ -36,8 +36,8 @@ def norm_H_sq_quadrature(u_hat, w_hat, params, basis):
 
 
 def pairing_H(x, y, params):
-    """<x, y>_H as the program forms it: ``CylinderFunction.pairing`` with direction y."""
-    return float(CylinderFunction(h=y, params=params).pairing(x.u_hat, x.w_hat))
+    """<x, y>_H as the program forms it: ``model.inner_H``."""
+    return float(inner_H(x.u_hat, x.w_hat, y.u_hat, y.w_hat, params.gamma))
 
 
 class TestModelParams:
@@ -297,6 +297,17 @@ class TestStateAndNorms:
         cross = params.gamma * (-w * u).sum(axis=1) + (params.gamma * u * w).sum(axis=1)
         scale = np.abs(params.gamma * u * w).sum(axis=1) + 1e-300
         assert np.abs(cross / scale).max() < 1e-13
+
+    def test_from_modes_places_entries(self):
+        x = StateH.from_modes(4, u_modes=[(0, 2.0), (3, -1.0)], w_modes=[(1, 0.5)])
+        assert x.u_hat.tolist() == [2.0, 0.0, 0.0, -1.0]
+        assert x.w_hat.tolist() == [0.0, 0.5, 0.0, 0.0]
+
+    @pytest.mark.parametrize("channel", ["u", "w"])
+    @pytest.mark.parametrize("k", [-1, 8])
+    def test_from_modes_rejects_mode_out_of_range(self, channel, k):
+        with pytest.raises(ValueError, match=f"{channel}-channel mode {k} outside"):
+            StateH.from_modes(8, **{f"{channel}_modes": [(k, 1.0)]})
 
     def test_state_rejects_nonfinite(self):
         with pytest.raises(ValueError):

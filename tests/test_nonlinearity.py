@@ -6,19 +6,22 @@ from pytest import approx
 
 from fhn_spectral import (
     DriftParams,
-    ModelParams,
     StateH,
-    build_eigenbasis,
     f,
     f_eta,
     f_eta_eps,
     f_eta_eps_prime,
 )
 from fhn_spectral.model import norm_H_sq_arrays, random_coeff_states
-from fhn_spectral.nonlinearity import _denominator, apply_F_arrays
+from fhn_spectral.nonlinearity import _denominator, grid_drift
 from fhn_spectral.solver import drift_split, explicit_term, run_drift
 
 DP = DriftParams(xi1=0.5)
+
+
+def F_eta_hat(u_hat, dp, basis):
+    """First component of F_eta, as criterion 2 and the invariant moments form it."""
+    return basis.to_coeffs(f_eta(basis.to_grid(u_hat), dp))
 
 
 def h_eps(u, dp):
@@ -180,16 +183,15 @@ class TestHEps:
                 assert (lhs <= rhs + 1e-12).all()
 
 
-class TestApplyF:
+class TestProjectedDrift:
     def test_zero_state(self, params, basis):
-        out = apply_F_arrays(np.zeros((2, basis.n_modes)), DP, basis)
+        out = basis.to_coeffs(grid_drift(basis.to_grid(np.zeros((2, basis.n_modes))), DP))
         assert np.all(out == 0.0)
 
     def test_constant_field_reduces_to_scalar(self, params, basis):
         ubar = 0.7
-        x = StateH.zero(basis.n_modes)
-        x.u_hat[0] = ubar  # e_0 = 1 on [0,1]
-        out = apply_F_arrays(x.u_hat, DP, basis)
+        x = StateH.from_modes(basis.n_modes, u_modes=[(0, ubar)])  # e_0 = 1 on [0,1]
+        out = basis.to_coeffs(grid_drift(basis.to_grid(x.u_hat), DP))
         assert out[0] == approx(f(ubar, 0.5), abs=1e-10)
         assert np.abs(out[1:]).max() < 1e-10
 
@@ -197,7 +199,7 @@ class TestApplyF:
         # |F_eta(x)|_H <= C (1 + |u|_{L6}^3): fit C on one sample, hold on a fresh one
         def sample(n):
             u, _ = random_coeff_states(n, params, rng, scale=2.0)
-            f_hat = apply_F_arrays(u, DP, basis, kind="eta")
+            f_hat = F_eta_hat(u, DP, basis)
             f_norm = np.sqrt(params.gamma * (f_hat * f_hat).sum(axis=1))
             u_grid = basis.to_grid(u)
             l6 = (basis.quad_weight * (u_grid**6).sum(axis=1)) ** (1.0 / 6.0)
@@ -207,9 +209,9 @@ class TestApplyF:
         assert np.isfinite(c_fit)
         assert sample(400).max() <= 1.2 * c_fit
 
-    def test_unknown_kind(self, params, basis):
-        with pytest.raises(ValueError):
-            apply_F_arrays(np.zeros(basis.n_modes), DP, basis, kind="quartic")
+    def test_unknown_kind(self):
+        with pytest.raises(ValueError, match="unknown drift kind"):
+            grid_drift(np.zeros(4), DP, kind="quartic")
 
     def test_simulated_drift_rule(self, params, basis, rng):
         # the solver integrates the raw cubic at eps = 0 and f_{eta,eps} + eta u above it
@@ -231,8 +233,8 @@ class TestMonotonicity:
         u, _ = random_coeff_states(20, params, rng)
         d, _ = random_coeff_states(20, params, rng)
         s = 1e-4
-        fx = apply_F_arrays(u, DP, basis, kind="eta")
-        fy = apply_F_arrays(u + s * d, DP, basis, kind="eta")
+        fx = F_eta_hat(u, DP, basis)
+        fy = F_eta_hat(u + s * d, DP, basis)
         ratio = params.gamma * ((fy - fx) * d).sum(axis=1) / s
         u_grid, d_grid = basis.to_grid(u), basis.to_grid(d)
         limit = -3.0 * params.gamma * basis.quad_weight * (
@@ -244,8 +246,8 @@ class TestMonotonicity:
         dp = DriftParams(params.xi1)
         ux, wx = random_coeff_states(1000, params, rng)
         uy, wy = random_coeff_states(1000, params, rng)
-        fx = apply_F_arrays(ux, dp, basis, kind="eta")
-        fy = apply_F_arrays(uy, dp, basis, kind="eta")
+        fx = F_eta_hat(ux, dp, basis)
+        fy = F_eta_hat(uy, dp, basis)
         gap = params.gamma * ((fx - fy) * (ux - uy)).sum(axis=1)
         diff = norm_H_sq_arrays(ux - uy, wx - wy, params.gamma)
         assert np.all(gap <= 1e-9 * (1.0 + diff))

@@ -1,4 +1,5 @@
-"""Every public top-level function and class in the package is used by the package.
+"""Every public top-level function and class in the package is used by the package,
+and every name a module imports is read in that module.
 
 A public name that only tests call is a second API to keep in step with
 the one the program runs.  Re-exports in ``__init__.py`` do not count as
@@ -46,3 +47,28 @@ def test_every_public_definition_is_used_in_src():
         and total[node.name] - _uses(node)[node.name] == 0
     ]
     assert not unused, f"public definitions no code in src/ uses: {unused}"
+
+
+def _imported(tree: ast.Module) -> list[str]:
+    """Names an ``import`` binds anywhere in ``tree``, ``from __future__`` aside."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [alias.asname or alias.name for alias in node.names]
+    return names
+
+
+def test_every_import_in_src_is_read():
+    # __init__.py imports to re-export, which reads nothing
+    unread = [
+        f"{name}:{imported}"
+        for name, tree in _modules().items()
+        for imported in _imported(tree)
+        if not any(
+            isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == imported
+            for node in ast.walk(tree)
+        )
+    ]
+    assert not unread, f"imports no code in their module reads: {unread}"

@@ -9,8 +9,10 @@ parent from ``git archive REV``, the change from the working tree's tracked
 and unignored files.  Each tree runs the inputs in ``CONFIGS`` (``eigen``
 with the default config, the eight experiment subcommands with small fixed
 configs, ``couple``, ``dynkin`` and ``linear-oracle`` again with a start
-time and eps off their defaults, ``dynkin`` with c and p grid tables, and
-``eigen`` and ``simulate`` on a 256-mode basis, which transforms by DCT) and ``acceptance --quick``, all
+time and eps off their defaults, ``dynkin`` with c and p grid tables,
+``dynkin`` and ``couple`` with dense directions and starts, ``invariant``
+pairing on the w channel, and ``eigen`` and ``simulate`` on a 256-mode
+basis, which transforms by DCT) and ``acceptance --quick``, all
 with one BLAS thread.  The parent always runs with one worker;
 ``--workers`` sets ``FHN_SPECTRAL_WORKERS`` for the change, so a worker
 count that moves a byte shows up too.  Each tree also
@@ -108,6 +110,30 @@ CONFIGS: dict[str, tuple[str, dict]] = {
         "run": {"T": 0.2, "eps": 0.2},
         "dynkin": {"h_u": [[0, 0.4], [1, 0.3]], "h_w": [[1, 0.2]]},
         "master_seed": 16, "paths": 8,
+    }),
+    # dense directions and starts: a pairing whose summation order moved would
+    # show here, where today's sparse inputs (at most three entries) hide it
+    "dynkin-dense": ("dynkin", {
+        "model": {"gamma": 1.0},
+        "run": {"T": 0.2},
+        "dynkin": {"h_u": [[k, 0.05 * (-1) ** k / (1 + k)] for k in range(8)],
+                   "h_w": [[k, 0.03 / (2 + k)] for k in range(4)]},
+        "master_seed": 17, "paths": 8,
+    }),
+    "couple-dense": ("couple", {
+        "run": {"T": 0.3, "record_every": 20},
+        "couple": {"x0_b": {"kind": "scaled", "h_norm": 1.3, "base": {
+            "kind": "coeffs", "u_hat": [1.0 / (1 + k) ** 1.5 for k in range(32)],
+            "w_hat": [0.7 * (-1) ** k / (2 + k) for k in range(32)]}}},
+        "master_seed": 18, "paths": 2,
+    }),
+    # the pairing functional on the w channel
+    "invariant-w": ("invariant", {
+        "model": {"p": 0.85},
+        "run": {"T": 1.0, "dt": 2e-3, "x0": {"kind": "constant", "u": 0.5, "w": 0.2}},
+        "invariant": {"burn_in": 9.0, "n_time_samples": 40, "sample_spacing": 1.0,
+                      "pairing_mode": 1, "pairing_channel": "w"},
+        "master_seed": 19, "paths": 36,
     }),
     # a DCT basis: no mode table is stored, its rows are evaluated in blocks
     "eigen-dct": ("eigen", {"model": {"n_modes": 256, "n_grid": 512}}),
