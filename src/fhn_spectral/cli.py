@@ -1,5 +1,9 @@
 """Command-line front end: one binary, one experiment per subcommand.
 
+Each experiment is a function of the built config, model, basis, noise and
+run description that returns its tables, summary fields and report line;
+``run_command`` does the loading, building, writing and printing once.
+
 Outputs are CSV for curves and histograms plus a JSON summary per run; the
 summary embeds the resolved configuration, the master seed, and the
 package version, and all floats are written with deterministic formatting
@@ -23,6 +27,7 @@ import numpy as np
 
 from . import __version__
 from .config import (
+    SCHEMA,
     ConfigError,
     build_noise,
     build_params,
@@ -33,6 +38,7 @@ from .config import (
 )
 from .ergodics import (
     StateFunctional,
+    empirical_mode_covariances,
     estimate_invariant_measure,
     estimate_moments,
     h_norm_functional,
@@ -81,11 +87,6 @@ def _summary(cfg: dict[str, Any], **extra: Any) -> dict[str, Any]:
     return body
 
 
-def _load(args: argparse.Namespace) -> dict[str, Any]:
-    overrides = {"master_seed": args.seed, "paths": args.paths}
-    return load_config(args.config or None, {k: v for k, v in overrides.items() if v is not None})
-
-
 def _out_dir(args: argparse.Namespace, name: str) -> Path:
     """The output directory; the first artifact written creates it, so a failed run leaves none."""
     out = Path(args.out) if args.out else Path(f"out-{name}")
@@ -95,15 +96,6 @@ def _out_dir(args: argparse.Namespace, name: str) -> Path:
     return out
 
 
-def _experiment(args: argparse.Namespace, name: str):
-    """Config, output directory, model, basis, noise and run description of a subcommand."""
-    cfg = _load(args)
-    out = _out_dir(args, name)
-    params = build_params(cfg)
-    basis = build_eigenbasis(params)
-    return cfg, out, params, basis, build_noise(cfg), build_run_config(cfg, params, basis)
-
-
 def _eigen_rows(basis: EigenBasis) -> Iterator[np.ndarray]:
     """CSV rows (xi, e_0(xi), ..., e_{N-1}(xi)), a block of grid points at a time."""
     for start in range(0, basis.n_grid, _EIGEN_BLOCK):
@@ -111,143 +103,101 @@ def _eigen_rows(basis: EigenBasis) -> Iterator[np.ndarray]:
         yield from np.column_stack([basis.xi[points], basis.mode_rows(0, basis.n_modes, points).T])
 
 
-def cmd_eigen(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    out = _out_dir(args, "eigen")
-    params = build_params(cfg)
-    basis = build_eigenbasis(params)
+# what an experiment returns: its CSV tables (file name, header, rows) in
+# writing order, the fields it adds to summary.json, and its report line
+Result = tuple[Iterable[tuple[str, Sequence[str], Iterable[Sequence[float]]]], dict[str, Any], str]
+
+
+def cmd_eigen(cfg, params, basis) -> Result:
     header = ["xi"] + [f"e_{k}" for k in range(basis.n_modes)]
-    write_csv(out / "eigenbasis.csv", header, _eigen_rows(basis))
-    write_json(
-        out / "summary.json",
-        _summary(
-            cfg,
-            mu=[float(v) for v in basis.mu],
-            sup_bound=basis.sup_bound,
-            constant_c=basis.constant_c,
-        ),
-    )
-    print(f"eigen: {basis.n_modes} modes on {basis.n_grid} points -> {out}")
-    return EXIT_OK
+    fields = {"mu": [float(v) for v in basis.mu], "sup_bound": basis.sup_bound, "constant_c": basis.constant_c}
+    line = f"{basis.n_modes} modes on {basis.n_grid} points"
+    return [("eigenbasis.csv", header, _eigen_rows(basis))], fields, line
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg, out, params, basis, spec, run_cfg = _experiment(args, "simulate")
+def cmd_simulate(cfg, params, basis, spec, run_cfg) -> Result:
     ens = run_ensemble(run_cfg, params, basis, spec, cfg["paths"])
-    for pid, h, v in zip(ens.path_ids, ens.h_norm_sq, ens.v_norm_sq):
-        rows = np.column_stack([ens.times, h, v])
-        write_csv(out / f"path_{pid:04d}.csv", ["t", "h_norm_sq", "v_norm_sq"], rows)
-    terminal_h = ens.h_norm_sq[:, -1]
-    write_json(
-        out / "summary.json",
-        _summary(
-            cfg,
-            terminal_h_norm_sq_mean=float(np.mean(terminal_h)),
-            terminal_h_norm_sq_max=float(np.max(terminal_h)),
-            n_records=int(ens.times.size),
-        ),
+    # a generator, so each path's table is formatted only as it is written
+    tables = (
+        (f"path_{pid:04d}.csv", ["t", "h_norm_sq", "v_norm_sq"], np.column_stack([ens.times, h, v]))
+        for pid, h, v in zip(ens.path_ids, ens.h_norm_sq, ens.v_norm_sq)
     )
-    print(f"simulate: {cfg['paths']} paths, T={run_cfg.T} -> {out}")
-    return EXIT_OK
+    terminal_h = ens.h_norm_sq[:, -1]
+    fields = {
+        "terminal_h_norm_sq_mean": float(np.mean(terminal_h)),
+        "terminal_h_norm_sq_max": float(np.max(terminal_h)),
+        "n_records": int(ens.times.size),
+    }
+    return tables, fields, f"{cfg['paths']} paths, T={run_cfg.T}"
 
 
-def cmd_couple(args: argparse.Namespace) -> int:
-    cfg, out, params, basis, spec, run_cfg = _experiment(args, "couple")
+def cmd_couple(cfg, params, basis, spec, run_cfg) -> Result:
     block = experiment_block(cfg, "couple")
     x_b = build_x0(block["x0_b"], params, basis, "couple.x0_b") or StateH.zero(basis.n_modes)
     tol = float(block["envelope_tol"])
     report = coupled_run(x_b, run_cfg, params, basis, spec, n_paths=cfg["paths"], envelope_tol=tol)
     rows = np.column_stack([report.times] + [report.delta_sq[p] for p in range(cfg["paths"])])
-    write_csv(out / "decay.csv", ["t"] + [f"delta_sq_{p}" for p in range(cfg["paths"])], rows)
-    write_json(
-        out / "summary.json",
-        _summary(
-            cfg,
-            omega=report.omega,
-            envelope_ok=report.envelope_ok,
-            max_envelope_ratio=report.max_envelope_ratio,
-            pooled_exponent=report.pooled_exponent,
-            pooled_r2=report.pooled_r2,
-            path_exponents=[float(v) for v in report.path_exponents],
-        ),
-    )
-    print(
-        f"couple: envelope_ok={report.envelope_ok} exponent={report.pooled_exponent:.4f} "
-        f"r2={report.pooled_r2:.4f} -> {out}"
-    )
-    return EXIT_OK
+    header = ["t"] + [f"delta_sq_{p}" for p in range(cfg["paths"])]
+    fields = {
+        "omega": report.omega,
+        "envelope_ok": report.envelope_ok,
+        "max_envelope_ratio": report.max_envelope_ratio,
+        "pooled_exponent": report.pooled_exponent,
+        "pooled_r2": report.pooled_r2,
+        "path_exponents": [float(v) for v in report.path_exponents],
+    }
+    line = (f"envelope_ok={report.envelope_ok} exponent={report.pooled_exponent:.4f} "
+            f"r2={report.pooled_r2:.4f}")
+    return [("decay.csv", header, rows)], fields, line
 
 
-def cmd_convergence(args: argparse.Namespace) -> int:
-    cfg, out, params, basis, spec, run_cfg = _experiment(args, "convergence")
+def cmd_convergence(cfg, params, basis, spec, run_cfg) -> Result:
     ladder = experiment_block(cfg, "convergence")["eps_ladder"]
     report = eps_convergence_study(ladder, run_cfg, params, basis, spec, n_paths=cfg["paths"])
     rows = np.column_stack([report.eps_ladder, report.distance, report.distance_se])
-    write_csv(out / "distances.csv", ["eps", "distance", "se"], rows)
-    write_json(
-        out / "summary.json",
-        _summary(
-            cfg,
-            slope=report.slope,
-            r2=report.r2,
-            f_eps_integral={f"{k:g}": v for k, v in report.f_eps_integral.items()},
-        ),
-    )
-    print(f"convergence: slope={report.slope:.3f} r2={report.r2:.4f} -> {out}")
-    return EXIT_OK
+    fields = {
+        "slope": report.slope,
+        "r2": report.r2,
+        "f_eps_integral": {f"{k:g}": v for k, v in report.f_eps_integral.items()},
+    }
+    line = f"slope={report.slope:.3f} r2={report.r2:.4f}"
+    return [("distances.csv", ["eps", "distance", "se"], rows)], fields, line
 
 
-def cmd_backward(args: argparse.Namespace) -> int:
-    cfg, out, params, basis, spec, run_cfg = _experiment(args, "backward")
+def cmd_backward(cfg, params, basis, spec, run_cfg) -> Result:
     ladder = experiment_block(cfg, "backward")["lambda_ladder"]
     report = backward_run(ladder, run_cfg, params, basis, spec, n_paths=cfg["paths"])
     rows = [
         [lam, gam, d, report.distance_se[(lam, gam)]] for (lam, gam), d in report.distances.items()
     ]
-    write_csv(out / "distances.csv", ["lambda", "gamma", "distance", "se"], rows)
-    write_json(
-        out / "summary.json",
-        _summary(
-            cfg,
-            fit_rate=report.fit_rate,
-            fit_r2=report.fit_r2,
-            second_moments={f"{k:g}": v for k, v in report.second_moment.items()},
-            envelope={f"{k:g}": v for k, v in report.envelope.items()},
-            envelope_constant=report.envelope_constant,
-        ),
-    )
-    print(f"backward: fit rate={report.fit_rate:.4f} r2={report.fit_r2:.4f} -> {out}")
-    return EXIT_OK
+    fields = {
+        "fit_rate": report.fit_rate,
+        "fit_r2": report.fit_r2,
+        "second_moments": {f"{k:g}": v for k, v in report.second_moment.items()},
+        "envelope": {f"{k:g}": v for k, v in report.envelope.items()},
+        "envelope_constant": report.envelope_constant,
+    }
+    line = f"fit rate={report.fit_rate:.4f} r2={report.fit_r2:.4f}"
+    return [("distances.csv", ["lambda", "gamma", "distance", "se"], rows)], fields, line
 
 
-def cmd_moments(args: argparse.Namespace) -> int:
-    cfg, out, params, basis, spec, run_cfg = _experiment(args, "moments")
+def cmd_moments(cfg, params, basis, spec, run_cfg) -> Result:
     ens = run_ensemble(run_cfg, params, basis, spec, cfg["paths"])
     reports = {m: estimate_moments(m, ens, run_cfg, params) for m in (1, 2)}
     rows = np.column_stack(
         [reports[1].times, reports[1].estimate, reports[1].se, reports[2].estimate, reports[2].se]
     )
-    write_csv(out / "moments.csv", ["t", "m1", "m1_se", "m2", "m2_se"], rows)
-    write_json(
-        out / "summary.json",
-        _summary(
-            cfg,
-            envelope_constants={str(m): r.envelope_constant for m, r in reports.items()},
-            transient_exponents={str(m): r.transient_exponent for m, r in reports.items()},
-            flatness_drift={str(m): r.flatness_drift for m, r in reports.items()},
-            omega1=reports[1].omega1,
-        ),
-    )
-    print(
-        "moments: C1={:.4g} C2={:.4g} -> {}".format(
-            reports[1].envelope_constant, reports[2].envelope_constant, out
-        )
-    )
-    return EXIT_OK
+    fields = {
+        "envelope_constants": {str(m): r.envelope_constant for m, r in reports.items()},
+        "transient_exponents": {str(m): r.transient_exponent for m, r in reports.items()},
+        "flatness_drift": {str(m): r.flatness_drift for m, r in reports.items()},
+        "omega1": reports[1].omega1,
+    }
+    line = f"C1={reports[1].envelope_constant:.4g} C2={reports[2].envelope_constant:.4g}"
+    return [("moments.csv", ["t", "m1", "m1_se", "m2", "m2_se"], rows)], fields, line
 
 
-def cmd_invariant(args: argparse.Namespace) -> int:
-    cfg, out, params, basis, spec, run_cfg = _experiment(args, "invariant")
+def cmd_invariant(cfg, params, basis, spec, run_cfg) -> Result:
     block = experiment_block(cfg, "invariant")
     functionals = [h_norm_functional(params), v_norm_functional(params, basis)]
     mode = block["pairing_mode"]
@@ -267,40 +217,30 @@ def cmd_invariant(args: argparse.Namespace) -> int:
         sample_spacing=float(block["sample_spacing"]),
         n_ensemble=cfg["paths"],
     )
-    ks = {}
+    tables, ks = [], {}
     for name, hist in measure.functionals.items():
         mids = 0.5 * (hist.edges[:-1] + hist.edges[1:])
         rows = np.column_stack([hist.edges[:-1], hist.edges[1:], mids, hist.mass_time_avg, hist.mass_ensemble])
-        write_csv(
-            out / f"hist_{name}.csv",
-            ["bin_left", "bin_right", "bin_mid", "mass_time_avg", "mass_ensemble"],
-            rows,
-        )
+        header = ["bin_left", "bin_right", "bin_mid", "mass_time_avg", "mass_ensemble"]
+        tables.append((f"hist_{name}.csv", header, rows))
         ks[name] = {
             "stat": hist.ks_stat,
             "crit_5pct": hist.ks_crit_5pct,
             "pvalue": hist.ks_pvalue,
         }
-    moments = {
-        str(m): invariant_moment_integral(m, measure, params, basis).__dict__ for m in (1, 2)
+    fields = {
+        "burn_in": measure.burn_in,
+        "n_time_samples": len(measure.states_time_avg),
+        "n_ensemble_samples": len(measure.states_ensemble),
+        "ks": ks,
+        "invariant_moments": {
+            str(m): invariant_moment_integral(m, measure, params, basis).__dict__ for m in (1, 2)
+        },
     }
-    write_json(
-        out / "summary.json",
-        _summary(
-            cfg,
-            burn_in=measure.burn_in,
-            n_time_samples=len(measure.states_time_avg),
-            n_ensemble_samples=len(measure.states_ensemble),
-            ks=ks,
-            invariant_moments=moments,
-        ),
-    )
-    print(f"invariant: {len(measure.functionals)} functionals, burn_in={measure.burn_in:g} -> {out}")
-    return EXIT_OK
+    return tables, fields, f"{len(measure.functionals)} functionals, burn_in={measure.burn_in:g}"
 
 
-def cmd_linear_oracle(args: argparse.Namespace) -> int:
-    cfg, out, params, basis, spec, run_cfg = _experiment(args, "linear-oracle")
+def cmd_linear_oracle(cfg, params, basis, spec, run_cfg) -> Result:
     if run_cfg.drift == "fhn":
         run_cfg = replace(run_cfg, drift="linear_eta")
     burn = float(experiment_block(cfg, "linear_oracle")["burn_in"])
@@ -311,8 +251,6 @@ def cmd_linear_oracle(args: argparse.Namespace) -> int:
             f"{burn:g} leaves no samples in run.T={run_cfg.T:g}; "
             "extend run.T or shrink linear_oracle.burn_in",
         )
-    from .ergodics import empirical_mode_covariances
-
     target = stationary_mode_covariances(params, basis, spec, shifted=run_cfg.drift == "linear_eta")
     empirical = empirical_mode_covariances(
         run_cfg, params, basis, spec, n_paths=cfg["paths"], burn_in=burn
@@ -324,54 +262,47 @@ def cmd_linear_oracle(args: argparse.Namespace) -> int:
          empirical[k, 0, 0], empirical[k, 0, 1], empirical[k, 1, 1]]
         for k in range(basis.n_modes)
     ]
-    write_csv(
-        out / "covariances.csv",
-        ["mode", "lyap_uu", "lyap_uw", "lyap_ww", "emp_uu", "emp_uw", "emp_ww"],
-        rows,
-    )
-    write_json(
-        out / "summary.json",
-        _summary(cfg, max_rel_error_leading=float(rel.max()), n_leading=n_lead),
-    )
-    print(f"linear-oracle: max rel err (leading {n_lead}) = {rel.max():.4f} -> {out}")
-    return EXIT_OK
+    header = ["mode", "lyap_uu", "lyap_uw", "lyap_ww", "emp_uu", "emp_uw", "emp_ww"]
+    fields = {"max_rel_error_leading": float(rel.max()), "n_leading": n_lead}
+    line = f"max rel err (leading {n_lead}) = {rel.max():.4f}"
+    return [("covariances.csv", header, rows)], fields, line
 
 
-def cmd_dynkin(args: argparse.Namespace) -> int:
-    cfg, out, params, basis, spec, run_cfg = _experiment(args, "dynkin")
+def cmd_dynkin(cfg, params, basis, spec, run_cfg) -> Result:
     block = experiment_block(cfg, "dynkin")
     h_u = [(int(k), float(c)) for k, c in block["h_u"]]
     h_w = [(int(k), float(c)) for k, c in block["h_w"]]
     h = CylinderFunction.from_modes(basis.n_modes, params, spec, u_modes=h_u, w_modes=h_w)
     report = dynkin_residual(h, cfg["paths"], run_cfg, params, basis, spec)
-    write_json(
-        out / "summary.json",
-        _summary(
-            cfg,
-            t=report.t,
-            dt=report.dt,
-            residual=report.residual,
-            se=report.se,
-            n_paths=report.n_paths,
-            n_rejected=report.n_rejected,
-            phi_start=report.phi_start,
-            phi_terminal_mean=report.phi_terminal_mean,
-            integral_mean=report.integral_mean,
-            h_norm=h.h_norm,
-        ),
-    )
-    print(
-        f"dynkin: residual={report.residual:.3e} se={report.se:.3e} "
-        f"rejected={report.n_rejected} -> {out}"
-    )
-    return EXIT_OK
+    fields = {
+        "t": report.t,
+        "dt": report.dt,
+        "residual": report.residual,
+        "se": report.se,
+        "n_paths": report.n_paths,
+        "n_rejected": report.n_rejected,
+        "phi_start": report.phi_start,
+        "phi_terminal_mean": report.phi_terminal_mean,
+        "integral_mean": report.integral_mean,
+        "h_norm": h.h_norm,
+    }
+    line = f"residual={report.residual:.3e} se={report.se:.3e} rejected={report.n_rejected}"
+    return [], fields, line
 
 
-def cmd_acceptance(args: argparse.Namespace) -> int:
+def cmd_acceptance(args: argparse.Namespace, cfg: dict[str, Any], out: Path) -> int:
     from .acceptance import run_acceptance
 
-    cfg = _load(args)
-    out = _out_dir(args, "acceptance")
+    # every criterion runs its own fixed setup, so a setting other than the seed would
+    # be echoed into acceptance.json without being read
+    for block, keys in SCHEMA.items():
+        given = cfg.get(block, {}) if block else cfg
+        for key, (_, default) in keys.items():
+            if key != "master_seed" and key in given and given[key] != default:
+                raise ConfigError(
+                    f"{block}.{key}" if block else key,
+                    "acceptance reads only master_seed; every criterion fixes the rest",
+                )
     results = run_acceptance(quick=args.quick, master_seed=cfg["master_seed"])
     table = []
     for res in results:
@@ -392,6 +323,41 @@ def cmd_acceptance(args: argparse.Namespace) -> int:
     return EXIT_OK if payload["all_passed"] else EXIT_ACCEPTANCE
 
 
+# the experiment of each subcommand but ``acceptance``; ``eigen`` takes the
+# config, model and basis, the others also the noise and run description
+EXPERIMENTS = {
+    "eigen": cmd_eigen,
+    "simulate": cmd_simulate,
+    "couple": cmd_couple,
+    "convergence": cmd_convergence,
+    "backward": cmd_backward,
+    "moments": cmd_moments,
+    "invariant": cmd_invariant,
+    "linear-oracle": cmd_linear_oracle,
+    "dynkin": cmd_dynkin,
+}
+
+
+def run_command(args: argparse.Namespace) -> int:
+    """Load the config, build what the subcommand needs, run it, and write and report its result."""
+    overrides = {"master_seed": args.seed, "paths": getattr(args, "paths", None)}
+    cfg = load_config(args.config or None, {k: v for k, v in overrides.items() if v is not None})
+    out = _out_dir(args, args.command)
+    if args.command == "acceptance":
+        return cmd_acceptance(args, cfg, out)
+    params = build_params(cfg)
+    basis = build_eigenbasis(params)
+    built = [cfg, params, basis]
+    if args.command != "eigen":
+        built += [build_noise(cfg), build_run_config(cfg, params, basis)]
+    tables, fields, line = EXPERIMENTS[args.command](*built)
+    for name, header, rows in tables:
+        write_csv(out / name, header, rows)
+    write_json(out / "summary.json", _summary(cfg, **fields))
+    print(f"{args.command}: {line} -> {out}")
+    return EXIT_OK
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fhn-spectral",
@@ -399,27 +365,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    commands = {
-        "eigen": cmd_eigen,
-        "simulate": cmd_simulate,
-        "couple": cmd_couple,
-        "convergence": cmd_convergence,
-        "backward": cmd_backward,
-        "moments": cmd_moments,
-        "invariant": cmd_invariant,
-        "linear-oracle": cmd_linear_oracle,
-        "dynkin": cmd_dynkin,
-        "acceptance": cmd_acceptance,
-    }
-    for name, fn in commands.items():
+    for name in [*EXPERIMENTS, "acceptance"]:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="master seed override")
-        p.add_argument("--paths", type=int, default=None, help="ensemble size override")
-        p.add_argument("--out", type=str, default=None, help="output directory")
         if name == "acceptance":
             p.add_argument("--quick", action="store_true", help="reduced-cost smoke run")
-        p.set_defaults(fn=fn)
+        else:  # every acceptance criterion fixes its own ensemble sizes
+            p.add_argument("--paths", type=int, default=None, help="ensemble size override")
+        p.add_argument("--out", type=str, default=None, help="output directory")
     return parser
 
 
@@ -427,7 +381,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return run_command(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

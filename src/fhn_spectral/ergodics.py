@@ -98,12 +98,10 @@ def bounded_ramp_functional(params: ModelParams, scale: float = 1.0) -> StateFun
 class MomentReport:
     """Ensemble moment curves and their fitted dissipative envelope."""
 
-    m: int
     times: np.ndarray
     estimate: np.ndarray
     se: np.ndarray
     omega1: float
-    x0_norm_sq: float
     envelope_constant: float          # C_m with E|X|^{2m} <= C_m(1+e^{-m w1 t}|x0|^{2m})
     transient_exponent: float         # fitted decay rate of the initial-condition term
     flatness_drift: float             # relative drift across the last half of the run
@@ -158,12 +156,10 @@ def estimate_moments(
     else:
         flatness = math.nan
     return MomentReport(
-        m=m,
         times=times,
         estimate=est,
         se=se,
         omega1=omega1,
-        x0_norm_sq=x0_sq,
         envelope_constant=c_fit,
         transient_exponent=transient_exp,
         flatness_drift=flatness,
@@ -221,7 +217,6 @@ class FunctionalHistogram:
     ks_stat: float
     ks_crit_5pct: float
     ks_pvalue: float
-    samples_time_avg: np.ndarray
 
 
 @dataclass
@@ -325,7 +320,6 @@ def estimate_invariant_measure(
             ks_stat=stat,
             ks_crit_5pct=ks_crit,
             ks_pvalue=pval,
-            samples_time_avg=sa,
         )
     return EmpiricalMeasure(
         burn_in=burn_in,

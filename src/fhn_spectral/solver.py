@@ -494,9 +494,7 @@ class CoupledDecayReport:
 
     times: np.ndarray
     delta_sq: np.ndarray         # (P, R)
-    delta0_sq: float
     omega: float
-    envelope_tol: float
     envelope_ok: bool
     max_envelope_ratio: float
     path_exponents: np.ndarray   # (P,)
@@ -549,15 +547,17 @@ def coupled_run(
 
     lo, hi = times[0] + 0.25 * cfg.T, times[0] + 0.75 * cfg.T
     win = (times >= lo) & (times <= hi)
+    # a line through fewer than two window records fits nothing: NaN, as for the pool
+    fits = win.sum() >= 2
     exps = np.full(n_paths, np.nan)
     floor = 1e-300
     for p in range(n_paths):
         ys = delta_sq[p, win]
-        if (ys > floor).all():
+        if fits and (ys > floor).all():
             _, slope, _ = _ols_line(times[win], np.log(ys))
             exps[p] = -slope
     pooled = delta_sq[:, win].mean(axis=0)
-    if (pooled > floor).all() and win.sum() >= 2:
+    if fits and (pooled > floor).all():
         _, slope, r2 = _ols_line(times[win], np.log(pooled))
         pooled_exp, pooled_r2 = -slope, r2
     else:
@@ -565,9 +565,7 @@ def coupled_run(
     return CoupledDecayReport(
         times=times,
         delta_sq=delta_sq,
-        delta0_sq=delta0,
         omega=omega,
-        envelope_tol=envelope_tol,
         envelope_ok=bool(max_ratio <= 1.0 + envelope_tol),
         max_envelope_ratio=max_ratio,
         path_exponents=exps,

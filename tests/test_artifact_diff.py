@@ -44,3 +44,10 @@ def test_reshaped_csv_reads_as_infinite_change(parent_csv, change_csv, tmp_path)
     (tmp_path / "c.csv").write_text(change_csv)
     table = artifact_diff.file_table(Path("x.csv"), tmp_path / "p.csv", tmp_path / "c.csv")
     assert max(table.values()) == float("inf")
+
+
+def test_nan_against_a_number_reads_as_infinite_change(tmp_path):
+    (tmp_path / "p.json").write_text(json.dumps({"exponent": [0.06, 0.07]}))
+    (tmp_path / "c.json").write_text('{"exponent": [NaN, 0.07]}')
+    table = artifact_diff.file_table(Path("x.json"), tmp_path / "p.json", tmp_path / "c.json")
+    assert table == {"exponent": float("inf")}

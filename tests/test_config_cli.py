@@ -418,6 +418,35 @@ class TestCLI:
                 main(argv + ["--out", str(tmp_path / "o")])
             assert err.value.code == EXIT_CONFIG
 
+    def test_acceptance_refuses_settings_it_does_not_read(self, tmp_path, capsys, monkeypatch):
+        # every criterion runs its own fixed setup: a setting other than the seed is
+        # refused by name before any criterion runs, and leaves no --out behind
+        from fhn_spectral import acceptance
+
+        calls = []
+        monkeypatch.setattr(acceptance, "run_acceptance", lambda **kw: calls.append(kw) or [])
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+        for raw, key in (
+            ({"model": {"n_modes": 64, "n_grid": 128}, "run": {"dt": 0.5}}, "model.n_modes"),
+            ({"paths": 5}, "paths"),
+            ({"couple": {"envelope_tol": 0.1}}, "couple.envelope_tol"),
+        ):
+            cfg.write_text(json.dumps(raw))
+            rc = main(["acceptance", "--quick", "--config", str(cfg), "--out", str(out)])
+            assert rc == EXIT_CONFIG
+            assert f"{key}: " in capsys.readouterr().err
+        with pytest.raises(SystemExit) as err:
+            main(["acceptance", "--quick", "--paths", "5", "--out", str(out)])
+        assert err.value.code == EXIT_CONFIG
+        assert "--paths" in capsys.readouterr().err
+        assert not calls and not out.exists()
+        # the seed, and settings at their defaults, pass
+        cfg.write_text(json.dumps({"master_seed": 3, "model": {"n_modes": 32}, "acceptance": {}}))
+        argv = ["acceptance", "--quick", "--seed", "5", "--config", str(cfg), "--out", str(out)]
+        assert main(argv) == 0
+        assert calls == [{"quick": True, "master_seed": 5}]
+        assert json.loads((out / "acceptance.json").read_text())["master_seed"] == 5
+
     def test_scaled_zero_state_base_is_config_error(self, tmp_path, capsys):
         # the base is not of kind zero but builds to the zero state
         zero_base = {"kind": "scaled", "base": {"kind": "constant", "u": 0}, "h_norm": 1.0}

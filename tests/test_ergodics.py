@@ -57,8 +57,9 @@ class TestMoments:
         cfg = TrajectoryConfig(
             T=8.0, dt=1e-3, x0=StateH(u, np.zeros(n)), record_every=20, master_seed=3
         )
-        rep = estimate_moments(1, run_ensemble(cfg, params, basis, spec, 16), cfg, params)
-        assert rep.x0_norm_sq == approx(100.0)
+        ens = run_ensemble(cfg, params, basis, spec, 16)
+        rep = estimate_moments(1, ens, cfg, params)
+        assert ens.h_norm_sq[:, 0] == approx(100.0)
         assert rep.transient_exponent >= 0.7 * rep.omega1
 
 
@@ -175,7 +176,8 @@ class TestInvariantMeasure:
         cov = stationary_mode_covariances(params, basis, spec, shifted=True)
         g = np.array([params.gamma * 1.0, 0.0])
         sigma = math.sqrt(g @ cov[0] @ g)
-        samples = measure.functionals["pair0"].samples_time_avg
+        states = measure.states_time_avg
+        samples = func(states[..., 0], states[..., 1])
         res = kstest(samples, "norm", args=(0.0, sigma))
         assert res.statistic < 1.358 / math.sqrt(samples.size)
 

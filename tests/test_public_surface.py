@@ -1,5 +1,6 @@
 """Every public top-level function and class in the package is used by the package,
-and every name a module imports is read in that module.
+every name a module imports is read in that module, and every dataclass field
+is read by the package.
 
 A public name that only tests call is a second API to keep in step with
 the one the program runs.  Re-exports in ``__init__.py`` do not count as
@@ -47,6 +48,36 @@ def test_every_public_definition_is_used_in_src():
         and total[node.name] - _uses(node)[node.name] == 0
     ]
     assert not unused, f"public definitions no code in src/ uses: {unused}"
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    return any(
+        isinstance(d, ast.Name) and d.id == "dataclass"
+        or isinstance(d, ast.Call) and isinstance(d.func, ast.Name) and d.func.id == "dataclass"
+        for d in node.decorator_list
+    )
+
+
+def test_every_dataclass_field_is_read_in_src():
+    # a field no code reads is a value computed and stored for nothing;
+    # cli writes InvariantMomentReport whole through __dict__
+    modules = _modules()
+    read = {
+        node.attr
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = [
+        f"{name}:{cls.name}.{field.target.id}"
+        for name, tree in modules.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls) and cls.name != "InvariantMomentReport"
+        for field in cls.body
+        if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+        and field.target.id not in read
+    ]
+    assert not unread, f"dataclass fields no code in src/ reads: {unread}"
 
 
 def _imported(tree: ast.Module) -> list[str]:

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -462,13 +463,26 @@ class TestCoupledRun:
         rep = coupled_run(StateH.zero(basis.n_modes), cfg, params, basis, spec, n_paths=2)
         assert rep.delta_sq.max() == 0.0
 
+    @pytest.mark.parametrize("record_every,n_window", [(500, 0), (250, 1)])
+    def test_exponents_need_two_window_records(self, params, basis, spec, record_every, n_window):
+        # T = 0.5 records t = 0, 0.5 or t = 0, 0.25, 0.5: the window [T/4, 3T/4] holds
+        # no record or one, so no line is fitted, per path as for the pool
+        y = StateH.from_modes(basis.n_modes, u_modes=[(0, 1.0)])
+        cfg = TrajectoryConfig(T=0.5, dt=1e-3, record_every=record_every, master_seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = coupled_run(y, cfg, params, basis, spec, n_paths=2)
+        assert ((rep.times >= 0.125) & (rep.times <= 0.375)).sum() == n_window
+        assert math.isnan(rep.pooled_exponent)
+        assert np.isnan(rep.path_exponents).all()
+
     def test_decay_envelope_and_fit(self, params, basis, spec):
         u = np.zeros(basis.n_modes)
         u[0] = 1.0 / math.sqrt(params.gamma)
         y = StateH(u, np.zeros(basis.n_modes))
         cfg = TrajectoryConfig(T=6.0, dt=1e-3, record_every=50, master_seed=14)
         rep = coupled_run(y, cfg, params, basis, spec, n_paths=6)
-        assert rep.delta0_sq == approx(1.0)
+        assert rep.delta_sq[:, 0] == approx(1.0)
         assert rep.envelope_ok
         assert rep.max_envelope_ratio <= 1.05
         assert rep.pooled_exponent >= 2.0 * rep.omega * 0.8

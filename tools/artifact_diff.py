@@ -11,9 +11,12 @@ with the default config, the eight experiment subcommands with small fixed
 configs, ``couple``, ``dynkin`` and ``linear-oracle`` again with a start
 time and eps off their defaults, ``dynkin`` with c and p grid tables,
 ``dynkin`` and ``couple`` with dense directions and starts, ``invariant``
-pairing on the w channel, and ``eigen`` and ``simulate`` on a 256-mode
-basis, which transforms by DCT) and ``acceptance --quick``, all
-with one BLAS thread.  The parent always runs with one worker;
+pairing on the w channel, ``couple`` with at most one record in its fit
+window, and ``eigen`` and ``simulate`` on a 256-mode basis, which
+transforms by DCT) and ``acceptance --quick``, all with one BLAS thread.
+Each ``CONFIGS`` input's stdout report line, with its ``--out`` path read
+as ``<out>``, goes to ``report/<name>.txt``, so a moved report line shows
+like a moved artifact.  The parent always runs with one worker;
 ``--workers`` sets ``FHN_SPECTRAL_WORKERS`` for the change, so a worker
 count that moves a byte shows up too.  Each tree also
 runs the inputs in ``REJECTED`` and records each one's exit code, first
@@ -142,6 +145,10 @@ CONFIGS: dict[str, tuple[str, dict]] = {
         "run": {"T": 0.02, "x0": {"kind": "constant", "u": 1.5}},
         "master_seed": 12, "paths": 4,
     }),
+    # records at t = 0, 0.25, 0.5: one record in the fit window [T/4, 3T/4]
+    "couple-sparse": ("couple", {
+        "run": {"T": 0.5, "record_every": 250}, "master_seed": 20, "paths": 2,
+    }),
 }
 
 # inputs the CLI rejects: (arguments after the subcommand's name, config)
@@ -165,11 +172,17 @@ REJECTED: dict[str, tuple[list[str], dict]] = {
     ),
     # the ladder sets every column's eps
     "convergence-run-eps": (["convergence"], {"run": {"T": 0.01, "eps": 0.3}, "paths": 2}),
+    # every criterion fixes its own setup; acceptance reads only the seed
+    "acceptance-config": (
+        ["acceptance", "--quick"],
+        {"model": {"n_modes": 64, "n_grid": 128}, "run": {"dt": 0.5}},
+    ),
 }
 
 
-def run_cli(tree: Path, args: list[str], workers: int, check: bool = True) -> str:
-    """Run the CLI in ``tree``; returns its exit code and first stderr line."""
+def run_cli(tree: Path, args: list[str], workers: int,
+            check: bool = True) -> subprocess.CompletedProcess:
+    """Run the CLI in ``tree``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), OPENBLAS_NUM_THREADS="1",
                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1", FHN_SPECTRAL_WORKERS=str(workers))
     proc = subprocess.run([sys.executable, "-m", "fhn_spectral", *args], cwd=tree, env=env,
@@ -178,14 +191,17 @@ def run_cli(tree: Path, args: list[str], workers: int, check: bool = True) -> st
     if check and proc.returncode not in (0, 1):
         raise RuntimeError(f"fhn_spectral {' '.join(args)} in {tree} exited "
                            f"{proc.returncode}:\n{proc.stderr}")
-    return f"exit {proc.returncode}\n{(proc.stderr.splitlines() or [''])[0]}\n"
+    return proc
 
 
 def run_tree(tree: Path, out: Path, workers: int) -> None:
+    (out / "report").mkdir()
     for name, (command, cfg) in CONFIGS.items():
         cfg_path = tree / f"artifact-diff-{name}.json"
         cfg_path.write_text(json.dumps(cfg))
-        run_cli(tree, [command, "--config", str(cfg_path), "--out", str(out / name)], workers)
+        argv = [command, "--config", str(cfg_path), "--out", str(out / name)]
+        stdout = run_cli(tree, argv, workers).stdout
+        (out / "report" / f"{name}.txt").write_text(stdout.replace(str(out / name), "<out>"))
     run_cli(tree, ["acceptance", "--quick", "--out", str(out / "acceptance")], workers)
     (out / "rejected").mkdir()
     for name, (args, cfg) in REJECTED.items():
@@ -194,8 +210,10 @@ def run_tree(tree: Path, out: Path, workers: int) -> None:
         # what a run that is not rejected writes stays out of the comparison
         out_dir = tree / f"out-rejected-{name}"
         argv = [*args, "--config", str(cfg_path), "--out", str(out_dir)]
-        result = run_cli(tree, argv, workers, check=False)
-        (out / "rejected" / f"{name}.txt").write_text(f"{result}--out exists: {out_dir.exists()}\n")
+        proc = run_cli(tree, argv, workers, check=False)
+        first_err = (proc.stderr.splitlines() or [""])[0]
+        (out / "rejected" / f"{name}.txt").write_text(
+            f"exit {proc.returncode}\n{first_err}\n--out exists: {out_dir.exists()}\n")
 
 
 def numbers(value, path: str = ""):
@@ -216,6 +234,8 @@ def rel_change(a, b) -> float:
         return 0.0 if a == b else math.inf
     if a == b or (math.isnan(a) and math.isnan(b)):
         return 0.0
+    if math.isnan(a) or math.isnan(b):
+        return math.inf
     return abs(a - b) / max(abs(a), abs(b))
 
 
