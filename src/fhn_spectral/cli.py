@@ -2,7 +2,8 @@
 
 Each experiment is a function of the built config, model, basis, noise and
 run description that returns its tables, summary fields and report line;
-``run_command`` does the loading, building, writing and printing once.
+``run_command`` does the loading, building, writing and printing once, and
+refuses any setting off its default that the subcommand does not read.
 
 Outputs are CSV for curves and histograms plus a JSON summary per run; the
 summary embeds the resolved configuration, the master seed, and the
@@ -293,16 +294,6 @@ def cmd_dynkin(cfg, params, basis, spec, run_cfg) -> Result:
 def cmd_acceptance(args: argparse.Namespace, cfg: dict[str, Any], out: Path) -> int:
     from .acceptance import run_acceptance
 
-    # every criterion runs its own fixed setup, so a setting other than the seed would
-    # be echoed into acceptance.json without being read
-    for block, keys in SCHEMA.items():
-        given = cfg.get(block, {}) if block else cfg
-        for key, (_, default) in keys.items():
-            if key != "master_seed" and key in given and given[key] != default:
-                raise ConfigError(
-                    f"{block}.{key}" if block else key,
-                    "acceptance reads only master_seed; every criterion fixes the rest",
-                )
     results = run_acceptance(quick=args.quick, master_seed=cfg["master_seed"])
     table = []
     for res in results:
@@ -323,34 +314,62 @@ def cmd_acceptance(args: argparse.Namespace, cfg: dict[str, Any], out: Path) -> 
     return EXIT_OK if payload["all_passed"] else EXIT_ACCEPTANCE
 
 
-# the experiment of each subcommand but ``acceptance``; ``eigen`` takes the
-# config, model and basis, the others also the noise and run description
-EXPERIMENTS = {
-    "eigen": cmd_eigen,
-    "simulate": cmd_simulate,
-    "couple": cmd_couple,
-    "convergence": cmd_convergence,
-    "backward": cmd_backward,
-    "moments": cmd_moments,
-    "invariant": cmd_invariant,
-    "linear-oracle": cmd_linear_oracle,
-    "dynkin": cmd_dynkin,
+# each subcommand's experiment and its read-set: what it reads of the config,
+# as top-level keys, whole blocks and single "block.key" names, its own
+# experiment block included.  ``eigen`` takes the config, model and basis and
+# reads only what the basis is built from, the other experiments also take
+# the noise and run description; ``acceptance`` runs the criteria, each of
+# which fixes its own setup but the seed.
+_RUN = {"master_seed", "paths", "model", "noise", *(f"run.{key}" for key in SCHEMA["run"])}
+COMMANDS = {
+    "eigen": (cmd_eigen, {"model.c", "model.n_modes", "model.n_grid"}),
+    "simulate": (cmd_simulate, _RUN),
+    "couple": (cmd_couple, _RUN | {"couple"}),
+    "convergence": (cmd_convergence, _RUN - {"run.record_every"} | {"convergence"}),
+    "backward": (cmd_backward, _RUN - {"run.record_every", "run.T", "run.start_time"} | {"backward"}),
+    "moments": (cmd_moments, _RUN),
+    "invariant": (cmd_invariant, _RUN - {"run.record_every", "run.T"} | {"invariant"}),
+    "linear-oracle": (cmd_linear_oracle, _RUN - {"run.record_every"} | {"linear_oracle"}),
+    "dynkin": (cmd_dynkin, _RUN - {"run.record_every"} | {"dynkin"}),
+    "acceptance": (cmd_acceptance, {"master_seed"}),
 }
 
 
+def _check_reads(cfg: dict[str, Any], command: str) -> None:
+    """Refuse every setting off its ``SCHEMA`` default outside ``command``'s
+    read-set, so that no artifact echoes a value its run ignored."""
+    reads = COMMANDS[command][1]
+    unread = []
+    for block, keys in SCHEMA.items():
+        given = cfg.get(block, {}) if block else cfg
+        for key, (_, default) in keys.items():
+            name = f"{block}.{key}" if block else key
+            if key in given and given[key] != default and not {block, name} & reads:
+                unread.append(name)
+    if unread:
+        first, *rest = unread
+        nor = f" (nor {', '.join(rest)})" if rest else ""
+        raise ConfigError(first, f"not read by {command}{nor}; leave it out or at its default")
+
+
 def run_command(args: argparse.Namespace) -> int:
-    """Load the config, build what the subcommand needs, run it, and write and report its result."""
-    overrides = {"master_seed": args.seed, "paths": getattr(args, "paths", None)}
+    """Load and check the config, build what the subcommand needs, run it, write and report."""
+    overrides = {"master_seed": getattr(args, "seed", None), "paths": getattr(args, "paths", None)}
     cfg = load_config(args.config or None, {k: v for k, v in overrides.items() if v is not None})
+    _check_reads(cfg, args.command)
     out = _out_dir(args, args.command)
+    experiment, reads = COMMANDS[args.command]
     if args.command == "acceptance":
-        return cmd_acceptance(args, cfg, out)
+        return experiment(args, cfg, out)
     params = build_params(cfg)
     basis = build_eigenbasis(params)
     built = [cfg, params, basis]
     if args.command != "eigen":
-        built += [build_noise(cfg), build_run_config(cfg, params, basis)]
-    tables, fields, line = EXPERIMENTS[args.command](*built)
+        # backward and invariant set their own horizons, so the run.T they do
+        # not read is not held to the dt grid
+        run = cfg["run"] if "run.T" in reads else {**cfg["run"], "T": 0.0}
+        built += [build_noise(cfg), build_run_config({**cfg, "run": run}, params, basis)]
+    tables, fields, line = experiment(*built)
     for name, header, rows in tables:
         write_csv(out / name, header, rows)
     write_json(out / "summary.json", _summary(cfg, **fields))
@@ -365,14 +384,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name in [*EXPERIMENTS, "acceptance"]:
+    for name, (_, reads) in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None, help="JSON config path")
-        p.add_argument("--seed", type=int, default=None, help="master seed override")
+        if "master_seed" in reads:
+            p.add_argument("--seed", type=int, default=None, help="master seed override")
+        if "paths" in reads:
+            p.add_argument("--paths", type=int, default=None, help="ensemble size override")
         if name == "acceptance":
             p.add_argument("--quick", action="store_true", help="reduced-cost smoke run")
-        else:  # every acceptance criterion fixes its own ensemble sizes
-            p.add_argument("--paths", type=int, default=None, help="ensemble size override")
         p.add_argument("--out", type=str, default=None, help="output directory")
     return parser
 

@@ -218,8 +218,11 @@ def validate_config(cfg: dict[str, Any]) -> None:
         for key in ("lambda1", "lambda2"):
             if len(noise.get(key, [])) != n_modes:
                 raise ConfigError(f"noise.{key}", f"expected a table of n_modes={n_modes} values")
-    for key in ("T", "start_time"):
-        _grid_steps(run[key], run["dt"], f"run.{key}")
+        for key in ("sigma2", "s"):
+            if key in noise:
+                raise ConfigError(f"noise.{key}", "not read next to the lambda1/lambda2 tables")
+    # run.T is held to the dt grid where it is read, in build_run_config
+    _grid_steps(run["start_time"], run["dt"], "run.start_time")
     _validate_x0(run["x0"], "run.x0", n_modes)
     _validate_x0(experiment_block(cfg, "couple")["x0_b"], "couple.x0_b", n_modes)
     invariant = cfg.get("invariant", {})
@@ -230,6 +233,8 @@ def validate_config(cfg: dict[str, Any]) -> None:
     mode = experiment_block(cfg, "invariant")["pairing_mode"]
     if mode is not None and not 0 <= mode < n_modes:
         raise ConfigError("invariant.pairing_mode", f"expected an integer in [0, {n_modes})")
+    if mode is None and "pairing_channel" in invariant:
+        raise ConfigError("invariant.pairing_channel", "not read without invariant.pairing_mode")
     dynkin = experiment_block(cfg, "dynkin")
     for key in ("h_u", "h_w"):
         if not all(0 <= mode < n_modes for mode, _ in dynkin[key]):
@@ -313,6 +318,7 @@ def build_run_config(
     cfg: dict[str, Any], params: ModelParams, basis: EigenBasis
 ) -> TrajectoryConfig:
     run = cfg["run"]
+    _grid_steps(run["T"], run["dt"], "run.T")
     return TrajectoryConfig(
         T=float(run["T"]),
         dt=float(run["dt"]),

@@ -267,7 +267,8 @@ def _simulate_batch(
     kernel = build_ou_kernel(params, basis, spec, dt, shifted=shifted)
     noise_diag, noise_off = _mode_rows(kernel.factor)
     kernels = {1: _update_rows(kernel)}
-    # only the cubic asks for substeps
+    # only the cubic asks for substeps and reads u on the grid; a variable-p
+    # remainder alone transforms inside explicit_term
     nonlinear = bool(batch_groups)
 
     def apply_update(x: np.ndarray, f_hat: np.ndarray | None, rows: tuple) -> np.ndarray:
@@ -306,7 +307,7 @@ def _simulate_batch(
         noise = noise_diag * z
         noise += noise_off * z[:, ::-1]
 
-        u_grid = basis.to_grid(x[:, 0])
+        u_grid = basis.to_grid(x[:, 0]) if nonlinear else None
         m_col = None
         if nonlinear:
             u_sq = u_grid * u_grid

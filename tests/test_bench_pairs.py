@@ -1,5 +1,8 @@
-"""tools/bench_pairs.py reads each metric of paired runs as a gain, regression, unresolved or unchanged."""
+"""tools/bench_pairs.py reads each metric of paired runs as a gain, regression, unresolved or
+unchanged, and keeps each run's record fields."""
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -59,3 +62,33 @@ def test_summary_carries_the_verdict():
     summary = bench_pairs.summarize(runs, metrics)["peak_rss_mb"]
     assert summary["verdict"] == "gain"
     assert summary["change_won_pairs"] == 10
+
+
+def test_run_keeps_its_record_fields(tmp_path, monkeypatch):
+    # a fake perfbench run: its stdout and the record it leaves under perfbench/work/
+    record = {
+        "extra": {"failed_ratio": 0.0, "iterations": 3, "criterion8_s": 7.5,
+                  "criterion9_s": 14.0, "criterion10_s": 6.1},
+        "setup_samples_s": [0.51, 0.5, 0.52],
+        "wall_samples_s": [9.0, 9.5, 9.2],
+        "metrics": {"wall_s": 9.2},
+    }
+    work = tmp_path / "perfbench" / "work"
+    work.mkdir(parents=True)
+    (work / "verify-seed4-trace0.json").write_text(json.dumps(record))
+    result = {"correct": True, "attempted": 33, "failed": 0, "metrics": {}}
+    stdout = f"perfbench verify\nenv: {json.dumps({'blas': 'x'})}\n{json.dumps(result)}\n"
+
+    def fake_run(cmd, **kwargs):
+        assert kwargs["cwd"] == tmp_path and cmd[cmd.index("--seed") + 1] == "4"
+        return subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    run = bench_pairs.run_once(tmp_path, "verify", 4, 30.0)
+    assert run == {
+        "result": result,
+        "env": {"blas": "x"},
+        "extra": {"criterion8_s": 7.5, "criterion9_s": 14.0, "criterion10_s": 6.1, "iterations": 3},
+        "setup_samples_s": [0.51, 0.5, 0.52],
+        "wall_samples_s": [9.0, 9.5, 9.2],
+    }

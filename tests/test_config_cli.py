@@ -12,6 +12,7 @@ from pytest import approx
 from fhn_spectral import build_eigenbasis
 from fhn_spectral.cli import EXIT_BLOWUP, EXIT_CONFIG, build_parser, main
 from fhn_spectral.config import (
+    SCHEMA,
     ConfigError,
     build_noise,
     build_params,
@@ -65,6 +66,7 @@ class TestConfigValidation:
             ({"invariant": {"pairing_mode": 99}}, "invariant.pairing_mode"),
             ({"invariant": {"pairing_mode": -1}}, "invariant.pairing_mode"),
             ({"invariant": {"pairing_channel": "v"}}, "invariant.pairing_channel"),
+            ({"invariant": {"pairing_channel": "w"}}, "invariant.pairing_channel"),
             ({"linear_oracle": {"burn_in": "x"}}, "linear_oracle.burn_in"),
             ({"dynkin": {"h_u": [[0, "a"]]}}, "dynkin.h_u"),
             ({"dynkin": {"h_w": [[32, 0.1]]}}, "dynkin.h_w"),
@@ -73,7 +75,6 @@ class TestConfigValidation:
                 "couple.x0_b.base",
             ),
             ({"run": {"x0": {"kind": "cosine", "u_mode": "a"}}}, "run.x0.u_mode"),
-            ({"run": {"T": 0.00037}}, "run.T"),
             ({"run": {"start_time": 0.0005}}, "run.start_time"),
             ({"run": {"T": float("nan")}}, "run.T"),
             ({"run": {"x0": {"kind": "coeffs", "u_hat": [0.1] * 33}}}, "run.x0.u_hat"),
@@ -104,6 +105,17 @@ class TestConfigValidation:
                 {"model": {"n_modes": 8, "n_grid": 16},
                  "noise": {"lambda1": [0.1] * 7 + [None], "lambda2": [0.1] * 8}},
                 "noise.lambda1",
+            ),
+            # the tables replace the power law, so its parameters would go unread
+            (
+                {"model": {"n_modes": 8, "n_grid": 16},
+                 "noise": {"lambda1": [0.1] * 8, "lambda2": [0.1] * 8, "sigma2": 0.01}},
+                "noise.sigma2",
+            ),
+            (
+                {"model": {"n_modes": 8, "n_grid": 16},
+                 "noise": {"lambda1": [0.1] * 8, "lambda2": [0.1] * 8, "s": 2.0}},
+                "noise.s",
             ),
         ],
     )
@@ -227,8 +239,13 @@ class TestConfigProperties:
         sign=st.sampled_from([1.0, -1.0]),
     )
     def test_time_off_the_dt_grid(self, key, dt, steps, frac, sign):
+        # run.start_time is checked on merging, run.T where a run description is built
         value = (steps + frac) * dt * (sign if key == "start_time" else 1.0)
-        assert _merge_error({"run": {"dt": dt, key: value}}).path == f"run.{key}"
+        with pytest.raises(ConfigError) as err:
+            cfg = merge_config({"run": {"dt": dt, key: value}})
+            params = build_params(cfg)
+            build_run_config(cfg, params, build_eigenbasis(params))
+        assert err.value.path == f"run.{key}"
 
 
 class _Captured(Exception):
@@ -249,7 +266,7 @@ _EXPERIMENT_FUNCTIONS = {
 class TestExperimentDefaults:
     """What each subcommand passes on when the config leaves its block out."""
 
-    def _capture(self, command, tmp_path, monkeypatch, horizon=0.01):
+    def _capture(self, command, tmp_path, monkeypatch, horizon=None):
         import importlib
 
         import fhn_spectral.cli as cli
@@ -265,7 +282,8 @@ class TestExperimentDefaults:
         monkeypatch.setattr(importlib.import_module(f"fhn_spectral.{module}"), name, fake)
         monkeypatch.setattr(cli, name, fake, raising=False)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"model": {"n_modes": 8, "n_grid": 16}, "run": {"T": horizon}}))
+        run = {} if horizon is None else {"T": horizon}
+        cfg.write_text(json.dumps({"model": {"n_modes": 8, "n_grid": 16}, "run": run}))
         with pytest.raises(_Captured):
             main([command, "--config", str(cfg), "--paths", "2", "--out", str(tmp_path / "o")])
         return captured["args"], captured["kwargs"]
@@ -358,6 +376,136 @@ class TestX0Builders:
         basis = build_eigenbasis(params)
         run_cfg = build_run_config(cfg, params, basis)
         assert run_cfg.n_steps == 200 and run_cfg.eps == 0.1
+
+
+# what each subcommand reads: top-level keys and whole blocks, less the run
+# keys it leaves alone.  Each experiment reads its own block and no other.
+_SIMULATION = {"master_seed", "paths", "model", "noise", "run"}
+_READ_TABLE = {
+    "eigen": ({"model.c", "model.n_modes", "model.n_grid"}, set()),
+    "simulate": (_SIMULATION, set()),
+    "couple": (_SIMULATION | {"couple"}, set()),
+    "convergence": (_SIMULATION | {"convergence"}, {"record_every"}),
+    "backward": (_SIMULATION | {"backward"}, {"record_every", "T", "start_time"}),
+    "moments": (_SIMULATION, set()),
+    "invariant": (_SIMULATION | {"invariant"}, {"record_every", "T"}),
+    "linear-oracle": (_SIMULATION | {"linear_oracle"}, {"record_every"}),
+    "dynkin": (_SIMULATION | {"dynkin"}, {"record_every"}),
+    "acceptance": ({"master_seed"}, set()),
+}
+# a valid value off its default for every SCHEMA key; the noise tables need
+# each other and a table length of n_modes
+_OFF_DEFAULT = {
+    "master_seed": 9, "paths": 5,
+    "model.alpha": 1.5, "model.gamma": 1.0, "model.xi1": 0.4, "model.c": 2.0, "model.p": 0.5,
+    "model.n_modes": 16, "model.n_grid": 32,
+    "noise.sigma2": 0.02, "noise.s": 2.0, "noise.lambda1": [0.01] * 16, "noise.lambda2": [0.02] * 16,
+    "run.T": 0.5, "run.dt": 2e-3, "run.eps": 0.1, "run.record_every": 2, "run.start_time": -0.2,
+    "run.drift": "linear", "run.x0": {"kind": "constant", "u": 1.0},
+    "couple.x0_b": {"kind": "constant", "u": 0.5}, "couple.envelope_tol": 0.1,
+    "convergence.eps_ladder": [0.2, 0.1], "backward.lambda_ladder": [1.0, 2.0],
+    "invariant.burn_in": 3.0, "invariant.n_time_samples": 10, "invariant.sample_spacing": 1.0,
+    "invariant.pairing_mode": 0, "invariant.pairing_channel": "w",
+    "linear_oracle.burn_in": 5.0, "dynkin.h_u": [[1, 0.2]], "dynkin.h_w": [[0, 0.1]],
+}
+_NEEDS = {
+    "noise.lambda1": ["noise.lambda2", "model.n_modes"],
+    "noise.lambda2": ["noise.lambda1", "model.n_modes"],
+    "invariant.pairing_channel": ["invariant.pairing_mode"],
+}
+
+
+# every SCHEMA key: (block, key, dotted name)
+_SCHEMA_NAMES = [
+    (block, key, f"{block}.{key}" if block else key) for block, keys in SCHEMA.items() for key in keys
+]
+
+
+def _reads(command: str, block: str, key: str) -> bool:
+    blocks, unread_run = _READ_TABLE[command]
+    read = {block or key, f"{block}.{key}"} & blocks
+    return bool(read) and not (block == "run" and key in unread_run)
+
+
+def _off_default_config(names) -> dict:
+    raw: dict = {}
+    for name in names:
+        block, _, key = name.rpartition(".")
+        (raw.setdefault(block, {}) if block else raw)[key] = _OFF_DEFAULT[name]
+    return raw
+
+
+class TestReadSets:
+    """Each subcommand refuses every setting it does not read, unless it is at its default."""
+
+    @pytest.mark.parametrize("command,name", [
+        (command, name)
+        for command in _READ_TABLE
+        for block, key, name in _SCHEMA_NAMES
+        if not _reads(command, block, key)
+    ])
+    def test_unread_setting_exits_2_before_anything_runs(
+        self, command, name, tmp_path, capsys, monkeypatch
+    ):
+        import fhn_spectral.cli as cli
+        from fhn_spectral import acceptance, ergodics, kolmogorov, solver
+
+        block, _, key = name.rpartition(".")
+        assert _OFF_DEFAULT[name] != SCHEMA[block][key][1]
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran past the read check")
+
+        for module in (solver, ergodics, kolmogorov):
+            monkeypatch.setattr(module, "_simulate_batch", never)
+        monkeypatch.setattr(cli, "build_eigenbasis", never)
+        monkeypatch.setattr(acceptance, "run_acceptance", never)
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+        cfg.write_text(json.dumps(_off_default_config([name, *_NEEDS.get(name, [])])))
+        quick = ["--quick"] if command == "acceptance" else []
+        assert main([command, *quick, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"not read by {command}" in err
+        assert re.search(rf"[ (]{re.escape(name)}[:,)]", err), err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", list(_READ_TABLE))
+    @pytest.mark.parametrize("noise", [("sigma2", "s"), ("lambda1", "lambda2")])
+    def test_every_setting_read_passes_the_check(self, command, noise):
+        # the noise is given as a power law or as tables, not both
+        from fhn_spectral.cli import _check_reads
+
+        names = [
+            name for block, key, name in _SCHEMA_NAMES
+            if _reads(command, block, key) and not (block == "noise" and key not in noise)
+        ]
+        _check_reads(merge_config(_off_default_config(names)), command)
+
+    @pytest.mark.parametrize("command,block", [
+        ("invariant", {"invariant": {"burn_in": 0.6, "n_time_samples": 2, "sample_spacing": 0.3}}),
+        ("backward", {"backward": {"lambda_ladder": [0.3, 0.6]}}),
+    ])
+    def test_unread_horizon_is_not_held_to_the_dt_grid(self, command, block, tmp_path):
+        # run.T's default 1 is off the grid of dt 0.3; these commands set their own horizons
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+        cfg.write_text(json.dumps({"run": {"dt": 0.3}, "paths": 2, **block}))
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+        assert json.loads((out / "summary.json").read_text())["config"]["run"]["T"] == 1.0
+
+    def test_read_horizon_off_the_dt_grid_exits_2(self, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+        cfg.write_text(json.dumps({"run": {"T": 0.00037}, "paths": 1}))
+        assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        assert "run.T" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--paths", "--seed"])
+    def test_eigen_takes_no_paths_or_seed(self, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["eigen", flag, "5", "--out", str(tmp_path / "o")])
+        assert err.value.code == EXIT_CONFIG
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestCLI:
@@ -464,11 +612,13 @@ class TestCLI:
 
     @pytest.mark.parametrize("command", ["backward", "convergence", "dynkin", "moments"])
     def test_single_path_standard_errors_are_config_errors(self, tmp_path, capsys, command):
-        # a standard error needs two paths; one path must not give se = nan or a traceback
+        # a standard error needs two paths; one path must not give se = nan or a traceback.
+        # backward takes its horizons from its ladder, the others run to run.T
+        raw = {"run": {"T": 0.05}}
+        if command == "backward":
+            raw = {"backward": {"lambda_ladder": [0.02, 0.04]}}
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(
-            {"run": {"T": 0.05, "dt": 1e-3}, "backward": {"lambda_ladder": [0.02, 0.04]}}
-        ))
+        cfg.write_text(json.dumps(raw))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             rc = main([command, "--config", str(cfg), "--paths", "1", "--out", str(tmp_path / "o")])

@@ -1,6 +1,6 @@
 """Every public top-level function and class in the package is used by the package,
-every name a module imports is read in that module, and every dataclass field
-is read by the package.
+every name a module imports is read in that module, every dataclass field
+is read by the package, and every config key is read by some subcommand.
 
 A public name that only tests call is a second API to keep in step with
 the one the program runs.  Re-exports in ``__init__.py`` do not count as
@@ -103,3 +103,18 @@ def test_every_import_in_src_is_read():
         )
     ]
     assert not unread, f"imports no code in their module reads: {unread}"
+
+
+def test_every_schema_key_is_in_some_read_set():
+    # a key that no subcommand reads could only ever be refused
+    from fhn_spectral.cli import COMMANDS
+    from fhn_spectral.config import SCHEMA
+
+    unread = [
+        name
+        for block, keys in SCHEMA.items()
+        for key in keys
+        for name in [f"{block}.{key}" if block else key]
+        if not any({block, name} & reads for _, reads in COMMANDS.values())
+    ]
+    assert not unread, f"config keys no subcommand reads: {unread}"

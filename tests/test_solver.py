@@ -21,7 +21,7 @@ from fhn_spectral import (
     run_ensemble,
 )
 from fhn_spectral import solver
-from fhn_spectral.model import norm_H_sq_arrays
+from fhn_spectral.model import EigenBasis, norm_H_sq_arrays
 from fhn_spectral.noise import build_ou_kernel
 from fhn_spectral.nonlinearity import DriftParams, grid_drift
 from fhn_spectral.solver import RECORD_ENDPOINTS, _ols_line, _simulate_batch, resolve_workers
@@ -172,6 +172,22 @@ class TestStepAndIntegrate:
         )
         assert (min(kernel_steps) < dt) == substeps
         assert kernel_steps[0] == dt
+
+    @pytest.mark.parametrize("drift", ["linear", "linear_eta"])
+    def test_constant_p_linear_run_makes_no_grid_transform(
+        self, params, basis, spec, monkeypatch, drift
+    ):
+        # without the cubic or a variable-p remainder nothing reads u on the grid
+        calls = []
+        to_grid = EigenBasis.to_grid
+        monkeypatch.setattr(EigenBasis, "to_grid", lambda *a: calls.append(a) or to_grid(*a))
+        x0 = np.zeros((2, basis.n_modes, 2))
+        x0[:, 0, 0] = 1.0
+        _simulate_batch(
+            params, basis, spec, dt=1e-3, n_steps=4, start_interval=0, x0=x0,
+            drift=drift, eps_by_col=np.zeros(2), master_seed=0, path_ids=np.arange(2),
+        )
+        assert calls == []
 
 
 def _step_per_mode(params, basis, spec, dt, x0, drift, eps_by_col, path_ids, seed, interval):

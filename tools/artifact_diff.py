@@ -18,11 +18,11 @@ Each ``CONFIGS`` input's stdout report line, with its ``--out`` path read
 as ``<out>``, goes to ``report/<name>.txt``, so a moved report line shows
 like a moved artifact.  The parent always runs with one worker;
 ``--workers`` sets ``FHN_SPECTRAL_WORKERS`` for the change, so a worker
-count that moves a byte shows up too.  Each tree also
-runs the inputs in ``REJECTED`` and records each one's exit code, first
-stderr line and whether it left its ``--out`` directory behind in
-``rejected/<name>.txt``, so a move in the error contract shows up like a
-moved artifact.
+count that moves a byte shows up too.  Each tree also runs the inputs in
+``REJECTED`` and records each one's exit code, last stderr line (argparse
+prints its usage first) and whether it left its ``--out`` directory
+behind in ``rejected/<name>.txt``, so a move in the error contract shows
+up like a moved artifact.
 
 The script prints every output file that is missing on one side or
 differs, and for a ``rejected/`` file both sides' contents.  For a
@@ -177,6 +177,32 @@ REJECTED: dict[str, tuple[list[str], dict]] = {
         ["acceptance", "--quick"],
         {"model": {"n_modes": 64, "n_grid": 128}, "run": {"dt": 0.5}},
     ),
+    # a setting off its default that the subcommand does not read; the read
+    # ones are small, so a tree that accepts the input runs it quickly
+    "eigen-paths": (["eigen", "--paths", "5"], {}),
+    "backward-run-T": (["backward"], {
+        "run": {"T": 0.37, "start_time": -0.2}, "backward": {"lambda_ladder": [0.01, 0.02]},
+        "paths": 2,
+    }),
+    "invariant-run-T": (["invariant"], {
+        "run": {"T": 0.37}, "paths": 2,
+        "invariant": {"burn_in": 0.01, "n_time_samples": 2, "sample_spacing": 0.01},
+    }),
+    "dynkin-record-every": (["dynkin"], {"run": {"T": 0.01, "record_every": 5}, "paths": 2}),
+    "simulate-foreign-block": (
+        ["simulate"], {"run": {"T": 0.01}, "couple": {"envelope_tol": 0.1}, "paths": 1},
+    ),
+    # the basis is built from c, n_modes and n_grid alone
+    "eigen-model-alpha": (["eigen"], {"model": {"alpha": 2.0}}),
+    # values read only with others
+    "noise-tables-sigma2": (["simulate"], {
+        "model": {"n_modes": 8, "n_grid": 16}, "run": {"T": 0.01}, "paths": 1,
+        "noise": {"lambda1": [0.01] * 8, "lambda2": [0.01] * 8, "sigma2": 0.02},
+    }),
+    "invariant-channel-without-mode": (["invariant"], {
+        "paths": 2, "invariant": {"burn_in": 0.01, "n_time_samples": 2, "sample_spacing": 0.01,
+                                  "pairing_channel": "w"},
+    }),
 }
 
 
@@ -211,9 +237,9 @@ def run_tree(tree: Path, out: Path, workers: int) -> None:
         out_dir = tree / f"out-rejected-{name}"
         argv = [*args, "--config", str(cfg_path), "--out", str(out_dir)]
         proc = run_cli(tree, argv, workers, check=False)
-        first_err = (proc.stderr.splitlines() or [""])[0]
+        last_err = (proc.stderr.splitlines() or [""])[-1]
         (out / "rejected" / f"{name}.txt").write_text(
-            f"exit {proc.returncode}\n{first_err}\n--out exists: {out_dir.exists()}\n")
+            f"exit {proc.returncode}\n{last_err}\n--out exists: {out_dir.exists()}\n")
 
 
 def numbers(value, path: str = ""):

@@ -12,10 +12,12 @@ the repository's ``.git``.  For each workload the runner
 makes ``--pairs`` pairs of ``perfbench/run.py --trace 0`` runs and
 alternates which side goes first.  It refuses to run when the two trees'
 ``perfbench/`` files differ, so both sides are measured by the same code.
-The output holds every run's result line and environment line, and per
-end-to-end metric of ``BENCHMARK.json`` each side's median and quartiles,
-the change/parent ratio of the medians, how many pairs the change won and
-a ``verdict`` (see :func:`verdict`).
+The output holds every run's result line and environment line, with the
+criterion times, iteration count and time samples of the record the run
+leaves under ``perfbench/work/``, and per end-to-end metric of
+``BENCHMARK.json`` each side's median and quartiles, the change/parent
+ratio of the medians, how many pairs the change won and a ``verdict``
+(see :func:`verdict`).
 """
 
 from __future__ import annotations
@@ -70,6 +72,11 @@ def same_benchmark(a: Path, b: Path) -> bool:
     return files(a) == files(b)
 
 
+# the fields of perfbench's per-run record kept beside the result line: the
+# slow criteria's times and the iteration count, and every set-up and wall sample
+RECORD_EXTRA = ("criterion8_s", "criterion9_s", "criterion10_s", "iterations")
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
@@ -78,7 +85,16 @@ def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         raise RuntimeError(f"{' '.join(cmd)} in {tree} failed:\n{proc.stderr}")
     lines = proc.stdout.splitlines()
     env = next(line[len("env: "):] for line in lines if line.startswith("env: "))
-    return {"result": json.loads(lines[-1]), "env": json.loads(env)}
+    record = json.loads(
+        (tree / "perfbench" / "work" / f"{workload}-seed{seed}-trace0.json").read_text()
+    )
+    return {
+        "result": json.loads(lines[-1]),
+        "env": json.loads(env),
+        "extra": {k: record["extra"][k] for k in RECORD_EXTRA if k in record["extra"]},
+        "setup_samples_s": record["setup_samples_s"],
+        "wall_samples_s": record["wall_samples_s"],
+    }
 
 
 def quartiles(values: list[float]) -> dict[str, float]:
