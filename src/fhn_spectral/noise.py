@@ -6,7 +6,10 @@ indexed by absolute time: the draws for the interval [j*dt, (j+1)*dt) are a
 fixed counter block of a Philox stream keyed by (master_seed, path_id), so
 runs that start at different times (the backward invariant-measure
 construction) see the same noise path on overlapping intervals, and
-ensembles are reproducible independently of scheduling.
+ensembles are reproducible independently of scheduling.  A batch's streams
+are drawn together: one refill fills every stream's counter blocks into one
+buffer and converts the whole buffer with one ``ndtri``, which moves no draw
+because each element is still a function of its own counter alone.
 
 For constant p the linear-plus-noise part of the dynamics is integrated
 exactly per mode: the transition matrix e^{M dt}, the phi1 weight for the
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from numpy.random import Generator, Philox
@@ -34,8 +38,9 @@ from .model import EigenBasis, ModelParams, mode_matrices
 # interval index offset so backward starts stay in unsigned counter range
 _INTERVAL_OFFSET = 1 << 40
 _MASK64 = (1 << 64) - 1
-# uniforms drawn per generator call; a stream refills max(1, this // block)
-# intervals at a time, which changes no draw because interval j is counter block j
+# uniforms drawn per stream per refill: every stream of a batch refills
+# max(1, this // block) intervals into one shared buffer, which changes no draw
+# because interval j is counter block j whatever the batch or the block size
 _REFILL_UNIFORMS = 2048
 
 
@@ -92,43 +97,50 @@ def trace_Q(spec: NoiseSpec) -> float:
 
 
 class PathStream:
-    """Counter-based Gaussian stream for one trajectory.
+    """Counter-based Gaussian streams for one trajectory or a batch of them.
 
-    ``normals(j)`` returns the 2N standard normals driving interval j
-    (u-channel draws first, then w-channel), generated from a fixed
-    counter block of a Philox stream keyed by (master_seed, path_id).
-    Identical (seed, path, interval) triples give bitwise identical
-    draws in any run order.  The stream keeps the normals of a run of
-    consecutive intervals from one generator call and returns read-only
-    rows of that buffer.
+    ``path_id`` is one id or a sequence of S ids.  ``normals(j)`` returns
+    the 2N standard normals driving interval j for every stream, a
+    read-only (S, 2N) block in the order of ``path_id`` (u-channel draws
+    first, then w-channel), or a (2N,) row for a single id.  Each stream's
+    draws are a fixed counter block of a Philox stream keyed by
+    (master_seed, path_id), so identical (seed, path, interval) triples give
+    bitwise identical draws in any run order and in any batch.  A refill
+    draws a run of consecutive intervals for every stream into one buffer
+    and returns views of it.
     """
 
-    def __init__(self, n_modes: int, master_seed: int, path_id: int):
-        if path_id < 0:
+    def __init__(self, n_modes: int, master_seed: int, path_id: int | Sequence[int]):
+        self._single = np.ndim(path_id) == 0
+        ids = [int(p) for p in ([path_id] if self._single else path_id)]
+        if any(p < 0 for p in ids):
             raise ValueError("path_id must be >= 0")
         self.n_modes = int(n_modes)
         self.master_seed = int(master_seed) & _MASK64
-        self.path_id = int(path_id) & _MASK64
+        self._keys = [p & _MASK64 for p in ids]
         self._n_draws = 2 * self.n_modes
         # counter blocks must be whole Philox ticks (4 uint64 draws each)
         self._block = 4 * ((self._n_draws + 3) // 4)
         self._per_refill = max(1, _REFILL_UNIFORMS // self._block)
-        self._gen: Generator | None = None
+        self._gens: list[Generator] = []
         self._pos = -1
-        # normals of the offset intervals [_first, _first + len(_cache))
+        # normals of the offset intervals [_first, _first + _per_refill), (S, R, block)
         self._first = 0
-        self._cache = np.empty((0, self._n_draws))
+        self._cache: np.ndarray | None = None
 
-    def _seek(self, target: int) -> Generator:
-        if self._gen is None or target < self._pos:
-            bg = Philox(key=np.array([self.master_seed, self.path_id], dtype=np.uint64))
-            if target:
-                bg.advance(target // 4)
-            self._gen = Generator(bg)
+    def _seek(self, target: int) -> None:
+        """Put every stream's generator at uniform ``target``; a backward jump re-seeds all."""
+        if not self._gens or target < self._pos:
+            self._gens = []
+            for key in self._keys:
+                bg = Philox(key=np.array([self.master_seed, key], dtype=np.uint64))
+                if target:
+                    bg.advance(target // 4)
+                self._gens.append(Generator(bg))
         elif target > self._pos:
-            self._gen.bit_generator.advance((target - self._pos) // 4)
+            for gen in self._gens:
+                gen.bit_generator.advance((target - self._pos) // 4)
         self._pos = target
-        return self._gen
 
     def normals(self, interval: int) -> np.ndarray:
         """Standard normals for the absolute interval index (may be negative)."""
@@ -136,16 +148,21 @@ class PathStream:
         if j < 0:
             raise ValueError(f"interval index {interval} below the supported backward range")
         row = j - self._first
-        if not 0 <= row < self._cache.shape[0]:
-            # one generator call for intervals j .. j + _per_refill - 1
-            gen = self._seek(j * self._block)
-            u = gen.random(self._per_refill * self._block).reshape(self._per_refill, self._block)
-            self._pos += u.size
+        if self._cache is None or not 0 <= row < self._per_refill:
+            # drop the old buffer first, so a refill holds one buffer at a time
+            self._cache = None
+            buf = np.empty((len(self._keys), self._per_refill, self._block))
+            self._seek(j * self._block)
+            for gen, rows in zip(self._gens, buf):
+                gen.random(out=rows)
+            self._pos += self._per_refill * self._block
             # uniforms -> normals by inverse CDF keeps consumption fixed per interval
-            self._cache = ndtri(np.fmax(u[:, : self._n_draws], 2.0**-64))
-            self._cache.flags.writeable = False
-            self._first, row = j, 0
-        return self._cache[row]
+            np.fmax(buf, 2.0**-64, out=buf)
+            ndtri(buf, out=buf)
+            buf.flags.writeable = False
+            self._cache, self._first, row = buf, j, 0
+        block = self._cache[:, row, : self._n_draws]
+        return block[0] if self._single else block
 
 
 @dataclass

@@ -255,14 +255,17 @@ def _simulate_batch(
     per kernel.  Every product keeps the operands of the per-mode 2x2 form
     and every sum at most swaps its two terms, so the bits do not depend on
     the layout.  Each distinct path id owns one counter-based noise stream,
-    drawn once per interval.  ``on_step(i, t, state)`` observes the state
-    after step i (i = 0 is the initial state) through a read-only (B, N, 2)
-    view, at the record steps of ``record_every`` (every step by default).
+    and one ``PathStream`` draws them all, one (S, 2N) block per interval.
+    ``on_step(i, t, state)`` observes the state after step i (i = 0 is the
+    initial state) through a read-only (B, N, 2) view, at the record steps
+    of ``record_every`` (every step by default).
     """
     b, n = x0.shape[0], x0.shape[1]
     path_ids = np.asarray(path_ids)
     stream_keys, stream_ids = np.unique(path_ids, return_inverse=True)
-    streams = [PathStream(n, master_seed, int(pid)) for pid in stream_keys]
+    streams = PathStream(n, master_seed, stream_keys)
+    # distinct ids in ascending order: the stream rows are the batch rows, no gather
+    in_order = np.array_equal(stream_ids, np.arange(b))
     shifted, batch_groups = drift_split(drift, params.xi1, eps_by_col)
     kernel = build_ou_kernel(params, basis, spec, dt, shifted=shifted)
     noise_diag, noise_off = _mode_rows(kernel.factor)
@@ -279,6 +282,15 @@ def _simulate_batch(
             xn += (phi * f_hat[:, None]) * h
         return xn
 
+    def draw_noise(interval: int) -> np.ndarray:
+        # the block's view dies here, so the next refill can drop its buffer
+        z = streams.normals(interval).reshape(-1, 2, n)
+        if not in_order:
+            z = z[stream_ids]
+        noise = noise_diag * z
+        noise += noise_off * z[:, ::-1]
+        return noise
+
     def observe(i: int, x: np.ndarray) -> None:
         if on_step is not None and _is_record_step(i, n_steps, record_every):
             view = x.transpose(0, 2, 1)
@@ -294,18 +306,10 @@ def _simulate_batch(
     # C order keeps every row's reductions in one layout, whatever x0's strides
     x = np.array(np.swapaxes(x0, 1, 2), dtype=float, order="C")
     observe(0, x)
-    z_block = np.empty((len(streams), 2 * n))
-    z_rows = z_block.reshape(len(streams), 2, n)
-    # distinct ids in ascending order: the stream rows are the batch rows, no gather
-    in_order = np.array_equal(stream_ids, np.arange(b))
 
     for i in range(n_steps):
         interval = start_interval + i
-        for s_idx, stream in enumerate(streams):
-            z_block[s_idx] = stream.normals(interval)
-        z = z_rows if in_order else z_rows[stream_ids]
-        noise = noise_diag * z
-        noise += noise_off * z[:, ::-1]
+        noise = draw_noise(interval)
 
         u_grid = basis.to_grid(x[:, 0]) if nonlinear else None
         m_col = None

@@ -73,21 +73,27 @@ def _reference_normals(n_modes: int, master_seed: int, path_id: int, interval: i
 class TestPathStream:
     @pytest.mark.parametrize("n_modes", [3, 8, 32, 1024])
     def test_matches_independent_draws(self, n_modes):
-        # a stream refills several intervals per generator call; every row must
-        # still equal the interval drawn on its own
+        # a stream refills several intervals of every path at once; each row
+        # must still equal its path's interval drawn on its own, and a single
+        # id gives that row, not a block
         per_refill = max(1, _REFILL_UNIFORMS // (4 * ((2 * n_modes + 3) // 4)))
         sequential = range(-per_refill - 2, 2 * per_refill + 3)     # crosses refill edges
         jumps = [5, -1000, 7 * per_refill - 1, 7 * per_refill, 0, -1, 3 * per_refill + 1]
         scattered = np.random.default_rng(n_modes).integers(-50 * per_refill, 50 * per_refill, 20)
-        stream = PathStream(n_modes, 11, 4)
-        for j in [*sequential, *jumps, *scattered.tolist()]:
-            assert np.array_equal(stream.normals(j), _reference_normals(n_modes, 11, 4, j)), j
+        for path_ids in (4, (9, 2, 40, 0)):
+            stream = PathStream(n_modes, 11, path_ids)
+            for j in [*sequential, *jumps, *scattered.tolist()]:
+                expect = [_reference_normals(n_modes, 11, p, j) for p in np.atleast_1d(path_ids)]
+                expect = np.reshape(expect, np.shape(path_ids) + (2 * n_modes,))
+                assert np.array_equal(stream.normals(j), expect), (path_ids, j)
 
     def test_rows_are_read_only(self):
-        row = PathStream(8, 1, 1).normals(0)
-        assert not row.flags.writeable
-        with pytest.raises(ValueError):
-            row[0] = 0.0
+        for path_ids in (1, (9, 2, 40, 0)):
+            row = PathStream(8, 1, path_ids).normals(0)
+            assert row.shape == np.shape(path_ids) + (16,)
+            assert not row.flags.writeable
+            with pytest.raises(ValueError):
+                row[..., 0] = 0.0
 
     def test_reproducible(self):
         a = PathStream(8, master_seed=3, path_id=5)

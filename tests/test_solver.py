@@ -20,7 +20,7 @@ from fhn_spectral import (
     eps_convergence_study,
     run_ensemble,
 )
-from fhn_spectral import solver
+from fhn_spectral import noise, solver
 from fhn_spectral.model import EigenBasis, norm_H_sq_arrays
 from fhn_spectral.noise import build_ou_kernel
 from fhn_spectral.nonlinearity import DriftParams, grid_drift
@@ -299,6 +299,30 @@ class TestFusedStepOracle:
         assert got.shape == (b, n, 2) and got.flags.c_contiguous
         assert np.array_equal(got, expect)
 
+    def test_steps_across_refills_are_each_id_alone(self, rng):
+        # a linear drift with constant p is row-local, so every column of a
+        # batch with repeated and unsorted ids must have the bits of its id
+        # run alone, over noise blocks that cross two refill edges
+        params = ModelParams(n_modes=8, n_grid=16)
+        basis = build_eigenbasis(params)
+        spec = NoiseSpec.power_law(params.n_modes)
+        per_refill = noise._REFILL_UNIFORMS // (2 * params.n_modes)
+        path_ids = (9, 2, 2, 40, 0, 7)
+        x0 = 0.4 * rng.standard_normal((len(path_ids), params.n_modes, 2))
+
+        def run(cols):
+            return _simulate_batch(
+                params, basis, spec, dt=4e-3, n_steps=2 * per_refill + 5,
+                start_interval=-(per_refill + 2), x0=x0[cols], drift="linear",
+                eps_by_col=np.zeros(len(cols)), master_seed=21,
+                path_ids=np.array(path_ids)[cols],
+            )
+
+        batch = run(list(range(len(path_ids))))
+        assert per_refill == 128
+        for col in range(len(path_ids)):
+            assert np.array_equal(batch[col], run([col])[0]), path_ids[col]
+
     def test_observers_get_a_read_only_view(self, params, basis, spec):
         seen = []
 
@@ -389,6 +413,30 @@ class TestEnsembles:
             tracemalloc.stop()
         assert ens.terminal.shape == (3, params.n_modes, 2)
         assert peak <= 4 * 2**20
+
+    def test_noise_refill_holds_one_buffer(self, params, basis, spec):
+        # 256 columns at N = 32 over two refills: one (S, R, block) noise buffer
+        # is 256 * 32 * 64 doubles = 4 MiB, and a step's state, update, noise
+        # and temporaries are a few (B, 2, N) arrays; a refill that kept the
+        # previous buffer, or a step that held a view of it, peaks near 8 MiB
+        b, n = 256, params.n_modes
+        per_refill = noise._REFILL_UNIFORMS // (2 * n)
+        x0 = np.zeros((b, n, 2))
+        refill_bytes = b * per_refill * 2 * n * 8
+        state_bytes = x0.nbytes
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            _simulate_batch(
+                params, basis, spec, dt=1e-3, n_steps=2 * per_refill, start_interval=0,
+                x0=x0, drift="linear", eps_by_col=np.zeros(b), master_seed=0,
+                path_ids=np.arange(b),
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert refill_bytes == 4 * 2**20
+        assert peak < 1.5 * refill_bytes + 6 * state_bytes
 
     def test_resolve_workers_env(self, monkeypatch):
         monkeypatch.setenv("FHN_SPECTRAL_WORKERS", "4")
