@@ -333,25 +333,22 @@ def criterion_8_moment_bound(quick: bool, master_seed: int) -> dict:
     details: dict = {"horizon": horizon, "n_paths_per_batch": n_paths}
     passed = True
     reports = {}
-    all_hsq = {}
+    batch_hsq = []
     for batch, seed in (("a", master_seed + 8), ("b", master_seed + 80)):
         cfg = TrajectoryConfig(T=horizon, dt=2e-3, x0=x0, record_every=25, master_seed=seed)
         ens = run_ensemble(cfg, params, basis, spec, n_paths)
         times = ens.times
-        all_hsq[batch] = ens.h_norm_sq
+        batch_hsq.append(ens.h_norm_sq)
         for m in (1, 2):
             reports[(m, batch)] = estimate_moments(m, ens, cfg, params)
-    hsq_pooled = np.concatenate([all_hsq["a"], all_hsq["b"]])
+    hsq_pooled = np.concatenate(batch_hsq)
     x0_sq = float(hsq_pooled[0, 0])
     tail = times >= 0.5 * horizon
     for m in (1, 2):
         ra, rb = reports[(m, "a")], reports[(m, "b")]
         ratio = ra.envelope_constant / rb.envelope_constant
         envelope_shape = 1.0 + np.exp(-m * omega1 * times) * x0_sq**m
-        c_tail = []
-        for batch in ("a", "b"):
-            est_b = (all_hsq[batch] ** m).mean(axis=0)
-            c_tail.append(float((est_b[tail] / envelope_shape[tail]).max()))
+        c_tail = [float((r.estimate[tail] / envelope_shape[tail]).max()) for r in (ra, rb)]
         tail_ratio = c_tail[0] / c_tail[1]
         est = (hsq_pooled**m).mean(axis=0)
         th = times[tail]

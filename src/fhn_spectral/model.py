@@ -166,7 +166,7 @@ class EigenBasis:
     the midpoint quadrature; ``mu`` are the (nonpositive, nonincreasing)
     eigenvalues.  For constant c the analytic cosine family is used and
     ``deriv_sq`` carries the exact spectral derivative factors (k*pi)^2;
-    otherwise ``dmodes`` tabulates face differences for the H1 seminorm.
+    otherwise the H1 seminorm squares the face differences of u on the grid.
 
     A constant-c basis with at least :data:`DCT_MIN_MODES` modes (``dct``)
     transforms by a DCT-III to the grid and a truncated DCT-II back, both
@@ -183,16 +183,12 @@ class EigenBasis:
     sup_bound: float
     constant_c: bool
     deriv_sq: np.ndarray | None      # (N,) spectral |e_k'|^2 factors, constant c only
-    dmodes: np.ndarray | None        # (N, M-1) face differences / h, variable c only
     dct: bool = field(init=False)    # whether the transforms run by DCT instead of matmul
-    _proj: np.ndarray | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.dct = self.constant_c and self.n_modes >= DCT_MIN_MODES
         if self.modes is None and not self.dct:
             raise ValueError("only a DCT cosine basis may omit its mode table")
-        # adjoint of evaluation under the quadrature weight
-        self._proj = None if self.dct else self.modes.T * self.quad_weight
 
     @property
     def n_modes(self) -> int:
@@ -228,7 +224,8 @@ class EigenBasis:
 
             full = scipy.fft.dct(values, type=2, norm="ortho", axis=-1)
             return full[..., : self.n_modes] / math.sqrt(self.n_grid)
-        return np.asarray(values) @ self._proj
+        # adjoint of evaluation under the quadrature weight
+        return (np.asarray(values) @ self.modes.T) * self.quad_weight
 
     def du_sq(self, u_hat: np.ndarray) -> np.ndarray:
         """L2 norm squared of du/dxi for coefficients (..., N)."""
@@ -236,8 +233,8 @@ class EigenBasis:
         if self.constant_c:
             # row-local pairwise sum keeps the result independent of batching
             return (u_hat * u_hat * self.deriv_sq).sum(axis=-1)
-        du = u_hat @ self.dmodes
-        return (du * du).sum(axis=-1) * self.quad_weight
+        du = np.diff(self.to_grid(u_hat), axis=-1)
+        return (du * du).sum(axis=-1) / self.quad_weight
 
 
 def build_eigenbasis(params: ModelParams) -> EigenBasis:
@@ -266,7 +263,6 @@ def build_eigenbasis(params: ModelParams) -> EigenBasis:
             sup_bound=math.sqrt(2.0) if n > 1 else 1.0,
             constant_c=True,
             deriv_sq=deriv_sq,
-            dmodes=None,
         )
     else:
         mu, vecs = _sturm_liouville_modes(params.c_grid, m, n, h)
@@ -276,7 +272,6 @@ def build_eigenbasis(params: ModelParams) -> EigenBasis:
             j = int(np.argmax(np.abs(row)))
             if row[j] < 0:
                 row *= -1.0
-        dmodes = np.diff(modes, axis=1) / h
         basis = EigenBasis(
             mu=mu,
             modes=modes,
@@ -285,7 +280,6 @@ def build_eigenbasis(params: ModelParams) -> EigenBasis:
             sup_bound=float(np.abs(modes).max()),
             constant_c=False,
             deriv_sq=None,
-            dmodes=dmodes,
         )
     _check_basis(basis)
     return basis

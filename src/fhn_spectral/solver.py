@@ -325,22 +325,17 @@ def _simulate_batch(
                     what = f"step-size ceiling requested more than {_MAX_SUBSTEPS} substeps"
                     raise blow_up(what, interval * dt, i, x, col, int(m_col[col]))
 
-        if m_col is None:
-            x_new = apply_update(
-                x, explicit_term(params, basis, x[:, 0], batch_groups, u_grid), kernels[1]
-            )
-        else:
-            # drift-only substeps; the interval's noise is applied once so the
+        x_new = apply_update(
+            x, explicit_term(params, basis, x[:, 0], batch_groups, u_grid), kernels[1]
+        )
+        if m_col is not None:
+            # the columns above the ceiling retake the step as drift-only
+            # substeps; the interval's noise is applied once so the
             # absolute-time noise path is independent of the re-stepping choice
-            x_new = np.empty_like(x)
-            for m in np.unique(m_col).tolist():
+            for m in np.unique(m_col[m_col > 1]).tolist():
                 cols = np.nonzero(m_col == m)[0]
                 ys = x[cols]
                 groups = drift_split(drift, params.xi1, eps_by_col[cols])[1]
-                if m == 1:
-                    f_hat = explicit_term(params, basis, ys[:, 0], groups, u_grid[cols])
-                    x_new[cols] = apply_update(ys, f_hat, kernels[1])
-                    continue
                 if m not in kernels:
                     sub = build_ou_kernel(params, basis, None, dt / m, shifted=shifted)
                     kernels[m] = _update_rows(sub)

@@ -176,8 +176,7 @@ class TestEigenbasis:
         # DCT path, and without a table it cannot be built at all
         wide = build_eigenbasis(ModelParams(n_modes=DCT_MIN_MODES, n_grid=2 * DCT_MIN_MODES))
         table = wide.mode_rows(0, wide.n_modes)
-        dmodes = np.diff(table, axis=1) / wide.quad_weight
-        varying = replace(wide, constant_c=False, modes=table, deriv_sq=None, dmodes=dmodes)
+        varying = replace(wide, constant_c=False, modes=table, deriv_sq=None)
         assert not varying.dct
         with pytest.raises(ValueError, match="mode table"):
             replace(varying, modes=None)
@@ -241,6 +240,46 @@ class TestDctTransforms:
                         n_grid=2 * DCT_MIN_MODES)
         )
         assert not varying.constant_c and not varying.dct
+
+
+class TestMatmulTransforms:
+    """A matmul basis holds one table; its projection and V-norm read it alone."""
+
+    _BASES = {
+        "default": {},
+        "n8": dict(n_modes=8, n_grid=16),
+        "n64": dict(n_modes=64, n_grid=128),
+        "variable-c": dict(n_modes=32, n_grid=64, c_profile=lambda x: 1.0 + 0.5 * x),
+    }
+
+    @pytest.mark.parametrize("name", list(_BASES))
+    def test_projection_is_the_scaled_table_product(self, name, rng):
+        # on a power-of-two grid the weight 1/M scales exactly, so projecting
+        # by the table's transpose and scaling after has the bits of a
+        # product with the pre-scaled transpose
+        b = build_eigenbasis(ModelParams(**self._BASES[name]))
+        assert not b.dct and b.n_grid & (b.n_grid - 1) == 0
+        proj = b.modes.T * b.quad_weight
+        for shape in [(b.n_grid,), (5, b.n_grid), (3, 4, b.n_grid)]:
+            values = rng.standard_normal(shape)
+            got = b.to_coeffs(values)
+            assert got.shape == shape[:-1] + (b.n_modes,)
+            assert np.array_equal(got, values @ proj)
+
+    def test_variable_c_du_sq_matches_the_face_difference_table(self, rng):
+        b = build_eigenbasis(ModelParams(**self._BASES["variable-c"]))
+        assert not b.constant_c
+        face_diffs = np.diff(b.modes, axis=1) / b.quad_weight
+        u_hat = rng.standard_normal((7, b.n_modes)) / (1.0 + np.arange(b.n_modes))
+        du = u_hat @ face_diffs
+        want = (du * du).sum(axis=-1) * b.quad_weight
+        assert np.abs(b.du_sq(u_hat) - want).max() <= 1e-12 * np.abs(want).max()
+        assert b.du_sq(u_hat[0]) == approx(want[0], rel=1e-12)
+
+    def test_variable_c_basis_holds_one_table(self):
+        b = build_eigenbasis(ModelParams(**self._BASES["variable-c"]))
+        arrays = [k for k, v in vars(b).items() if isinstance(v, np.ndarray) and v.ndim > 1]
+        assert arrays == ["modes"]
 
 
 class TestStateAndNorms:

@@ -194,17 +194,20 @@ def _step_per_mode(params, basis, spec, dt, x0, drift, eps_by_col, path_ids, see
     """One exponential Euler-Maruyama step written per mode on a (B, N, 2) state.
 
     Same operand order as e^{M dt} x + dt phi1(M dt) Fhat + factor z: products
-    of a kernel entry and a coefficient, summed u-term first.  A step above
-    the ceiling takes m drift-only substeps on the whole batch, so every
-    column must ask for the same m.
+    of a kernel entry and a coefficient, summed u-term first.  Each column
+    asks the ceiling for its own substep count m.  The m = 1 columns take
+    the step with the whole batch's Fhat; the columns of each m > 1 take m
+    drift-only substeps on their own rows.  Returns the state and the m of
+    every column.
     """
     n = basis.n_modes
     shifted = drift == "linear_eta"
     kernel = build_ou_kernel(params, basis, spec, dt, shifted=shifted)
-    dps = [DriftParams(params.xi1, float(e)) for e in eps_by_col]
+    all_dps = [DriftParams(params.xi1, float(e)) for e in eps_by_col]
 
-    def f_hat(x):
-        """Fhat per column, or None for a linear drift with constant p."""
+    def f_hat(x, cols):
+        """Fhat of the columns ``cols``, or None for a linear drift with constant p."""
+        dps = [all_dps[c] for c in cols]
         u_grid = basis.to_grid(x[..., 0])
         rem = (params.p_min - params.p_grid) * u_grid
         if drift == "fhn":
@@ -235,19 +238,21 @@ def _step_per_mode(params, basis, spec, dt, x0, drift, eps_by_col, path_ids, see
             out[:, k, 0], out[:, k, 1] = un, wn
         return out
 
-    x = np.array(x0, dtype=float)
-    m = 1
+    x0 = np.array(x0, dtype=float)
+    b = x0.shape[0]
+    m_cols = np.ones(b, dtype=int)
     if drift == "fhn":
-        u_grid = basis.to_grid(x[..., 0])
-        m_cols = np.ceil(dt * (1.0 + (u_grid * u_grid).max(axis=1)) / solver._CEILING_SCALE)
-        assert m_cols.min() == m_cols.max()
-        m = max(1, int(m_cols[0]))
-    if m == 1:
-        x = update(x, kernel, dt, f_hat(x))
-    else:
+        u_grid = basis.to_grid(x0[..., 0])
+        ceiling = np.ceil(dt * (1.0 + (u_grid * u_grid).max(axis=1)) / solver._CEILING_SCALE)
+        m_cols = np.maximum(1, ceiling.astype(int))
+    x = update(x0, kernel, dt, f_hat(x0, range(b)))
+    for m in set(m_cols.tolist()) - {1}:
+        cols = np.nonzero(m_cols == m)[0]
         sub = build_ou_kernel(params, basis, None, dt / m, shifted=shifted)
+        ys = x0[cols]
         for _ in range(m):
-            x = update(x, sub, dt / m, f_hat(x))
+            ys = update(ys, sub, dt / m, f_hat(ys, cols))
+        x[cols] = ys
     fa = kernel.factor
     for b, pid in enumerate(path_ids):
         z = PathStream(n, seed, int(pid)).normals(interval)
@@ -255,7 +260,7 @@ def _step_per_mode(params, basis, spec, dt, x0, drift, eps_by_col, path_ids, see
         for k in range(n):
             x[b, k, 0] += fa[k, 0, 0] * zu[k] + fa[k, 0, 1] * zw[k]
             x[b, k, 1] += fa[k, 1, 0] * zu[k] + fa[k, 1, 1] * zw[k]
-    return x, m
+    return x, m_cols
 
 
 _VARIABLE_P = ModelParams(p_profile=lambda xi: 0.3 + 0.2 * xi * xi)
@@ -273,6 +278,7 @@ class TestFusedStepOracle:
             ("fhn", (0.0, 0.1, 0.05, 0.1, 0.0, 0.05), True, "random", 1),
             ("linear", (0.0,) * 6, True, "random", 1),
             ("fhn", (0.0,) * 6, False, "u10", 5),
+            ("fhn", (0.0, 0.1, 0.05, 0.1, 0.0, 0.05), False, "mixed", (5, 1, 1, 5, 1, 5)),
         ],
     )
     @pytest.mark.parametrize("path_ids", [(0, 1, 2, 3, 4, 5), (9, 2, 2, 40, 0, 7)])
@@ -282,16 +288,16 @@ class TestFusedStepOracle:
         params = _VARIABLE_P if variable_p else params
         basis = build_eigenbasis(params)
         n, b, dt = basis.n_modes, len(path_ids), 4e-3
-        if start == "u10":
-            # u = 10 everywhere: every column is above the ceiling 0.1/(1 + max|u|^2)
+        x0 = 0.4 * rng.standard_normal((b, n, 2)) / (1.0 + np.arange(n))[:, None]
+        if start != "random":
+            # u = 10 everywhere is above the ceiling 0.1/(1 + max|u|^2): in every
+            # column, or in those the substep counts mark with 5
             u10 = StateH.from_grid(np.full(basis.n_grid, 10.0), np.zeros(basis.n_grid), basis)
-            x0 = np.broadcast_to(u10.as_array(), (b, n, 2))
-        else:
-            x0 = 0.4 * rng.standard_normal((b, n, 2)) / (1.0 + np.arange(n))[:, None]
+            x0[np.broadcast_to(substeps, b) == 5] = u10.as_array()
         expect, m = _step_per_mode(
             params, basis, spec, dt, x0, drift, eps, path_ids, seed=21, interval=-3
         )
-        assert m == substeps
+        assert np.array_equal(m, np.broadcast_to(substeps, b))
         got = _simulate_batch(
             params, basis, spec, dt=dt, n_steps=1, start_interval=-3, x0=x0, drift=drift,
             eps_by_col=np.array(eps), master_seed=21, path_ids=np.array(path_ids),

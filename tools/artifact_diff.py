@@ -12,8 +12,10 @@ configs, ``couple``, ``dynkin`` and ``linear-oracle`` again with a start
 time and eps off their defaults, ``dynkin`` with c and p grid tables,
 ``dynkin`` and ``couple`` with dense directions and starts, ``invariant``
 pairing on the w channel, ``couple`` with at most one record in its fit
-window, and ``eigen`` and ``simulate`` on a 256-mode basis, which
-transforms by DCT) and ``acceptance --quick``, all with one BLAS thread.
+window, ``eigen`` and ``simulate`` on a 256-mode basis, which transforms
+by DCT, ``simulate`` with a variable c and on a 96-point grid, and
+``couple`` with one start above the substep ceiling and one below) and
+``acceptance --quick``, all with one BLAS thread.
 Each ``CONFIGS`` input's stdout report line, with its ``--out`` path read
 as ``<out>``, goes to ``report/<name>.txt``, so a moved report line shows
 like a moved artifact.  The parent always runs with one worker;
@@ -148,6 +150,27 @@ CONFIGS: dict[str, tuple[str, dict]] = {
     # records at t = 0, 0.25, 0.5: one record in the fit window [T/4, 3T/4]
     "couple-sparse": ("couple", {
         "run": {"T": 0.5, "record_every": 250}, "master_seed": 20, "paths": 2,
+    }),
+    # a variable-c basis: |x|_V sums the face differences of u on the grid
+    "simulate-variable-c": ("simulate", {
+        "model": {"c": [1.0 + 0.5 * (j + 0.5) / 64 for j in range(64)]},
+        "run": {"T": 0.1, "record_every": 10, "x0": {"kind": "cosine", "u_amplitude": 1.5,
+                                                     "u_mode": 2}},
+        "master_seed": 21, "paths": 4,
+    }),
+    # a grid whose weight 1/96 is not a power of two, so the projection's
+    # scaling rounds
+    "simulate-grid-96": ("simulate", {
+        "model": {"n_grid": 96},
+        "run": {"T": 0.1, "record_every": 10, "x0": {"kind": "cosine", "u_amplitude": 1.5,
+                                                     "u_mode": 2}},
+        "master_seed": 22, "paths": 4,
+    }),
+    # u = 10 is above the substep ceiling at dt 1e-3 and x0_b is below it, so
+    # the first step substeps half the columns and takes the plain step on the rest
+    "couple-ceiling": ("couple", {
+        "run": {"T": 0.1, "record_every": 5, "x0": {"kind": "constant", "u": 10.0}},
+        "master_seed": 23, "paths": 2,
     }),
 }
 
