@@ -265,8 +265,7 @@ def build_eigenbasis(params: ModelParams) -> EigenBasis:
             deriv_sq=deriv_sq,
         )
     else:
-        mu, vecs = _sturm_liouville_modes(params.c_grid, m, n, h)
-        modes = vecs.T / math.sqrt(h)   # h * sum e_k^2 = 1
+        mu, modes = _sturm_liouville_modes(params.c_grid, m, n, h)
         # deterministic sign: largest-magnitude entry positive
         for row in modes:
             j = int(np.argmax(np.abs(row)))
@@ -277,7 +276,8 @@ def build_eigenbasis(params: ModelParams) -> EigenBasis:
             modes=modes,
             xi=xi,
             quad_weight=h,
-            sup_bound=float(np.abs(modes).max()),
+            # max |e| without a table-sized |modes|
+            sup_bound=max(float(modes.max()), -float(modes.min())),
             constant_c=False,
             deriv_sq=None,
         )
@@ -296,7 +296,11 @@ def _cosine_rows(start: int, stop: int, xi: np.ndarray) -> np.ndarray:
 def _sturm_liouville_modes(
     c_grid: np.ndarray, m: int, n: int, h: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Top-n eigenpairs of the FD Neumann Sturm-Liouville matrix on m midpoints."""
+    """Top-n eigenpairs of the FD Neumann Sturm-Liouville matrix on m midpoints.
+
+    Returns the eigenvalues, nonincreasing, and the (n, m) mode table with
+    h * sum e_k^2 = 1, F-ordered.
+    """
     # only variable-c bases load scipy.linalg
     from scipy.linalg import eigh_tridiagonal
 
@@ -313,7 +317,6 @@ def _sturm_liouville_modes(
     except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
         raise EigenbasisError(f"tridiagonal eigensolve failed: {exc}") from exc
     w = w[::-1].copy()
-    v = v[:, ::-1].copy()
     # zero-row-sum construction makes the constant vector an exact kernel mode;
     # clamp eigensolver noise so mu stays nonpositive
     tol = 1e-8 * max(1.0, float(np.abs(w).max()))
@@ -322,7 +325,11 @@ def _sturm_liouville_modes(
     w = np.minimum(w, 0.0)
     if np.any(np.diff(w) > tol):
         raise EigenbasisError("eigenvalues are not nonincreasing")
-    return w, v
+    # scale v's columns in reverse straight into the table, (m, n) C-ordered,
+    # so the solve holds two tables at most: LAPACK's and this one
+    table = np.empty((m, n))
+    np.divide(v[:, ::-1], math.sqrt(h), out=table)
+    return w, table.T
 
 
 def _check_basis(basis: EigenBasis) -> None:

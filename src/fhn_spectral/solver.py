@@ -19,8 +19,10 @@ from them for the generator and the dissipativity check.
 
 Paths are vectorized; each path owns a counter-based noise stream, and
 ensembles run in fixed-size chunks, so an ensemble's output does not
-depend on the worker count.  ``_batch_columns`` is the one place a run
-description becomes the integrator's columns: every caller of
+depend on the worker count.  The chunk is the unit of bits: up to
+``_GROUP_CHUNKS`` chunks share one batch side by side, and the integrator
+transforms each chunk as a batch of its own.  ``_batch_columns`` is the
+one place a run description becomes the integrator's columns: every caller of
 ``_simulate_batch`` takes its step, horizon, start, drift, seed, initial
 states and eps column from there.
 
@@ -62,6 +64,9 @@ _MAX_SUBSTEPS = 4096
 # the BLAS kernels of a matmul basis (whose rounding can depend on batch
 # size) are identical for every worker count
 _ENSEMBLE_CHUNK = 32
+# chunks that share one batch at most: 256 paths, the widest batch any
+# other caller runs
+_GROUP_CHUNKS = 8
 
 WORKERS_ENV = "FHN_SPECTRAL_WORKERS"
 
@@ -77,14 +82,26 @@ class BlowUpError(RuntimeError):
     """
 
     def __init__(
-        self, message: str, time: float, step: int, path_id: int, h_norm_sq: float, substeps: int
+        self, what: str, time: float, step: int, path_id: int, h_norm_sq: float, substeps: int
     ):
-        super().__init__(message)
+        super().__init__(f"{what} at t={time:.6g} (step {step})")
+        self.what = what
         self.time = time
         self.step = step
         self.path_id = path_id
         self.h_norm_sq = h_norm_sq
         self.substeps = substeps
+
+    def __reduce__(self):
+        # a worker process sends its blow-up back by pickle
+        return type(self), (
+            self.what, self.time, self.step, self.path_id, self.h_norm_sq, self.substeps
+        )
+
+
+def _earliest(errors: Sequence[BlowUpError]) -> BlowUpError:
+    """The blow-up at the earliest (step, path id)."""
+    return min(errors, key=lambda e: (e.step, e.path_id))
 
 
 def _steps_from(duration: float, dt: float, what: str) -> int:
@@ -232,6 +249,29 @@ def run_drift(
     return b
 
 
+class _ChunkTransforms:
+    """``basis``'s transforms applied to every run of ``rows`` consecutive rows alone.
+
+    The full runs go through one stacked matmul, whose gemms each have the
+    shape of one run, and a shorter last run through one call of its own,
+    so a run's bits do not depend on the runs beside it.
+    """
+
+    def __init__(self, basis: EigenBasis, rows: int):
+        self.basis, self.rows = basis, rows
+
+    def _each(self, transform: Callable[[np.ndarray], np.ndarray], a: np.ndarray) -> np.ndarray:
+        full = a.shape[0] - a.shape[0] % self.rows
+        head = transform(a[:full].reshape(-1, self.rows, a.shape[1])).reshape(full, -1)
+        return head if full == a.shape[0] else np.concatenate([head, transform(a[full:])])
+
+    def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
+        return self._each(self.basis.to_grid, coeffs)
+
+    def to_coeffs(self, values: np.ndarray) -> np.ndarray:
+        return self._each(self.basis.to_coeffs, values)
+
+
 def _simulate_batch(
     params: ModelParams,
     basis: EigenBasis,
@@ -247,6 +287,7 @@ def _simulate_batch(
     path_ids: Sequence[int],     # (B,) columns with equal ids share one noise path
     on_step: Callable[[int, float, np.ndarray], None] | None = None,
     record_every: int = 1,
+    chunk: int | None = None,
 ) -> np.ndarray:
     """The integrator: advance B columns for n_steps, return the terminal (B, N, 2) state.
 
@@ -259,6 +300,11 @@ def _simulate_batch(
     ``on_step(i, t, state)`` observes the state after step i (i = 0 is the
     initial state) through a read-only (B, N, 2) view, at the record steps
     of ``record_every`` (every step by default).
+
+    ``chunk`` splits the rows into runs of that many (the last may be
+    shorter) that each step as if alone: every transform and substep group
+    acts per run, and a blow-up is the earliest (step, path id) over the
+    errors the runs raise alone.  By default the batch is one run.
     """
     b, n = x0.shape[0], x0.shape[1]
     path_ids = np.asarray(path_ids)
@@ -273,6 +319,9 @@ def _simulate_batch(
     # only the cubic asks for substeps and reads u on the grid; a variable-p
     # remainder alone transforms inside explicit_term
     nonlinear = bool(batch_groups)
+    run_len = chunk or b or 1
+    run_starts = range(0, b, run_len)
+    transforms = basis if b <= run_len else _ChunkTransforms(basis, run_len)
 
     def apply_update(x: np.ndarray, f_hat: np.ndarray | None, rows: tuple) -> np.ndarray:
         diag, off, phi, h = rows
@@ -299,9 +348,26 @@ def _simulate_batch(
 
     def blow_up(what: str, time: float, i: int, x: np.ndarray, col: int, m: int) -> BlowUpError:
         return BlowUpError(
-            f"{what} at t={time:.6g} (step {i})", time=time, step=i, path_id=int(path_ids[col]),
+            what, time=time, step=i, path_id=int(path_ids[col]),
             h_norm_sq=float(norm_H_sq_arrays(x[col, 0], x[col, 1], params.gamma)), substeps=m,
         )
+
+    def blow_ups(i: int, x: np.ndarray, x_new: np.ndarray, m_col: np.ndarray | None) -> list:
+        """The blow-up each run that fails step i raises alone: the ceiling's before the step."""
+        interval = start_interval + i
+        finite = np.isfinite(x_new).reshape(b, -1).all(axis=1)
+        errors = []
+        for a in run_starts:
+            run = slice(a, a + run_len)
+            if m_col is not None and m_col[run].max() > _MAX_SUBSTEPS:
+                col = a + int(np.argmax(m_col[run]))
+                what = f"step-size ceiling requested more than {_MAX_SUBSTEPS} substeps"
+                errors.append(blow_up(what, interval * dt, i, x, col, int(m_col[col])))
+            elif not finite[run].all():
+                col = a + int(np.argmin(finite[run]))
+                m = 1 if m_col is None else int(m_col[col])
+                errors.append(blow_up("non-finite state", (interval + 1) * dt, i, x, col, m))
+        return errors
 
     # C order keeps every row's reductions in one layout, whatever x0's strides
     x = np.array(np.swapaxes(x0, 1, 2), dtype=float, order="C")
@@ -311,8 +377,9 @@ def _simulate_batch(
         interval = start_interval + i
         noise = draw_noise(interval)
 
-        u_grid = basis.to_grid(x[:, 0]) if nonlinear else None
+        u_grid = transforms.to_grid(x[:, 0]) if nonlinear else None
         m_col = None
+        over = False
         if nonlinear:
             u_sq = u_grid * u_grid
             # the substep count only grows with max|u|^2, so if the largest
@@ -320,35 +387,34 @@ def _simulate_batch(
             if dt * (1.0 + u_sq.max()) / _CEILING_SCALE > 1.0:
                 m_col = np.ceil(dt * (1.0 + u_sq.max(axis=1)) / _CEILING_SCALE).astype(int)
                 np.clip(m_col, 1, None, out=m_col)
-                col = int(np.argmax(m_col))
-                if m_col[col] > _MAX_SUBSTEPS:
-                    what = f"step-size ceiling requested more than {_MAX_SUBSTEPS} substeps"
-                    raise blow_up(what, interval * dt, i, x, col, int(m_col[col]))
+                over = bool(m_col.max() > _MAX_SUBSTEPS)
 
         x_new = apply_update(
-            x, explicit_term(params, basis, x[:, 0], batch_groups, u_grid), kernels[1]
+            x, explicit_term(params, transforms, x[:, 0], batch_groups, u_grid), kernels[1]
         )
         if m_col is not None:
             # the columns above the ceiling retake the step as drift-only
-            # substeps; the interval's noise is applied once so the
-            # absolute-time noise path is independent of the re-stepping choice
-            for m in np.unique(m_col[m_col > 1]).tolist():
-                cols = np.nonzero(m_col == m)[0]
-                ys = x[cols]
-                groups = drift_split(drift, params.xi1, eps_by_col[cols])[1]
+            # substeps, one group per substep count and run; the interval's
+            # noise is applied once so the absolute-time noise path is
+            # independent of the re-stepping choice
+            for m in np.unique(m_col[(m_col > 1) & (m_col <= _MAX_SUBSTEPS)]).tolist():
+                at_m = np.nonzero(m_col == m)[0]
                 if m not in kernels:
                     sub = build_ou_kernel(params, basis, None, dt / m, shifted=shifted)
                     kernels[m] = _update_rows(sub)
-                for _ in range(m):
-                    f_hat = explicit_term(params, basis, ys[:, 0], groups)
-                    ys = apply_update(ys, f_hat, kernels[m])
-                x_new[cols] = ys
+                for cols in np.split(at_m, np.searchsorted(at_m, run_starts[1:])):
+                    if not cols.size:
+                        continue
+                    ys = x[cols]
+                    groups = drift_split(drift, params.xi1, eps_by_col[cols])[1]
+                    for _ in range(m):
+                        f_hat = explicit_term(params, basis, ys[:, 0], groups)
+                        ys = apply_update(ys, f_hat, kernels[m])
+                    x_new[cols] = ys
 
         x_new += noise
-        if not np.isfinite(x_new).all():
-            bad = int(np.nonzero(~np.isfinite(x_new).reshape(b, -1).all(axis=1))[0][0])
-            m = 1 if m_col is None else int(m_col[bad])
-            raise blow_up("non-finite state", (interval + 1) * dt, i, x, bad, m)
+        if over or not np.isfinite(x_new).all():
+            raise _earliest(blow_ups(i, x, x_new, m_col))
         x = x_new
         observe(i + 1, x)
 
@@ -386,26 +452,30 @@ def _batch_columns(
     )
 
 
-def _run_chunk(
+def _run_group(
     cfg: TrajectoryConfig,
     params: ModelParams,
     basis: EigenBasis,
     spec: NoiseSpec | None,
     path_ids: Sequence[int],
 ) -> Ensemble:
-    """One chunk of ``run_ensemble``, with the H and V norms recorded at record steps."""
+    """Chunks of ``run_ensemble`` side by side in one batch, norms recorded at record steps."""
     times: list[float] = []
     h: list[np.ndarray] = []
     v: list[np.ndarray] = []
+    # the V norm of a variable-c basis transforms u to the grid, so chunk by chunk
+    chunks = [slice(a, a + _ENSEMBLE_CHUNK) for a in range(0, len(path_ids), _ENSEMBLE_CHUNK)]
 
     def record(i: int, t: float, x: np.ndarray) -> None:
         times.append(t)
         h.append(norm_H_sq_arrays(x[..., 0], x[..., 1], params.gamma))
-        v.append(norm_V_sq_arrays(x[..., 0], x[..., 1], params, basis))
+        v.append(np.concatenate([
+            norm_V_sq_arrays(x[c, :, 0], x[c, :, 1], params, basis) for c in chunks
+        ]))
 
     terminal = _simulate_batch(
         params, basis, spec, **_batch_columns(cfg, basis, path_ids), on_step=record,
-        record_every=cfg.record_every,
+        record_every=cfg.record_every, chunk=_ENSEMBLE_CHUNK,
     )
     return Ensemble(
         path_ids=np.asarray(path_ids),
@@ -430,6 +500,35 @@ def resolve_workers() -> int:
     return count
 
 
+def _outcome(fn: Callable, args: tuple):
+    """``fn(*args)``, or the blow-up it raised."""
+    try:
+        return fn(*args)
+    except BlowUpError as exc:
+        return exc
+
+
+def _run_jobs(fn: Callable, jobs: list[tuple], workers: int) -> list:
+    """``fn(*job)`` for every job, in job order, on up to ``workers`` processes.
+
+    Every job runs to its end; if any blew up, the earliest (step, path id)
+    of their blow-ups is raised, so the error does not depend on how the
+    paths were split into jobs.
+    """
+    if workers == 1 or len(jobs) == 1:
+        outcomes = [_outcome(fn, job) for job in jobs]
+    else:
+        # a single-worker run never loads the pool machinery
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(workers, len(jobs))) as pool:
+            outcomes = list(pool.map(_outcome, [fn] * len(jobs), jobs))
+    errors = [o for o in outcomes if isinstance(o, BlowUpError)]
+    if errors:
+        raise _earliest(errors)
+    return outcomes
+
+
 def run_ensemble(
     cfg: TrajectoryConfig,
     params: ModelParams,
@@ -439,34 +538,26 @@ def run_ensemble(
 ) -> Ensemble:
     """Integrate ``n_paths`` paths with ids path_id..path_id+n_paths-1.
 
-    Chunks are merged in path order and are bitwise independent of the
-    worker count: every path's noise comes from its own counter-based
-    stream.
+    The paths run in chunks of ``_ENSEMBLE_CHUNK``, dealt to groups of at
+    most ``_GROUP_CHUNKS`` chunks, so that each worker runs one or more
+    groups, each as one batch.  A chunk's bits do not depend on its group
+    or the worker count: every path's noise comes from its own
+    counter-based stream, and the integrator transforms each chunk alone.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
-    path_ids = list(range(cfg.path_id, cfg.path_id + n_paths))
-    id_chunks = [
-        path_ids[a : a + _ENSEMBLE_CHUNK] for a in range(0, n_paths, _ENSEMBLE_CHUNK)
-    ]
     workers = resolve_workers()
-    if workers == 1 or len(id_chunks) == 1:
-        chunks = [_run_chunk(cfg, params, basis, spec, ids) for ids in id_chunks]
-    else:
-        # a single-worker run never loads the pool machinery
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(workers, len(id_chunks))) as pool:
-            futures = [
-                pool.submit(_run_chunk, cfg, params, basis, spec, ids) for ids in id_chunks
-            ]
-            chunks = [fut.result() for fut in futures]
+    n_chunks = -(-n_paths // _ENSEMBLE_CHUNK)
+    span = _ENSEMBLE_CHUNK * min(_GROUP_CHUNKS, -(-n_chunks // workers))
+    path_ids = range(cfg.path_id, cfg.path_id + n_paths)
+    jobs = [(cfg, params, basis, spec, path_ids[a : a + span]) for a in range(0, n_paths, span)]
+    groups = _run_jobs(_run_group, jobs, workers)
     return Ensemble(
-        path_ids=np.concatenate([c.path_ids for c in chunks]),
-        times=chunks[0].times,
-        h_norm_sq=np.concatenate([c.h_norm_sq for c in chunks]),
-        v_norm_sq=np.concatenate([c.v_norm_sq for c in chunks]),
-        terminal=np.concatenate([c.terminal for c in chunks]),
+        path_ids=np.concatenate([g.path_ids for g in groups]),
+        times=groups[0].times,
+        h_norm_sq=np.concatenate([g.h_norm_sq for g in groups]),
+        v_norm_sq=np.concatenate([g.v_norm_sq for g in groups]),
+        terminal=np.concatenate([g.terminal for g in groups]),
     )
 
 
@@ -663,6 +754,41 @@ def eps_convergence_study(
     )
 
 
+def _backward_pass(
+    starts: Sequence[int],
+    cfg: TrajectoryConfig,
+    params: ModelParams,
+    basis: EigenBasis,
+    spec: NoiseSpec,
+    path_ids: Sequence[int],
+) -> dict[int, np.ndarray]:
+    """Terminals (P, N, 2) at t = 0 of one chunk's runs from ``cfg.x0``, by start interval.
+
+    The deepest rung starts alone; each shallower rung joins as one more
+    block of columns at its own start interval, so the pass draws every
+    interval once per path, and every block transforms as a chunk of its own.
+    A blow-up counts its step from the deepest start.
+    """
+    n, rows = basis.n_modes, len(path_ids)
+    block = np.broadcast_to(_x0_array(cfg, n), (rows, n, 2))
+    x = np.empty((0, n, 2))
+    bounds = sorted(starts) + [0]
+    for k, (start, stop) in enumerate(zip(bounds[:-1], bounds[1:])):
+        x = np.concatenate([x, block])
+        seg = replace(cfg, T=(stop - start) * cfg.dt, start_time=start * cfg.dt)
+        try:
+            x = _simulate_batch(
+                params, basis, spec, **_batch_columns(seg, basis, np.tile(path_ids, k + 1), x0=x),
+                chunk=rows,
+            )
+        except BlowUpError as exc:
+            raise BlowUpError(
+                exc.what, exc.time, exc.step + start - bounds[0], exc.path_id, exc.h_norm_sq,
+                exc.substeps,
+            ) from None
+    return {start: x[k * rows : (k + 1) * rows] for k, start in enumerate(bounds[:-1])}
+
+
 @dataclass
 class BackwardReport:
     """Backward-time construction of the invariant measure.
@@ -696,16 +822,21 @@ def backward_run(
     ``cfg.T`` and ``cfg.start_time`` are not read.  Because increments are
     indexed by absolute interval, the runs for different lambda share every
     interval they have in common, which is exactly the coupling behind the
-    Cauchy property of X_lambda(0).
+    Cauchy property of X_lambda(0).  Each chunk of paths runs all rungs in
+    one pass (``_backward_pass``), which draws every interval once per path.
     """
     _require_se_paths(n_paths)
     ladder = sorted(set(float(l) for l in lambda_ladder))
     if not ladder or ladder[0] <= 0:
         raise ValueError("lambda ladder must contain positive offsets")
-    terminal: dict[float, np.ndarray] = {}
-    for lam in ladder:
-        run_cfg = replace(cfg, T=lam, start_time=-lam, record_every=RECORD_ENDPOINTS)
-        terminal[lam] = run_ensemble(run_cfg, params, basis, spec, n_paths).terminal
+    starts = [replace(cfg, T=lam, start_time=-lam).start_interval for lam in ladder]
+    path_ids = range(cfg.path_id, cfg.path_id + n_paths)
+    jobs = [
+        (starts, cfg, params, basis, spec, path_ids[a : a + _ENSEMBLE_CHUNK])
+        for a in range(0, n_paths, _ENSEMBLE_CHUNK)
+    ]
+    passes = _run_jobs(_backward_pass, jobs, resolve_workers())
+    terminal = {lam: np.concatenate([p[s] for p in passes]) for lam, s in zip(ladder, starts)}
 
     second = {
         lam: float(norm_H_sq_arrays(t[..., 0], t[..., 1], params.gamma).mean())

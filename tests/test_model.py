@@ -153,6 +153,24 @@ class TestEigenbasis:
         assert peak <= 4 * 2**20
         assert b.dct and b.modes is None
 
+    def test_variable_c_build_peaks_at_two_tables(self):
+        # LAPACK's eigenvectors and the scaled table are the only two (N, M)
+        # arrays alive at once; a reversed copy of the eigenvectors, a table
+        # kept beside its scaled copy or a table-sized |modes| makes three
+        params = ModelParams(c_profile=lambda x: 1.0 + 0.5 * x, n_modes=256, n_grid=512)
+        build_eigenbasis(replace(params, n_modes=8, n_grid=16))  # loads scipy.linalg
+        tracemalloc.start()
+        try:
+            b = build_eigenbasis(params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        table_bytes = b.modes.nbytes
+        assert table_bytes == 2**20
+        assert peak < 2.5 * table_bytes
+        # the table keeps the layout its matmuls have always seen
+        assert b.modes.flags.f_contiguous and b.sup_bound == np.abs(b.modes).max()
+
     @pytest.mark.parametrize("n", [DCT_MIN_MODES, 300, 1024])
     def test_mode_rows_are_the_cosine_table(self, n):
         # bitwise the full-table expression, in the check's 64-row blocks

@@ -133,6 +133,34 @@ class TestStepAndIntegrate:
         assert err.value.substeps == approx(np.ceil(1e-3 * (1.0 + umax_sq) / 0.1), rel=1e-12)
         assert err.value.substeps > solver._MAX_SUBSTEPS
 
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    def test_blow_up_is_the_earliest_over_chunks(self, monkeypatch, workers):
+        # a transition scaled by 1.5 overflows every path near step 1764; at
+        # seed 9 chunk 0 fails one step after chunk 1, so the error must name
+        # chunk 1's path however the chunks share batches and workers
+        params = ModelParams(n_modes=8, n_grid=16)
+        basis = build_eigenbasis(params)
+        spec = NoiseSpec.power_law(params.n_modes)
+        real = solver.build_ou_kernel
+
+        def growing(*args, **kwargs):
+            ker = real(*args, **kwargs)
+            return replace(ker, transition=1.5 * ker.transition)
+
+        monkeypatch.setattr(solver, "build_ou_kernel", growing)
+        cfg = TrajectoryConfig(T=2.0, dt=1e-3, drift="linear", master_seed=9)
+
+        def blow_up(cfg, n_paths):
+            with pytest.raises(BlowUpError) as err, np.errstate(over="ignore", invalid="ignore"):
+                run_ensemble(cfg, params, basis, spec, n_paths)
+            return err.value.step, err.value.path_id, err.value.time
+
+        monkeypatch.setenv("FHN_SPECTRAL_WORKERS", "1")
+        alone = [blow_up(replace(cfg, path_id=a), 32) for a in (0, 32)]
+        assert [a[:2] for a in alone] == [(1765, 4), (1764, 49)]
+        monkeypatch.setenv("FHN_SPECTRAL_WORKERS", workers)
+        assert blow_up(cfg, 64) == alone[1]
+
     def test_substepped_run_converges(self, params, basis, zero_spec, monkeypatch):
         # u = 10 puts every dt here above the ceiling 0.1/(1 + max|u|^2), so the
         # run takes drift substeps until it decays; noise off, the terminal
@@ -356,6 +384,32 @@ class TestEnsembles:
         assert parallel.terminal.flags.c_contiguous
         for name in ("path_ids", "times", "h_norm_sq", "v_norm_sq", "terminal"):
             assert np.array_equal(getattr(serial, name), getattr(parallel, name))
+
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    def test_chunks_side_by_side_keep_their_bits(self, params, basis, spec, monkeypatch, workers):
+        # 136 = 4 x 32 + 8 paths from u = 10, above the substep ceiling: the
+        # first step substeps every column of every chunk at one m, and each
+        # chunk must keep the bits it has when run alone
+        x0 = StateH.from_grid(np.full(basis.n_grid, 10.0), np.zeros(basis.n_grid), basis)
+        cfg = TrajectoryConfig(T=0.02, dt=1e-3, x0=x0, record_every=3, master_seed=3)
+        monkeypatch.setenv("FHN_SPECTRAL_WORKERS", "1")
+        alone = [
+            run_ensemble(replace(cfg, path_id=a), params, basis, spec, min(32, 136 - a))
+            for a in range(0, 136, 32)
+        ]
+        kernel_steps = []
+        monkeypatch.setattr(
+            solver, "build_ou_kernel", lambda *a, **kw: kernel_steps.append(a[3]) or build_ou_kernel(*a, **kw)
+        )
+        monkeypatch.setenv("FHN_SPECTRAL_WORKERS", workers)
+        fused = run_ensemble(cfg, params, basis, spec, 136)
+        if workers == "1":
+            assert kernel_steps == [1e-3, 5e-4]  # one batch, and its step at m = 2
+        assert np.array_equal(fused.times, alone[0].times)
+        for name in ("path_ids", "h_norm_sq", "v_norm_sq", "terminal"):
+            assert np.array_equal(
+                getattr(fused, name), np.concatenate([getattr(e, name) for e in alone])
+            ), name
 
     def test_path_ids_offset(self, params, basis, spec):
         cfg = TrajectoryConfig(T=0.01, dt=1e-3, path_id=7)
@@ -607,11 +661,17 @@ class TestEpsStudy:
 
 class TestBackwardRun:
     def test_distances_and_envelope_fields(self, params, basis, spec, monkeypatch):
-        rungs = []
-        monkeypatch.setattr(solver, "run_ensemble", lambda *a: rungs.append(run_ensemble(*a)) or rungs[-1])
+        batches = []
+
+        def spy(*args, **kwargs):
+            batches.append((kwargs["x0"].shape[0], kwargs["n_steps"], kwargs.get("on_step")))
+            return _simulate_batch(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_simulate_batch", spy)
         cfg = TrajectoryConfig(T=1.0, dt=2e-3, master_seed=21)
         rep = backward_run([1.0, 2.0, 4.0], cfg, params, basis, spec, n_paths=6)
-        assert [ens.times.size for ens in rungs] == [2, 2, 2]  # endpoints only
+        # one pass: the rungs join from the deepest down, and nothing is recorded
+        assert batches == [(6, 1000, None), (12, 500, None), (18, 500, None)]
         assert set(rep.distances) == {(2.0, 1.0), (4.0, 1.0), (4.0, 2.0)}
         assert all(v > 0 for v in rep.distances.values())
         # deeper shared-noise overlap means smaller distance
@@ -619,6 +679,27 @@ class TestBackwardRun:
         assert rep.distances[(4.0, 2.0)] < rep.distances[(2.0, 1.0)]
         assert set(rep.envelope) == {1.0, 2.0, 4.0}
         assert np.isfinite(rep.envelope_constant)
+
+    def test_one_pass_per_chunk_is_each_rung_alone(self, params, basis, spec, monkeypatch):
+        # 40 paths are chunks of 32 and 8; each chunk's pass draws every
+        # interval of [-4, 0) once, and each rung ends bitwise where a run
+        # from -lambda alone ends
+        cfg = TrajectoryConfig(T=1.0, dt=4e-3, x0=StateH.from_modes(32, u_modes=[(0, 1.5)]),
+                               master_seed=7)
+        draws = []
+        normals = PathStream.normals
+        monkeypatch.setattr(
+            PathStream, "normals", lambda self, j: draws.append((tuple(self._keys), j)) or normals(self, j)
+        )
+        rep = backward_run([1.0, 2.0, 4.0], cfg, params, basis, spec, n_paths=40)
+        assert sorted(draws) == sorted(
+            (tuple(ids), j) for ids in (range(32), range(32, 40)) for j in range(-1000, 0)
+        )
+        monkeypatch.setattr(PathStream, "normals", normals)
+        for lam in (1.0, 2.0, 4.0):
+            rung = replace(cfg, T=lam, start_time=-lam, record_every=RECORD_ENDPOINTS)
+            assert np.array_equal(rep.terminal[lam], run_ensemble(rung, params, basis, spec, 40).terminal)
+            assert rep.terminal[lam].flags.c_contiguous
 
     def test_ladder_validation(self, params, basis, spec):
         cfg = TrajectoryConfig(T=1.0, dt=1e-3)

@@ -13,9 +13,10 @@ time and eps off their defaults, ``dynkin`` with c and p grid tables,
 ``dynkin`` and ``couple`` with dense directions and starts, ``invariant``
 pairing on the w channel, ``couple`` with at most one record in its fit
 window, ``eigen`` and ``simulate`` on a 256-mode basis, which transforms
-by DCT, ``simulate`` with a variable c and on a 96-point grid, and
-``couple`` with one start above the substep ceiling and one below) and
-``acceptance --quick``, all with one BLAS thread.
+by DCT, ``simulate`` with a variable c and on a 96-point grid,
+``couple`` with one start above the substep ceiling and one below,
+``simulate`` with 136 paths from above the ceiling, and ``backward`` with
+40 paths) and ``acceptance --quick``, all with one BLAS thread.
 Each ``CONFIGS`` input's stdout report line, with its ``--out`` path read
 as ``<out>``, goes to ``report/<name>.txt``, so a moved report line shows
 like a moved artifact.  The parent always runs with one worker;
@@ -171,6 +172,18 @@ CONFIGS: dict[str, tuple[str, dict]] = {
     "couple-ceiling": ("couple", {
         "run": {"T": 0.1, "record_every": 5, "x0": {"kind": "constant", "u": 10.0}},
         "master_seed": 23, "paths": 2,
+    }),
+    # 4 x 32 + 8 paths from above the ceiling: chunks that share a batch
+    # substep at the same m, and a shorter last chunk transforms on its own
+    "simulate-chunks": ("simulate", {
+        "run": {"T": 0.02, "record_every": 4, "x0": {"kind": "constant", "u": 10.0}},
+        "master_seed": 24, "paths": 136,
+    }),
+    # chunks of 32 and 8 paths, each running the whole ladder in one pass
+    "backward-chunks": ("backward", {
+        "run": {"dt": 2e-3, "x0": {"kind": "constant", "u": 1.5}},
+        "backward": {"lambda_ladder": [0.5, 1, 2]},
+        "master_seed": 25, "paths": 40,
     }),
 }
 
