@@ -232,7 +232,7 @@ def criterion_3_dissipativity(quick: bool, master_seed: int) -> dict:
 def criterion_4_trace(quick: bool, master_seed: int) -> dict:
     """Exp-sinh quadrature of the convolution trace integral vs closed form (1e-8 relative) and bound."""
     params, basis, spec = _default_setup()
-    closed = convolution_trace_integral(params, basis, spec, horizon=None)
+    closed = convolution_trace_integral(params, basis, spec)
     numeric, quad_err = _exp_sinh_integral(
         lambda s: convolution_trace_integrand(s, params, basis, spec)
     )
@@ -501,11 +501,11 @@ def criterion_11_dynkin(quick: bool, master_seed: int) -> dict:
 def criterion_12_reproducibility(quick: bool, master_seed: int) -> dict:
     """Identical config + seed gives byte-identical artifacts across worker counts."""
     import contextlib
-    import filecmp
     import io
     import json as _json
     import os
     import tempfile
+    from pathlib import Path
 
     from .cli import main as cli_main
 
@@ -514,35 +514,27 @@ def criterion_12_reproducibility(quick: bool, master_seed: int) -> dict:
         "master_seed": master_seed + 12,
         "paths": 40,  # spans two ensemble chunks
     }
+    # each worker count's artifacts as one {name: bytes} map
     outputs = []
     with tempfile.TemporaryDirectory() as tmp:
-        cfg_path = os.path.join(tmp, "cfg.json")
-        with open(cfg_path, "w") as fh:
-            _json.dump(cfg_json, fh)
-        for tag, workers in (("w1", "1"), ("w2", "2"), ("w3", "3")):
-            out_dir = os.path.join(tmp, tag)
+        cfg_path = Path(tmp, "cfg.json")
+        cfg_path.write_text(_json.dumps(cfg_json))
+        for workers in ("1", "2", "3"):
+            out_dir = Path(tmp, f"w{workers}")
             os.environ["FHN_SPECTRAL_WORKERS"] = workers
             try:
                 with contextlib.redirect_stdout(io.StringIO()):
-                    rc = cli_main(["simulate", "--config", cfg_path, "--out", out_dir])
+                    rc = cli_main(["simulate", "--config", str(cfg_path), "--out", str(out_dir)])
             finally:
                 os.environ.pop("FHN_SPECTRAL_WORKERS", None)
             if rc != 0:
                 return {"passed": False, "error": f"simulate exited {rc} at workers={workers}"}
-            outputs.append(out_dir)
-        same = True
-        names = sorted(os.listdir(outputs[0]))
-        for other in outputs[1:]:
-            if sorted(os.listdir(other)) != names:
-                same = False
-                break
-            for name in names:
-                if not filecmp.cmp(
-                    os.path.join(outputs[0], name), os.path.join(other, name), shallow=False
-                ):
-                    same = False
-                    break
-        return {"passed": same, "files": names, "worker_counts": [1, 2, 3]}
+            outputs.append({path.name: path.read_bytes() for path in out_dir.iterdir()})
+    return {
+        "passed": all(out == outputs[0] for out in outputs[1:]),
+        "files": sorted(outputs[0]),
+        "worker_counts": [1, 2, 3],
+    }
 
 
 CRITERIA: list[tuple[int, str, Callable[[bool, int], dict]]] = [

@@ -226,10 +226,13 @@ def validate_config(cfg: dict[str, Any]) -> None:
     _validate_x0(run["x0"], "run.x0", n_modes)
     _validate_x0(experiment_block(cfg, "couple")["x0_b"], "couple.x0_b", n_modes)
     invariant = cfg.get("invariant", {})
-    # the default spacing is not held to the dt grid
+    # the default spacing is not held to the dt grid, and the default burn-in
+    # moves onto it
     if "sample_spacing" in invariant:
         if _grid_steps(invariant["sample_spacing"], run["dt"], "invariant.sample_spacing") < 1:
             raise ConfigError("invariant.sample_spacing", f"must be at least dt={run['dt']}")
+    if "burn_in" in invariant:
+        _grid_steps(invariant["burn_in"], run["dt"], "invariant.burn_in")
     mode = experiment_block(cfg, "invariant")["pairing_mode"]
     if mode is not None and not 0 <= mode < n_modes:
         raise ConfigError("invariant.pairing_mode", f"expected an integer in [0, {n_modes})")

@@ -29,7 +29,6 @@ from .solver import (
     _require_se_paths,
     _simulate_batch,
     _steps_from,
-    _x0_array,
     run_ensemble,
 )
 
@@ -85,13 +84,13 @@ def v_norm_functional(params: ModelParams, basis: EigenBasis) -> StateFunctional
     )
 
 
-def bounded_ramp_functional(params: ModelParams, scale: float = 1.0) -> StateFunctional:
-    """|x|_H / (scale + |x|_H): bounded, monotone in the norm."""
+def bounded_ramp_functional(params: ModelParams) -> StateFunctional:
+    """|x|_H / (1 + |x|_H): bounded, monotone in the norm."""
     def fn(u: np.ndarray, w: np.ndarray) -> np.ndarray:
         r = np.sqrt(norm_H_sq_arrays(u, w, params.gamma))
-        return r / (scale + r)
+        return r / (1.0 + r)
 
-    return StateFunctional(f"ramp_{scale:g}", fn)
+    return StateFunctional("ramp", fn)
 
 
 @dataclass
@@ -246,7 +245,7 @@ def estimate_invariant_measure(
     params: ModelParams,
     basis: EigenBasis,
     spec: NoiseSpec,
-    functionals: Sequence[StateFunctional] | None = None,
+    functionals: Sequence[StateFunctional],
     burn_in: float | None = None,
     n_time_samples: int = 200,
     sample_spacing: float = 2.0,
@@ -259,16 +258,20 @@ def estimate_invariant_measure(
     terminal states (ensemble average).  Agreement of the two is the
     ergodicity evidence: each functional carries a two-sample KS statistic
     against the 5% critical value.  The horizons follow from ``burn_in`` and
-    the sampling, so ``cfg.T`` is not read.
+    the sampling, so ``cfg.T`` is not read.  ``burn_in`` None takes 5/omega1,
+    or the first point of the dt grid after it where it is off that grid.
     """
     if n_time_samples < 1:
         raise ValueError("n_time_samples must be >= 1")
     if sample_spacing <= 0:
         raise ValueError("sample_spacing must be positive")
-    omega = params.derived().omega1
-    if burn_in is None:
-        burn_in = 5.0 / omega
     dt = cfg.dt
+    if burn_in is None:
+        burn_in = 5.0 / params.derived().omega1
+        try:
+            _steps_from(burn_in, dt, "burn_in")
+        except ValueError:
+            burn_in = math.ceil(burn_in / dt) * dt
     spacing_steps = _steps_from(sample_spacing, dt, "sample_spacing")
     if spacing_steps < 1:
         raise ValueError(f"sample_spacing={sample_spacing} is shorter than dt={dt}")
@@ -295,8 +298,6 @@ def estimate_invariant_measure(
     )
     states_e = run_ensemble(ens_cfg, params, basis, spec, n_ensemble).terminal
 
-    if functionals is None:
-        functionals = [h_norm_functional(params), v_norm_functional(params, basis)]
     out: dict[str, FunctionalHistogram] = {}
     n, m_sz = states_t.shape[0], states_e.shape[0]
     ks_crit = _KS_COEFF_5PCT * math.sqrt((n + m_sz) / (n * m_sz))
@@ -342,9 +343,6 @@ def transition_semigroup(
     x is ``cfg.x0`` and t is ``cfg.T``; every functional is reduced over the
     terminal states of one ensemble.
     """
-    if cfg.n_steps == 0:
-        x0 = _x0_array(cfg, basis.n_modes)[None]
-        return [(float(phi(x0[..., 0], x0[..., 1])[0]), 0.0) for phi in phis]
     run_cfg = replace(cfg, record_every=RECORD_ENDPOINTS)
     terminals = run_ensemble(run_cfg, params, basis, spec, n_paths).terminal
     estimates = []

@@ -17,11 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Union
+from typing import Iterable, Union
 
 import numpy as np
 
-ProfileLike = Union[float, int, np.ndarray, list, Callable[[np.ndarray], np.ndarray]]
+ProfileLike = Union[float, int, np.ndarray, list]
 
 # constant-c bases with at least this many modes transform by DCT; below it
 # the fixed per-call cost of scipy.fft makes the dense matmul faster
@@ -44,12 +44,6 @@ def _collocation_grid(n_grid: int) -> tuple[np.ndarray, float]:
 
 def _evaluate_profile(profile: ProfileLike, xi: np.ndarray, name: str) -> tuple[np.ndarray, bool]:
     """Tabulate a coefficient profile on the grid; returns (values, is_constant)."""
-    if callable(profile):
-        values = np.asarray(profile(xi), dtype=float)
-        if values.shape != xi.shape:
-            raise ValueError(f"{name} profile callable must return {xi.shape} values")
-        is_const = bool(np.all(values == values[0]))
-        return values, is_const
     if np.isscalar(profile):
         return np.full_like(xi, float(profile)), True
     values = np.asarray(profile, dtype=float)
@@ -65,10 +59,10 @@ def _evaluate_profile(profile: ProfileLike, xi: np.ndarray, name: str) -> tuple[
 class ModelParams:
     """Phenomenological coefficients of the FitzHugh-Nagumo system.
 
-    ``c_profile`` and ``p_profile`` may be scalars, tables of ``n_grid``
-    values on the collocation grid, or callables of xi.  The constructor
-    rejects parameter sets that break the dissipativity condition
-    3 min p >= xi1^2 - xi1 + 1.
+    ``c_profile`` and ``p_profile`` are scalars or grid tables of ``n_grid``
+    values on the collocation grid, as the ``model.c`` and ``model.p``
+    config keys give them.  The constructor rejects parameter sets that
+    break the dissipativity condition 3 min p >= xi1^2 - xi1 + 1.
     """
 
     alpha: float = 1.0
@@ -449,24 +443,17 @@ def mode_matrices(params: ModelParams, basis: EigenBasis, shifted: bool = False)
 
 
 def random_coeff_states(
-    n_states: int,
-    params: ModelParams,
-    rng: np.random.Generator,
-    scale: float = 1.0,
-    spectral_decay: float | None = None,
+    n_states: int, params: ModelParams, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Random spectral states (u_hat, w_hat) of shape (n_states, N) for property tests.
 
-    Each state gets its own magnitude (log-uniform around ``scale``) and,
-    unless fixed, its own spectral decay exponent, so samples probe both
-    smooth and rough directions of the truncated space.
+    Each state gets its own magnitude (log-uniform around 1) and its own
+    spectral decay exponent, so samples probe both smooth and rough
+    directions of the truncated space.
     """
     n = params.n_modes
-    mags = scale * np.exp(rng.uniform(-2.0, 2.0, size=(n_states, 1)))
-    if spectral_decay is None:
-        decays = rng.uniform(0.0, 2.0, size=(n_states, 1))
-    else:
-        decays = np.full((n_states, 1), float(spectral_decay))
+    mags = np.exp(rng.uniform(-2.0, 2.0, size=(n_states, 1)))
+    decays = rng.uniform(0.0, 2.0, size=(n_states, 1))
     profile = (1.0 + np.arange(n)) ** -decays
     u_hat = rng.standard_normal((n_states, n)) * profile * mags
     w_hat = rng.standard_normal((n_states, n)) * profile * mags

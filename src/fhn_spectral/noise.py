@@ -25,7 +25,6 @@ all time-discretization error from the linear and stochastic terms.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -97,22 +96,20 @@ def trace_Q(spec: NoiseSpec) -> float:
 
 
 class PathStream:
-    """Counter-based Gaussian streams for one trajectory or a batch of them.
+    """Counter-based Gaussian streams for a batch of trajectories.
 
-    ``path_id`` is one id or a sequence of S ids.  ``normals(j)`` returns
-    the 2N standard normals driving interval j for every stream, a
-    read-only (S, 2N) block in the order of ``path_id`` (u-channel draws
-    first, then w-channel), or a (2N,) row for a single id.  Each stream's
-    draws are a fixed counter block of a Philox stream keyed by
-    (master_seed, path_id), so identical (seed, path, interval) triples give
-    bitwise identical draws in any run order and in any batch.  A refill
-    draws a run of consecutive intervals for every stream into one buffer
-    and returns views of it.
+    ``path_ids`` is a sequence of S ids.  ``normals(j)`` returns the 2N
+    standard normals driving interval j for every stream, a read-only
+    (S, 2N) block in the order of ``path_ids`` (u-channel draws first, then
+    w-channel).  Each stream's draws are a fixed counter block of a Philox
+    stream keyed by (master_seed, path_id), so identical (seed, path,
+    interval) triples give bitwise identical draws in any run order and in
+    any batch.  A refill draws a run of consecutive intervals for every
+    stream into one buffer and returns views of it.
     """
 
-    def __init__(self, n_modes: int, master_seed: int, path_id: int | Sequence[int]):
-        self._single = np.ndim(path_id) == 0
-        ids = [int(p) for p in ([path_id] if self._single else path_id)]
+    def __init__(self, n_modes: int, master_seed: int, path_ids: Sequence[int]):
+        ids = [int(p) for p in path_ids]
         if any(p < 0 for p in ids):
             raise ValueError("path_id must be >= 0")
         self.n_modes = int(n_modes)
@@ -161,8 +158,7 @@ class PathStream:
             ndtri(buf, out=buf)
             buf.flags.writeable = False
             self._cache, self._first, row = buf, j, 0
-        block = self._cache[:, row, : self._n_draws]
-        return block[0] if self._single else block
+        return self._cache[:, row, : self._n_draws]
 
 
 @dataclass
@@ -366,21 +362,12 @@ def convolution_trace_integrand(
     return float(total) if total.ndim == 0 else total
 
 
-def convolution_trace_integral(
-    params: ModelParams,
-    basis: EigenBasis,
-    spec: NoiseSpec,
-    horizon: float | None = None,
-) -> float:
-    """int_0^T Tr_H[e^{sA_eta} Q e^{sA_eta^*}] ds in closed form.
+def convolution_trace_integral(params: ModelParams, basis: EigenBasis, spec: NoiseSpec) -> float:
+    """int_0^inf Tr_H[e^{sA_eta} Q e^{sA_eta^*}] ds in closed form.
 
-    ``horizon=None`` gives the infinite-horizon value via the stationary
-    Lyapunov solutions; it is bounded by Tr(Q)/(2 omega).
+    The H-trace of the stationary Lyapunov solutions; it is bounded by
+    Tr(Q)/(2 omega).  A finite horizon T is the H-trace of the shifted OU
+    kernel's covariance at step T.
     """
-    if horizon is None or math.isinf(horizon):
-        cov = stationary_mode_covariances(params, basis, spec, shifted=True)
-        return htrace_mode_cov(cov, params.gamma)
-    if horizon < 0:
-        raise ValueError("horizon must be >= 0")
-    kernel = build_ou_kernel(params, basis, spec, horizon, shifted=True)
-    return htrace_mode_cov(kernel.cov, params.gamma)
+    cov = stationary_mode_covariances(params, basis, spec, shifted=True)
+    return htrace_mode_cov(cov, params.gamma)

@@ -4,16 +4,19 @@ These are the exit criteria of the package.  Each ``test_criterion``
 executes one criterion at full (non-quick) scale with the pinned master
 seed and asserts the pass flag; the measured quantities are printed so a
 log of this module doubles as the acceptance report.  ``TestTraceQuadrature``
-checks that criterion 4's quadrature has the power to fail.
+checks that criterion 4's quadrature has the power to fail, and
+``TestReproducibility`` that criterion 12's comparison does.
 """
+
+import os
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fhn_spectral import ModelParams, NoiseSpec, acceptance, build_eigenbasis
+from fhn_spectral import ModelParams, NoiseSpec, acceptance, build_eigenbasis, cli
 from fhn_spectral.acceptance import CRITERIA, _exp_sinh_integral, run_criterion
-from fhn_spectral.noise import convolution_trace_integral, convolution_trace_integrand
+from fhn_spectral.noise import build_ou_kernel, convolution_trace_integrand, htrace_mode_cov
 
 MASTER_SEED = 0
 
@@ -59,7 +62,9 @@ class TestTraceQuadrature:
         # int_0^T f = int_0^inf [f(s) - f(s + T)] ds, both on the exp-sinh nodes
         f = lambda s: convolution_trace_integrand(s, params, basis, spec)
         rule, _ = _exp_sinh_integral(lambda s: f(s) - f(s + horizon))
-        closed = convolution_trace_integral(params, basis, spec, horizon=horizon)
+        closed = htrace_mode_cov(
+            build_ou_kernel(params, basis, spec, horizon, shifted=True).cov, params.gamma
+        )
         assert rule == pytest.approx(closed, rel=1e-12)
 
     def test_closed_form_off_by_1e7_fails(self, monkeypatch):
@@ -70,3 +75,38 @@ class TestTraceQuadrature:
             lambda *a, **kw: true_closed(*a, **kw) * (1.0 + 1e-7),
         )
         assert not acceptance.criterion_4_trace(True, MASTER_SEED)["passed"]
+
+
+class TestReproducibility:
+    """Criterion 12 fails when one worker count's artifacts differ from the others'."""
+
+    def _run_with(self, monkeypatch, alter):
+        # alter(path, workers) runs after path_0001.csv is written; an alter
+        # that never runs leaves the criterion passing, which both tests refuse
+        write_csv = cli.write_csv
+
+        def writer(path, header, rows):
+            write_csv(path, header, rows)
+            if path.name == "path_0001.csv":
+                alter(path, os.environ["FHN_SPECTRAL_WORKERS"])
+
+        monkeypatch.setattr(cli, "write_csv", writer)
+        return acceptance.criterion_12_reproducibility(True, MASTER_SEED)
+
+    def test_one_byte_off_at_two_workers_fails(self, monkeypatch):
+        def flip_last_digit(path, workers):
+            if workers == "2":
+                text = path.read_bytes()
+                path.write_bytes(text[:-2] + bytes([text[-2] ^ 1]) + text[-1:])
+
+        result = self._run_with(monkeypatch, flip_last_digit)
+        assert result["passed"] is False
+        assert "path_0001.csv" in result["files"]
+
+    def test_file_missing_at_one_worker_count_fails(self, monkeypatch):
+        def drop_at_three(path, workers):
+            if workers == "3":
+                path.unlink()
+
+        result = self._run_with(monkeypatch, drop_at_three)
+        assert result["passed"] is False

@@ -792,6 +792,29 @@ class TestCLI:
         header = (out / "moments.csv").read_text().splitlines()[0]
         assert header == "t,m1,m1_se,m2,m2_se"
 
+    def test_invariant_default_burn_in_moves_onto_the_dt_grid(self, tmp_path):
+        # 5 / omega1 = 5 / 0.6 lies off the grid of dt 1e-3; the run takes the
+        # first grid point after it instead of refusing its own horizon
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+        cfg.write_text(json.dumps({
+            "model": {"p": 0.85}, "paths": 2,
+            "invariant": {"n_time_samples": 2, "sample_spacing": 0.01},
+        }))
+        assert main(["invariant", "--config", str(cfg), "--out", str(out)]) == 0
+        burn_in = json.loads((out / "summary.json").read_text())["burn_in"]
+        assert burn_in == math.ceil(5.0 / 0.6 / 1e-3) * 1e-3
+        assert 5.0 / 0.6 <= burn_in < 5.0 / 0.6 + 1e-3
+
+    def test_invariant_burn_in_off_the_dt_grid_is_config_error(self, tmp_path, capsys):
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+        cfg.write_text(json.dumps({
+            "paths": 2, "invariant": {"burn_in": 0.0104, "n_time_samples": 2, "sample_spacing": 0.01},
+        }))
+        assert main(["invariant", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "invariant.burn_in" in err and "run.T" not in err
+        assert not out.exists()
+
     def test_invariant_subcommand_with_pairing(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(

@@ -27,6 +27,11 @@ from fhn_spectral.kolmogorov import CylinderFunction
 from fhn_spectral.noise import convolution_trace_integral, stationary_mode_covariances
 from fhn_spectral.solver import _simulate_batch, run_ensemble
 
+
+def _norms(params, basis):
+    """The functionals ``invariant`` always estimates: the H- and V-norms."""
+    return [h_norm_functional(params), v_norm_functional(params, basis)]
+
 class TestMoments:
     def test_zero_noise_zero_start(self, params, basis, zero_spec):
         cfg = TrajectoryConfig(T=0.5, dt=1e-3, record_every=50)
@@ -44,7 +49,7 @@ class TestMoments:
             estimate_moments(1, run_ensemble(cfg, params, basis, spec, 1), cfg, params)
 
     def test_linear_long_run_matches_lyapunov(self, params, basis, spec):
-        target = convolution_trace_integral(params, basis, spec, None)
+        target = convolution_trace_integral(params, basis, spec)
         cfg = TrajectoryConfig(T=60.0, dt=0.05, drift="linear_eta", record_every=1200, master_seed=10)
         rep = estimate_moments(1, run_ensemble(cfg, params, basis, spec, 64), cfg, params)
         gap = abs(rep.estimate[-1] - target)
@@ -126,6 +131,7 @@ class TestInvariantMeasure:
             params,
             basis,
             zero_spec,
+            functionals=_norms(params, basis),
             burn_in=1.0,
             n_time_samples=32,
             sample_spacing=0.1,
@@ -142,19 +148,35 @@ class TestInvariantMeasure:
     def test_no_time_samples_rejected(self, params, basis, zero_spec):
         cfg = TrajectoryConfig(T=1.0, dt=1e-3)
         with pytest.raises(ValueError):
-            estimate_invariant_measure(cfg, params, basis, zero_spec, burn_in=0.5, n_time_samples=0)
+            estimate_invariant_measure(
+                cfg, params, basis, zero_spec, _norms(params, basis), burn_in=0.5, n_time_samples=0
+            )
 
     @pytest.mark.parametrize("spacing", [0.0, -1.0])
     def test_nonpositive_sample_spacing_rejected(self, params, basis, zero_spec, spacing):
         cfg = TrajectoryConfig(T=1.0, dt=1e-3)
         with pytest.raises(ValueError):
-            estimate_invariant_measure(cfg, params, basis, zero_spec, sample_spacing=spacing)
+            estimate_invariant_measure(
+                cfg, params, basis, zero_spec, _norms(params, basis), sample_spacing=spacing
+            )
 
     @pytest.mark.parametrize("spacing", [0.0004, 1e-12])
     def test_off_grid_sample_spacing_rejected(self, params, basis, zero_spec, spacing):
         cfg = TrajectoryConfig(T=1.0, dt=1e-3)
         with pytest.raises(ValueError, match="sample_spacing"):
-            estimate_invariant_measure(cfg, params, basis, zero_spec, sample_spacing=spacing)
+            estimate_invariant_measure(
+                cfg, params, basis, zero_spec, _norms(params, basis), sample_spacing=spacing
+            )
+
+    def test_default_burn_in_on_the_grid_is_kept_exact(self, params, basis, zero_spec):
+        # the default model's 5 / omega1 = 100.00000000000003 lies on the grid
+        # of dt 0.01 within _steps_from's tolerance, so it is not moved up a step
+        cfg = TrajectoryConfig(T=1.0, dt=0.01)
+        measure = estimate_invariant_measure(
+            cfg, params, basis, zero_spec, _norms(params, basis),
+            n_time_samples=1, sample_spacing=0.01, n_ensemble=2,
+        )
+        assert measure.burn_in == 5.0 / params.derived().omega1
 
     def test_linear_pairing_gaussian(self, params, basis, spec):
         # <x,h>_H under the F-disabled stationary law is centered Gaussian with
@@ -190,6 +212,7 @@ class TestInvariantMeasure:
             strong,
             sbasis,
             spec,
+            functionals=_norms(strong, sbasis),
             burn_in=10.0,
             n_time_samples=150,
             sample_spacing=2.0,
@@ -233,18 +256,6 @@ class TestKSStatistic:
 
 
 class TestTransitionSemigroup:
-    def test_t_zero_exact(self, params, basis, spec):
-        from fhn_spectral.ergodics import transition_semigroup
-
-        n = basis.n_modes
-        x = StateH.zero(n)
-        x.u_hat[0] = 2.0
-        phi = h_norm_functional(params)
-        cfg = TrajectoryConfig(T=0.0, dt=1e-3, x0=x)
-        [(est, se)] = transition_semigroup([phi], 16, cfg, params, basis, spec)
-        assert est == approx(math.sqrt(params.gamma) * 2.0)
-        assert se == 0.0
-
     def test_constant_functional_conserved(self, params, basis, spec):
         from fhn_spectral.ergodics import transition_semigroup
 
@@ -277,6 +288,7 @@ def linear_measure(params, basis, spec):
         params,
         basis,
         spec,
+        functionals=_norms(params, basis),
         burn_in=25.0,
         n_time_samples=300,
         sample_spacing=2.0,
@@ -293,7 +305,7 @@ class TestInvariantMoments:
 
     def test_matches_gaussian_trace(self, params, basis, spec, linear_measure):
         m1 = invariant_moment_integral(1, linear_measure, params, basis)
-        target = convolution_trace_integral(params, basis, spec, None)
+        target = convolution_trace_integral(params, basis, spec)
         samples = linear_measure.states_time_avg
         from fhn_spectral.model import norm_H_sq_arrays
 

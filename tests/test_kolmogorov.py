@@ -21,7 +21,7 @@ from fhn_spectral.kolmogorov import (
     generator_values,
     ou_expectation_exact,
 )
-from fhn_spectral.model import inner_H, random_coeff_states
+from fhn_spectral.model import _collocation_grid, inner_H, random_coeff_states
 from fhn_spectral.solver import _simulate_batch, run_drift
 
 
@@ -85,7 +85,7 @@ class TestBatchIndependence:
             StateH(0.05 * rng.standard_normal(n), 0.05 * rng.standard_normal(n)), params, spec
         )
         assert np.all(h.h.u_hat != 0.0) and np.all(h.h.w_hat != 0.0)
-        u, w = random_coeff_states(256, params, rng, scale=0.3)
+        u, w = 0.3 * np.array(random_coeff_states(256, params, rng))
         return h, u, w
 
     @pytest.mark.parametrize("form", ["generator", "phi", "pairing", "inner_H"])
@@ -123,7 +123,7 @@ class TestGradients:
 
     def test_N0_decomposes_into_L_plus_F_pairing(self, params, basis, spec, rng):
         h = CylinderFunction.from_modes(basis.n_modes, params, spec, u_modes=[(1, 0.5)])
-        u, w = random_coeff_states(4, params, rng, scale=0.5)
+        u, w = 0.5 * np.array(random_coeff_states(4, params, rng))
         f_hat = basis.to_coeffs(f(basis.to_grid(u), params.xi1))
         f_pair = h.pairing(f_hat, np.zeros_like(f_hat))
         n0, phi = generator_values(h, u, w, run_drift(params, basis, "fhn"))
@@ -138,7 +138,7 @@ class TestGradients:
         h = CylinderFunction.from_modes(
             basis.n_modes, params, spec, u_modes=[(0, 0.4), (2, -0.3)], w_modes=[(1, 0.2)]
         )
-        u, w = random_coeff_states(6, params, rng, scale=0.5)
+        u, w = 0.5 * np.array(random_coeff_states(6, params, rng))
         ax_u = (basis.mu - params.p_min) * u - w
         ax_w = params.gamma * u - params.alpha * w
         f_hat = f_eta_eps(u @ basis.modes, dp) @ (basis.modes.T * basis.quad_weight)
@@ -156,17 +156,17 @@ class TestGradients:
     def test_drift_is_one_integrator_step(self, drift, eps):
         # (X_dt - x)/dt of one noise-free step pairs with h like <b(x),h>_H up to O(dt),
         # with c and p variable so the drift carries the remainder (min p - p) u
+        xi = _collocation_grid(64)[0]
         params = ModelParams(
-            c_profile=lambda x: 1.0 + 0.5 * x,
-            p_profile=lambda x: 0.3 + 0.2 * x * x,
-            n_modes=16,
-            n_grid=64,
+            c_profile=1.0 + 0.5 * xi, p_profile=0.3 + 0.2 * xi * xi, n_modes=16, n_grid=64
         )
         basis = build_eigenbasis(params)
         h = CylinderFunction.from_modes(
             basis.n_modes, params, u_modes=[(0, 0.4), (2, -0.3)], w_modes=[(1, 0.2)]
         )
-        u, w = random_coeff_states(4, params, np.random.default_rng(5), spectral_decay=2.0)
+        # smooth states: coefficients decay like (1 + k)^-2
+        decay = (1.0 + np.arange(16)) ** -2.0
+        u, w = np.random.default_rng(5).standard_normal((2, 4, 16)) * decay
         x0 = np.stack([u, w], axis=-1)
         dt = 1e-7
         x_dt = _simulate_batch(
@@ -184,7 +184,7 @@ class TestGradients:
         # d/dt E phi(X_t) at t = 0 for the F-disabled dynamics equals L phi(x)
         params, basis, spec = gamma1
         h = CylinderFunction.from_modes(basis.n_modes, params, spec, u_modes=[(0, 0.4)])
-        u, w = random_coeff_states(3, params, rng, scale=0.3)
+        u, w = 0.3 * np.array(random_coeff_states(3, params, rng))
         l_phi, phi = generator_values(h, u, w, run_drift(params, basis, "linear"))
         dt = 1e-5
         for i in range(3):
@@ -197,7 +197,7 @@ class TestGradients:
         h = CylinderFunction.from_modes(
             basis.n_modes, params, spec, u_modes=[(0, 0.4), (1, 0.2)], w_modes=[(0, 0.3)]
         )
-        u, w = random_coeff_states(3, params, rng, scale=0.3)
+        u, w = 0.3 * np.array(random_coeff_states(3, params, rng))
         l_phi, phi = generator_values(h, u, w, run_drift(params, basis, "linear_eta"))
         plain, _ = generator_values(h, u, w, run_drift(params, basis, "linear"))
         dt = 1e-5

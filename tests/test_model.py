@@ -18,6 +18,7 @@ from fhn_spectral.model import (
     DCT_MIN_MODES,
     DerivedConstants,
     _check_basis,
+    _collocation_grid,
     inner_H,
     mode_matrices,
     norm_H_sq_arrays,
@@ -25,6 +26,10 @@ from fhn_spectral.model import (
     random_coeff_states,
 )
 from fhn_spectral.solver import run_drift
+
+# profiles are scalars or grid tables; these tabulate c(xi) = 1 + xi/2 and
+# p(xi) = 0.3 + 0.2 xi^2 on the midpoint grids of 64 and 512 points
+_XI64, _XI512 = _collocation_grid(64)[0], _collocation_grid(512)[0]
 
 
 def norm_H_sq_quadrature(u_hat, w_hat, params, basis):
@@ -105,7 +110,7 @@ class TestEigenbasis:
         assert np.abs(gram - np.eye(basis.n_modes)).max() < 1e-12
 
     def test_variable_c_basis(self):
-        p = ModelParams(c_profile=lambda x: 1.0 + 0.5 * x, n_modes=8, n_grid=64)
+        p = ModelParams(c_profile=1.0 + 0.5 * _XI64, n_modes=8, n_grid=64)
         b = build_eigenbasis(p)
         assert not b.constant_c
         gram = b.modes @ b.modes.T * b.quad_weight
@@ -157,8 +162,8 @@ class TestEigenbasis:
         # LAPACK's eigenvectors and the scaled table are the only two (N, M)
         # arrays alive at once; a reversed copy of the eigenvectors, a table
         # kept beside its scaled copy or a table-sized |modes| makes three
-        params = ModelParams(c_profile=lambda x: 1.0 + 0.5 * x, n_modes=256, n_grid=512)
-        build_eigenbasis(replace(params, n_modes=8, n_grid=16))  # loads scipy.linalg
+        params = ModelParams(c_profile=1.0 + 0.5 * _XI512, n_modes=256, n_grid=512)
+        build_eigenbasis(ModelParams(c_profile=1.0 + 0.5 * _XI64, n_modes=8))  # loads scipy.linalg
         tracemalloc.start()
         try:
             b = build_eigenbasis(params)
@@ -206,7 +211,8 @@ class TestEigenbasis:
         # 2M-point discretizations agree to 1e-6 relative on a fine mesh
         mus = {}
         for m_grid in (8192, 16384):
-            p = ModelParams(c_profile=lambda x: 1.0 + 0.5 * x, n_modes=8, n_grid=m_grid)
+            xi = _collocation_grid(m_grid)[0]
+            p = ModelParams(c_profile=1.0 + 0.5 * xi, n_modes=8, n_grid=m_grid)
             mus[m_grid] = build_eigenbasis(p).mu
         coarse, fine = mus[8192], mus[16384]
         # mode 0 sits at the eigensolver's floating-point floor, which scales
@@ -217,7 +223,8 @@ class TestEigenbasis:
 
     def test_variable_c_matches_constant_limit(self):
         p = ModelParams(c_profile=np.full(2048, 1.0) + 0.0, n_modes=4, n_grid=2048)
-        pv = ModelParams(c_profile=lambda x: 1.0 + 1e-12 * x, n_modes=4, n_grid=2048)
+        xi = _collocation_grid(2048)[0]
+        pv = ModelParams(c_profile=1.0 + 1e-12 * xi, n_modes=4, n_grid=2048)
         b = build_eigenbasis(pv)
         assert b.mu[1] == approx(-math.pi**2, rel=1e-5)
 
@@ -254,7 +261,7 @@ class TestDctTransforms:
         narrow = build_eigenbasis(ModelParams())
         assert narrow.constant_c and not narrow.dct
         varying = build_eigenbasis(
-            ModelParams(c_profile=lambda x: 1.0 + 0.5 * x, n_modes=DCT_MIN_MODES,
+            ModelParams(c_profile=1.0 + 0.5 * _XI512, n_modes=DCT_MIN_MODES,
                         n_grid=2 * DCT_MIN_MODES)
         )
         assert not varying.constant_c and not varying.dct
@@ -267,7 +274,7 @@ class TestMatmulTransforms:
         "default": {},
         "n8": dict(n_modes=8, n_grid=16),
         "n64": dict(n_modes=64, n_grid=128),
-        "variable-c": dict(n_modes=32, n_grid=64, c_profile=lambda x: 1.0 + 0.5 * x),
+        "variable-c": dict(n_modes=32, n_grid=64, c_profile=1.0 + 0.5 * _XI64),
     }
 
     @pytest.mark.parametrize("name", list(_BASES))
@@ -343,7 +350,8 @@ class TestStateAndNorms:
         assert quadrature == approx(spectral, rel=1e-8)
 
     def test_parseval_variable_c(self, rng):
-        p = ModelParams(c_profile=lambda x: 1.0 + 0.3 * np.sin(2 * np.pi * x), n_modes=8, n_grid=32)
+        xi = _collocation_grid(32)[0]
+        p = ModelParams(c_profile=1.0 + 0.3 * np.sin(2 * np.pi * xi), n_modes=8, n_grid=32)
         b = build_eigenbasis(p)
         u, w = random_coeff_states(20, p, rng)
         assert norm_H_sq_quadrature(u, w, p, b) == approx(norm_H_sq_arrays(u, w, p.gamma), rel=1e-8)
@@ -398,8 +406,8 @@ class TestDriftOperator:
 
     def test_dissipativity_V_norm_variable_coeffs(self, rng):
         p = ModelParams(
-            c_profile=lambda x: 1.0 + 0.5 * x,
-            p_profile=lambda x: 0.3 + 0.2 * x * x,
+            c_profile=1.0 + 0.5 * _XI64,
+            p_profile=0.3 + 0.2 * _XI64 * _XI64,
             n_modes=16,
             n_grid=64,
         )

@@ -74,57 +74,55 @@ class TestPathStream:
     @pytest.mark.parametrize("n_modes", [3, 8, 32, 1024])
     def test_matches_independent_draws(self, n_modes):
         # a stream refills several intervals of every path at once; each row
-        # must still equal its path's interval drawn on its own, and a single
-        # id gives that row, not a block
+        # must still equal its path's interval drawn on its own
         per_refill = max(1, _REFILL_UNIFORMS // (4 * ((2 * n_modes + 3) // 4)))
         sequential = range(-per_refill - 2, 2 * per_refill + 3)     # crosses refill edges
         jumps = [5, -1000, 7 * per_refill - 1, 7 * per_refill, 0, -1, 3 * per_refill + 1]
         scattered = np.random.default_rng(n_modes).integers(-50 * per_refill, 50 * per_refill, 20)
-        for path_ids in (4, (9, 2, 40, 0)):
+        for path_ids in ([4], [9, 2, 40, 0]):
             stream = PathStream(n_modes, 11, path_ids)
             for j in [*sequential, *jumps, *scattered.tolist()]:
-                expect = [_reference_normals(n_modes, 11, p, j) for p in np.atleast_1d(path_ids)]
-                expect = np.reshape(expect, np.shape(path_ids) + (2 * n_modes,))
+                expect = [_reference_normals(n_modes, 11, p, j) for p in path_ids]
                 assert np.array_equal(stream.normals(j), expect), (path_ids, j)
 
     def test_rows_are_read_only(self):
-        for path_ids in (1, (9, 2, 40, 0)):
+        for path_ids in ([1], [9, 2, 40, 0]):
             row = PathStream(8, 1, path_ids).normals(0)
-            assert row.shape == np.shape(path_ids) + (16,)
+            assert row.shape == (len(path_ids), 16)
             assert not row.flags.writeable
             with pytest.raises(ValueError):
                 row[..., 0] = 0.0
 
     def test_reproducible(self):
-        a = PathStream(8, master_seed=3, path_id=5)
-        b = PathStream(8, master_seed=3, path_id=5)
+        a = PathStream(8, master_seed=3, path_ids=[5])
+        b = PathStream(8, master_seed=3, path_ids=[5])
         assert np.array_equal(a.normals(0), b.normals(0))
         assert np.array_equal(a.normals(100), b.normals(100))
 
     def test_distinct_paths_and_seeds(self):
-        base = PathStream(8, 3, 5).normals(7)
-        assert not np.array_equal(base, PathStream(8, 3, 6).normals(7))
-        assert not np.array_equal(base, PathStream(8, 4, 5).normals(7))
+        base = PathStream(8, 3, [5]).normals(7)
+        assert not np.array_equal(base, PathStream(8, 3, [6]).normals(7))
+        assert not np.array_equal(base, PathStream(8, 4, [5]).normals(7))
 
     def test_random_access_matches_sequential(self):
-        seq = PathStream(8, 1, 1)
+        seq = PathStream(8, 1, [1])
         blocks = {j: seq.normals(j).copy() for j in range(5)}
-        jumpy = PathStream(8, 1, 1)
+        jumpy = PathStream(8, 1, [1])
         for j in (3, 0, 4, 2, 1):
             assert np.array_equal(jumpy.normals(j), blocks[j])
 
     def test_negative_intervals_shared_across_starts(self):
         # the backward construction relies on runs started at different
         # offsets seeing identical draws on overlapping intervals
-        deep = PathStream(8, 9, 2)
-        shallow = PathStream(8, 9, 2)
+        deep = PathStream(8, 9, [2])
+        shallow = PathStream(8, 9, [2])
         deep_blocks = {j: deep.normals(j).copy() for j in range(-10, 0)}
         for j in range(-5, 0):
             assert np.array_equal(shallow.normals(j), deep_blocks[j])
 
     def test_normal_moments(self):
-        stream = PathStream(64, 0, 0)
-        draws = np.concatenate([stream.normals(j) for j in range(200)])
+        stream = PathStream(64, 0, [0])
+        draws = np.concatenate([stream.normals(j)[0] for j in range(200)])
         assert draws.mean() == approx(0.0, abs=3.0 / math.sqrt(draws.size))
         assert draws.std() == approx(1.0, rel=0.02)
 
@@ -191,12 +189,17 @@ class TestExactOUStep:
         assert np.isfinite(kernel.transition).all()
 
 
+def _finite_horizon_trace(params, basis, spec, horizon):
+    """int_0^T Tr_H[e^{sA_eta} Q e^{sA_eta^*}] ds: the H-trace of the shifted kernel at step T."""
+    return htrace_mode_cov(build_ou_kernel(params, basis, spec, horizon, shifted=True).cov, params.gamma)
+
+
 class TestTraceIntegral:
     def test_zero_horizon(self, params, basis, spec):
-        assert convolution_trace_integral(params, basis, spec, horizon=0.0) == 0.0
+        assert _finite_horizon_trace(params, basis, spec, 0.0) == 0.0
 
     def test_quadrature_matches_closed_form(self, params, basis, spec):
-        closed = convolution_trace_integral(params, basis, spec, horizon=5.0)
+        closed = _finite_horizon_trace(params, basis, spec, 5.0)
         val, _ = quad(
             lambda s: convolution_trace_integrand(s, params, basis, spec),
             0.0,
@@ -211,7 +214,7 @@ class TestTraceIntegral:
         closed = convolution_trace_integral(params, basis, spec)
         bound = trace_Q(spec) / (2.0 * params.derived().omega1)
         assert closed <= bound * (1.0 + 1e-9)
-        finite = convolution_trace_integral(params, basis, spec, horizon=200.0)
+        finite = _finite_horizon_trace(params, basis, spec, 200.0)
         assert finite == approx(closed, rel=1e-10)
 
     def test_htrace_gamma_weighting(self, params, basis, spec):

@@ -198,7 +198,7 @@ class TestProjectedDrift:
     def test_growth_envelope(self, params, basis, rng):
         # |F_eta(x)|_H <= C (1 + |u|_{L6}^3): fit C on one sample, hold on a fresh one
         def sample(n):
-            u, _ = random_coeff_states(n, params, rng, scale=2.0)
+            u, _ = 2.0 * np.array(random_coeff_states(n, params, rng))
             f_hat = F_eta_hat(u, DP, basis)
             f_norm = np.sqrt(params.gamma * (f_hat * f_hat).sum(axis=1))
             u_grid = basis.to_grid(u)

@@ -1,10 +1,11 @@
 """Every public top-level function and class in the package is used by the package,
 every name a module imports is read in that module, every dataclass field
-is read by the package, and every config key is read by some subcommand.
+is read by the package, every config key is read by some subcommand, and
+every parameter with a default is passed by some call in the package.
 
-A public name that only tests call is a second API to keep in step with
-the one the program runs.  Re-exports in ``__init__.py`` do not count as
-a use.
+A public name or a parameter that only tests use is a second API to keep
+in step with the one the program runs.  Re-exports in ``__init__.py`` do
+not count as a use.
 """
 
 import ast
@@ -118,3 +119,61 @@ def test_every_schema_key_is_in_some_read_set():
         if not any({block, name} & reads for _, reads in COMMANDS.values())
     ]
     assert not unread, f"config keys no subcommand reads: {unread}"
+
+
+def _bound_first(fn: ast.FunctionDef, owner: ast.AST) -> bool:
+    """Whether calls bind ``fn``'s first parameter implicitly: a method or classmethod."""
+    return isinstance(owner, ast.ClassDef) and not any(
+        isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list
+    )
+
+
+def test_every_defaulted_parameter_is_passed_in_src():
+    # a default no call overrides is a constant dressed as a parameter; a
+    # call that splats ``*`` or ``**`` counts as passing every parameter
+    # of its kind.  cli.main's argv is exempt: its default is the command
+    # line, which only the console script supplies.
+    modules = _modules()
+    defaulted = []
+    for name, tree in modules.items():
+        for owner in ast.walk(tree):
+            for fn in ast.iter_child_nodes(owner):
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                args = fn.args
+                positional = [*args.posonlyargs, *args.args]
+                skip = int(_bound_first(fn, owner))
+                first = len(positional) - len(args.defaults)
+                defaulted += [
+                    (name, fn.name, arg.arg, i - skip)
+                    for i, arg in enumerate(positional) if i >= first
+                ]
+                defaulted += [
+                    (name, fn.name, arg.arg, None)
+                    for arg, default in zip(args.kwonlyargs, args.kw_defaults) if default is not None
+                ]
+    calls = [
+        node
+        for tree in modules.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+    ]
+
+    def passes(call: ast.Call, fn_name: str, param: str, index: int | None) -> bool:
+        func = call.func
+        called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if called != fn_name:
+            return False
+        if any(kw.arg is None or kw.arg == param for kw in call.keywords):
+            return True
+        return index is not None and (
+            len(call.args) > index or any(isinstance(a, ast.Starred) for a in call.args)
+        )
+
+    unpassed = [
+        f"{module}:{fn_name}.{param}"
+        for module, fn_name, param, index in defaulted
+        if (module, fn_name, param) != ("cli.py", "main", "argv")
+        and not any(passes(call, fn_name, param, index) for call in calls)
+    ]
+    assert not unpassed, f"defaulted parameters no call in src/ passes: {unpassed}"

@@ -283,7 +283,7 @@ def _step_per_mode(params, basis, spec, dt, x0, drift, eps_by_col, path_ids, see
         x[cols] = ys
     fa = kernel.factor
     for b, pid in enumerate(path_ids):
-        z = PathStream(n, seed, int(pid)).normals(interval)
+        z = PathStream(n, seed, [pid]).normals(interval)[0]
         zu, zw = z[:n], z[n:]
         for k in range(n):
             x[b, k, 0] += fa[k, 0, 0] * zu[k] + fa[k, 0, 1] * zw[k]
@@ -291,7 +291,7 @@ def _step_per_mode(params, basis, spec, dt, x0, drift, eps_by_col, path_ids, see
     return x, m_cols
 
 
-_VARIABLE_P = ModelParams(p_profile=lambda xi: 0.3 + 0.2 * xi * xi)
+_VARIABLE_P = ModelParams(p_profile=0.3 + 0.2 * ModelParams().xi ** 2)
 
 
 class TestFusedStepOracle:
@@ -553,13 +553,13 @@ class TestSelfConvergence:
             n_steps = base_cfg.n_steps // r
             err_sq = 0.0
             for p in range(n_paths):
-                stream = PathStream(n, base_cfg.master_seed, p)
+                stream = PathStream(n, base_cfg.master_seed, [p])
                 x = x0.as_array().copy()
                 for i in range(n_steps):
                     # aggregate the r fine noise increments exactly
                     xi = np.zeros((n, 2))
                     for j in range(r):
-                        z = stream.normals(i * r + j).reshape(2, n).T
+                        z = stream.normals(i * r + j)[0].reshape(2, n).T
                         inc = np.einsum("kij,kj->ki", kernel_h.factor, z)
                         steps_left = r - 1 - j
                         for k in range(n):

@@ -15,11 +15,13 @@ pairing on the w channel, ``couple`` with at most one record in its fit
 window, ``eigen`` and ``simulate`` on a 256-mode basis, which transforms
 by DCT, ``simulate`` with a variable c and on a 96-point grid,
 ``couple`` with one start above the substep ceiling and one below,
-``simulate`` with 136 paths from above the ceiling, and ``backward`` with
-40 paths) and ``acceptance --quick``, all with one BLAS thread.
+``simulate`` with 136 paths from above the ceiling, ``backward`` with
+40 paths, and ``invariant`` with its burn-in left out) and
+``acceptance --quick``, all with one BLAS thread.
 Each ``CONFIGS`` input's stdout report line, with its ``--out`` path read
 as ``<out>``, goes to ``report/<name>.txt``, so a moved report line shows
-like a moved artifact.  The parent always runs with one worker;
+like a moved artifact; an input that exits with an error writes its exit
+code and last stderr line there instead of artifacts.  The parent always runs with one worker;
 ``--workers`` sets ``FHN_SPECTRAL_WORKERS`` for the change, so a worker
 count that moves a byte shows up too.  Each tree also runs the inputs in
 ``REJECTED`` and records each one's exit code, last stderr line (argparse
@@ -185,6 +187,13 @@ CONFIGS: dict[str, tuple[str, dict]] = {
         "backward": {"lambda_ladder": [0.5, 1, 2]},
         "master_seed": 25, "paths": 40,
     }),
+    # burn-in left out: 5 / omega1 = 5 / 0.6 is off the grid of dt 1e-3, so
+    # the run starts sampling at the first grid point after it
+    "invariant-default-burn-in": ("invariant", {
+        "model": {"p": 0.85},
+        "invariant": {"n_time_samples": 2, "sample_spacing": 0.01},
+        "master_seed": 26, "paths": 2,
+    }),
 }
 
 # inputs the CLI rejects: (arguments after the subcommand's name, config)
@@ -239,6 +248,10 @@ REJECTED: dict[str, tuple[list[str], dict]] = {
         "paths": 2, "invariant": {"burn_in": 0.01, "n_time_samples": 2, "sample_spacing": 0.01,
                                   "pairing_channel": "w"},
     }),
+    # a burn-in the config sets is held to the dt grid, like the spacing
+    "invariant-burn-in-off-grid": (["invariant"], {
+        "paths": 2, "invariant": {"burn_in": 0.0104, "n_time_samples": 2, "sample_spacing": 0.01},
+    }),
 }
 
 
@@ -262,8 +275,12 @@ def run_tree(tree: Path, out: Path, workers: int) -> None:
         cfg_path = tree / f"artifact-diff-{name}.json"
         cfg_path.write_text(json.dumps(cfg))
         argv = [command, "--config", str(cfg_path), "--out", str(out / name)]
-        stdout = run_cli(tree, argv, workers).stdout
-        (out / "report" / f"{name}.txt").write_text(stdout.replace(str(out / name), "<out>"))
+        proc = run_cli(tree, argv, workers, check=False)
+        report = proc.stdout.replace(str(out / name), "<out>")
+        if proc.returncode != 0:
+            # an input one tree refuses shows as its error in place of artifacts
+            report += f"exit {proc.returncode}: {(proc.stderr.splitlines() or [''])[-1]}\n"
+        (out / "report" / f"{name}.txt").write_text(report)
     run_cli(tree, ["acceptance", "--quick", "--out", str(out / "acceptance")], workers)
     (out / "rejected").mkdir()
     for name, (args, cfg) in REJECTED.items():
