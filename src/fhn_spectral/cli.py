@@ -20,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import Any, Iterable, Iterator, Sequence
 
@@ -306,6 +306,7 @@ def cmd_acceptance(args: argparse.Namespace, cfg: dict[str, Any], out: Path) -> 
                 "passed": res.passed,
                 "elapsed_s": round(res.elapsed, 2),
                 "details": res.details,
+                "checks": [{**asdict(check), "passed": check.passed} for check in res.checks],
             }
         )
     payload = _summary(cfg, quick=args.quick, criteria=table, all_passed=all(r.passed for r in results))

@@ -2,33 +2,109 @@
 
 These are the exit criteria of the package.  Each ``test_criterion``
 executes one criterion at full (non-quick) scale with the pinned master
-seed and asserts the pass flag; the measured quantities are printed so a
-log of this module doubles as the acceptance report.  ``TestTraceQuadrature``
-checks that criterion 4's quadrature has the power to fail, and
-``TestReproducibility`` that criterion 12's comparison does.
+seed, on two workers, and asserts the pass flag; the measured quantities
+and the checks are printed so a log of this module doubles as the
+acceptance report.  ``TestCheckDerivation`` checks that the pass flag is
+derived from the checks alone, ``TestPinnedCubic`` that criterion 1 fails
+on a planted defect of the cubic, ``TestTraceQuadrature`` that criterion
+4's quadrature has the power to fail, and ``TestReproducibility`` that
+criterion 12's comparison does.
 """
 
+import dataclasses
+import math
 import os
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fhn_spectral import ModelParams, NoiseSpec, acceptance, build_eigenbasis, cli
-from fhn_spectral.acceptance import CRITERIA, _exp_sinh_integral, run_criterion
+from fhn_spectral import ModelParams, NoiseSpec, acceptance, build_eigenbasis, cli, nonlinearity
+from fhn_spectral.acceptance import CRITERIA, Check, _exp_sinh_integral, run_criterion
 from fhn_spectral.noise import build_ou_kernel, convolution_trace_integrand, htrace_mode_cov
 
 MASTER_SEED = 0
 
 
 @pytest.mark.parametrize("cid,name", [(c, n) for c, n, _ in CRITERIA], ids=lambda v: str(v))
-def test_criterion(cid, name):
+def test_criterion(cid, name, monkeypatch):
+    # ensembles deal their chunks to two worker processes; no byte depends on it
+    monkeypatch.setenv("FHN_SPECTRAL_WORKERS", "2")
     result = run_criterion(cid, quick=False, master_seed=MASTER_SEED)
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] criterion {cid:2d}: {result.name} ({result.elapsed:.1f}s)")
     for key, value in result.details.items():
         print(f"         {key} = {value}")
+    for check in result.checks:
+        print(f"         check {check.name}: {check.value} {check.op} {check.bound} -> {check.passed}")
     assert result.passed, f"criterion {cid} ({name}) failed: {result.details}"
+
+
+# one check per comparison, each passing at its bound where the bound is not
+# strict, with a value that fails it
+PASSING_AND_FAILING = [
+    (Check("upper", 1.0, 1.0), np.nextafter(1.0, 2.0)),
+    (Check("strict_upper", 0.5, 1.0, op="<"), 1.0),
+    (Check("lower", 2.0, 2.0, op=">="), np.nextafter(2.0, 0.0)),
+    (Check("strict_lower", 3.0, 2.0, op=">"), 2.0),
+    (Check("two_sided", 1.2, (0.8, 1.2)), 0.79),
+    (Check("two_sided_low", 0.8, (0.8, 1.2)), 1.21),
+    (Check("with_se", 0.3, 0.9, se=0.3), 0.91),
+]
+
+
+class TestCheckDerivation:
+    """run_criterion derives a criterion's pass flag from its checks alone."""
+
+    def _run(self, monkeypatch, checks):
+        fake = lambda quick, master_seed: ({"statistic": 1.0}, checks)
+        monkeypatch.setattr(acceptance, "CRITERIA", [(99, "fake", fake)])
+        return run_criterion(99, quick=True)
+
+    def test_passing_checks_pass(self, monkeypatch):
+        checks = [check for check, _ in PASSING_AND_FAILING]
+        result = self._run(monkeypatch, checks)
+        assert result.passed is True
+        assert result.checks == checks and result.details == {"statistic": 1.0}
+
+    @pytest.mark.parametrize("index", range(len(PASSING_AND_FAILING)))
+    @pytest.mark.parametrize("bad", ["out_of_bound", "nan"])
+    def test_one_failing_check_fails(self, monkeypatch, index, bad):
+        checks = [check for check, _ in PASSING_AND_FAILING]
+        value = PASSING_AND_FAILING[index][1] if bad == "out_of_bound" else math.nan
+        checks[index] = dataclasses.replace(checks[index], value=value)
+        assert not checks[index].passed
+        assert self._run(monkeypatch, checks).passed is False
+
+    @pytest.mark.parametrize("op,bound", [("<", 1.0), (">", 1.0), ("<", (0.0, 1.0)), ("<", (1.0, 2.0))])
+    def test_strict_bound_fails_at_equality(self, op, bound):
+        assert Check("at_bound", 1.0, bound, op=op).passed is False
+
+    @pytest.mark.parametrize("names", [[], ["a", "b", "a"]], ids=["empty", "repeated"])
+    def test_no_or_repeated_checks_raise(self, monkeypatch, names):
+        with pytest.raises(ValueError, match="distinct names"):
+            self._run(monkeypatch, [Check(name, 0.0, 1.0) for name in names])
+
+
+class TestPinnedCubic:
+    """Criterion 1 fails when the library's cubic is not the paper's -u(u - 1)(u - xi1)."""
+
+    LIBRARY = {"f_ratio", "f_eta_ratio", "f_eta_eps0_ratio", "grid_drift_cubic_ratio",
+               "grid_drift_eta_eps_ratio", "explicit_term_ratio"}
+
+    @pytest.mark.parametrize(
+        "defect",
+        [lambda f: lambda u, xi1: 0.9 * f(u, xi1), lambda f: lambda u, xi1: f(u, xi1 + 0.05)],
+        ids=["scaled-0.9", "xi1-plus-0.05"],
+    )
+    def test_planted_defect_fails(self, monkeypatch, defect):
+        planted = defect(nonlinearity.f)
+        # both names, as the same defect in nonlinearity.py's source would
+        monkeypatch.setattr(nonlinearity, "f", planted)
+        monkeypatch.setattr(acceptance, "f", planted)
+        result = run_criterion(1, quick=True, master_seed=MASTER_SEED)
+        assert result.passed is False
+        assert {c.name for c in result.checks if not c.passed} == self.LIBRARY
 
 
 class TestTraceQuadrature:
@@ -69,12 +145,12 @@ class TestTraceQuadrature:
 
     def test_closed_form_off_by_1e7_fails(self, monkeypatch):
         true_closed = acceptance.convolution_trace_integral
-        assert acceptance.criterion_4_trace(True, MASTER_SEED)["passed"]
+        assert run_criterion(4, quick=True, master_seed=MASTER_SEED).passed
         monkeypatch.setattr(
             acceptance, "convolution_trace_integral",
             lambda *a, **kw: true_closed(*a, **kw) * (1.0 + 1e-7),
         )
-        assert not acceptance.criterion_4_trace(True, MASTER_SEED)["passed"]
+        assert not run_criterion(4, quick=True, master_seed=MASTER_SEED).passed
 
 
 class TestReproducibility:
@@ -91,7 +167,7 @@ class TestReproducibility:
                 alter(path, os.environ["FHN_SPECTRAL_WORKERS"])
 
         monkeypatch.setattr(cli, "write_csv", writer)
-        return acceptance.criterion_12_reproducibility(True, MASTER_SEED)
+        return run_criterion(12, quick=True, master_seed=MASTER_SEED)
 
     def test_one_byte_off_at_two_workers_fails(self, monkeypatch):
         def flip_last_digit(path, workers):
@@ -100,8 +176,8 @@ class TestReproducibility:
                 path.write_bytes(text[:-2] + bytes([text[-2] ^ 1]) + text[-1:])
 
         result = self._run_with(monkeypatch, flip_last_digit)
-        assert result["passed"] is False
-        assert "path_0001.csv" in result["files"]
+        assert result.passed is False
+        assert "path_0001.csv" in result.details["files"]
 
     def test_file_missing_at_one_worker_count_fails(self, monkeypatch):
         def drop_at_three(path, workers):
@@ -109,4 +185,10 @@ class TestReproducibility:
                 path.unlink()
 
         result = self._run_with(monkeypatch, drop_at_three)
-        assert result["passed"] is False
+        assert result.passed is False
+
+    def test_simulate_exit_code_fails(self, monkeypatch):
+        monkeypatch.setattr(cli, "main", lambda argv: cli.EXIT_CONFIG)
+        result = run_criterion(12, quick=True, master_seed=MASTER_SEED)
+        assert result.passed is False
+        assert [(c.name, c.value) for c in result.checks] == [("simulate_exit_code", cli.EXIT_CONFIG)]

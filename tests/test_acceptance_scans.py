@@ -12,13 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from fhn_spectral.acceptance import (
-    _SCAN_BLOCK,
-    _linspace_blocks,
-    criterion_1_drift_identities,
-    criterion_2_monotonicity,
-    criterion_4_trace,
-)
+from fhn_spectral.acceptance import _SCAN_BLOCK, _linspace_blocks, run_criterion
 
 
 @pytest.mark.parametrize(
@@ -40,17 +34,14 @@ def test_blocked_uniform_draws_equal_one_draw():
     assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
-# measured 0.51, 2.72 and 0.87 MiB; criterion 2's is mostly its 1000-state arrays
-@pytest.mark.parametrize(
-    "criterion,bound_mib",
-    [(criterion_1_drift_identities, 1.0), (criterion_2_monotonicity, 3.5), (criterion_4_trace, 1.5)],
-)
-def test_quick_scan_transients_are_bounded(criterion, bound_mib):
+# measured 0.66, 2.72 and 0.85 MiB; criterion 2's is mostly its 1000-state arrays
+@pytest.mark.parametrize("cid,bound_mib", [(1, 1.0), (2, 3.5), (4, 1.5)])
+def test_quick_scan_transients_are_bounded(cid, bound_mib):
     tracemalloc.start()
     try:
-        details = criterion(True, 0)
+        result = run_criterion(cid, quick=True, master_seed=0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert details["passed"]
+    assert result.passed
     assert peak <= bound_mib * 2**20

@@ -51,3 +51,22 @@ def test_nan_against_a_number_reads_as_infinite_change(tmp_path):
     (tmp_path / "c.json").write_text('{"exponent": [NaN, 0.07]}')
     table = artifact_diff.file_table(Path("x.json"), tmp_path / "p.json", tmp_path / "c.json")
     assert table == {"exponent": float("inf")}
+
+
+def test_moved_check_reads_by_its_name(tmp_path, capsys):
+    def table(tail_ratio):
+        checks = [{"name": "m1_batch_ratio", "value": 1.0, "bound": [0.8, 1.2], "op": "<=",
+                   "se": None, "passed": True},
+                  {"name": "m1_tail_ratio", "value": tail_ratio, "bound": [0.8, 1.2], "op": "<=",
+                   "se": None, "passed": True}]
+        criterion = {"id": 8, "name": "moment bound envelopes", "passed": True, "elapsed_s": 1.0,
+                     "details": {"m1_tail_ratio": tail_ratio}, "checks": checks}
+        return json.dumps({"criteria": [criterion], "all_passed": True, "quick": True,
+                           "master_seed": 0})
+
+    _write(tmp_path / "parent", {"acceptance/acceptance.json": table(1.06)})
+    _write(tmp_path / "change", {"acceptance/acceptance.json": table(1.07)})
+    assert artifact_diff.compare(tmp_path / "parent", tmp_path / "change") == 1
+    out = capsys.readouterr().out
+    assert "acceptance.json criterion 8: checks.m1_tail_ratio.value: largest relative change" in out
+    assert "checks.m1_batch_ratio" not in out

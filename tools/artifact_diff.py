@@ -16,8 +16,10 @@ window, ``eigen`` and ``simulate`` on a 256-mode basis, which transforms
 by DCT, ``simulate`` with a variable c and on a 96-point grid,
 ``couple`` with one start above the substep ceiling and one below,
 ``simulate`` with 136 paths from above the ceiling, ``backward`` with
-40 paths, and ``invariant`` with its burn-in left out) and
-``acceptance --quick``, all with one BLAS thread.
+40 paths, ``invariant`` with its burn-in left out, ``simulate`` with
+noise tables, ``simulate`` with a p grid table on the ``linear`` drift,
+and ``dynkin`` at ``run.T`` 0) and ``acceptance --quick``, all with one
+BLAS thread.
 Each ``CONFIGS`` input's stdout report line, with its ``--out`` path read
 as ``<out>``, goes to ``report/<name>.txt``, so a moved report line shows
 like a moved artifact; an input that exits with an error writes its exit
@@ -194,6 +196,26 @@ CONFIGS: dict[str, tuple[str, dict]] = {
         "invariant": {"n_time_samples": 2, "sample_spacing": 0.01},
         "master_seed": 26, "paths": 2,
     }),
+    # unequal lambda1/lambda2 tables in place of the power law
+    "simulate-noise-tables": ("simulate", {
+        "model": {"n_modes": 8, "n_grid": 16},
+        "noise": {"lambda1": [0.02, 0.015, 0.01, 0.008, 0.006, 0.004, 0.002, 0.001],
+                  "lambda2": [0.01, 0.012, 0.006, 0.005, 0.003, 0.002, 0.0015, 0.0005]},
+        "run": {"T": 0.05, "record_every": 10},
+        "master_seed": 27, "paths": 2,
+    }),
+    # a p table on a drift without a cubic: the explicit term is the remainder
+    # (min p - p) u alone
+    "simulate-variable-p-linear": ("simulate", {
+        "model": {"n_modes": 8, "n_grid": 16,
+                  "p": [0.3 + 0.2 * ((j + 0.5) / 16) ** 2 for j in range(16)]},
+        "run": {"T": 0.05, "record_every": 10, "drift": "linear",
+                "x0": {"kind": "cosine", "u_amplitude": 1.5, "u_mode": 1}},
+        "master_seed": 28, "paths": 2,
+    }),
+    # no step: the residual of the start alone
+    "dynkin-T0": ("dynkin", {"model": {"gamma": 1.0}, "run": {"T": 0}, "master_seed": 29,
+                             "paths": 4}),
 }
 
 # inputs the CLI rejects: (arguments after the subcommand's name, config)
@@ -296,13 +318,18 @@ def run_tree(tree: Path, out: Path, workers: int) -> None:
 
 
 def numbers(value, path: str = ""):
-    """(path, number-or-other) leaves of a JSON value; list items share their field's path."""
+    """(path, number-or-other) leaves of a JSON value.
+
+    List items share their field's path, except objects with a string
+    ``name``, which are keyed by it: ``checks.m1_tail_ratio.value``.
+    """
     if isinstance(value, dict):
         for key, item in value.items():
             yield from numbers(item, f"{path}.{key}" if path else key)
     elif isinstance(value, list):
         for item in value:
-            yield from numbers(item, path)
+            named = isinstance(item, dict) and isinstance(item.get("name"), str)
+            yield from numbers(item, f"{path}.{item['name']}" if named else path)
     else:
         yield path, value
 
