@@ -188,7 +188,8 @@ def criterion_1_drift_identities(quick: bool, master_seed: int) -> tuple[dict, l
         "grid_drift_cubic": (lambda u, dp: grid_drift(u, dp, "cubic"), False),
         "grid_drift_eta_eps": (lambda u, dp: grid_drift(u, dp, "eta_eps"), True),
     }
-    # worst |library - formula| / bound per function; np.maximum keeps a NaN
+    # worst |library - formula| / bound per function; every fold below is
+    # np.maximum, which keeps a NaN where Python's max would drop it
     library = dict.fromkeys([*drifts, "explicit_term"], 0.0)
     rng = np.random.default_rng(master_seed + 1)
     n_u = 10**5 if quick else 10**6
@@ -210,7 +211,7 @@ def criterion_1_drift_identities(quick: bool, master_seed: int) -> tuple[dict, l
             v = u - dp.xi0
             rhs = -(v * v * v) - dp.xi0**3
             bound = 1e-12 * (1.0 + np.abs(u * u * u))
-            worst_identity = max(worst_identity, float((np.abs(lhs - rhs) / bound).max()))
+            worst_identity = np.maximum(worst_identity, (np.abs(lhs - rhs) / bound).max())
             for key, (drift, shifted) in drifts.items():
                 gap = np.abs(drift(u, dp) - (lhs if shifted else formula)) / bound
                 library[key] = np.maximum(library[key], gap.max())
@@ -222,8 +223,9 @@ def criterion_1_drift_identities(quick: bool, master_seed: int) -> tuple[dict, l
         sup_fprime = -np.inf
         for g in _linspace_blocks(lo, hi, n_grid):
             fprime = -3.0 * g * g + 2.0 * (1.0 + xi1) * g - xi1
-            sup_fprime = max(sup_fprime, float(fprime.max()))
-        worst_sup = max(worst_sup, abs(sup_fprime - dp.eta))
+            sup_fprime = np.maximum(sup_fprime, fprime.max())
+        worst_sup = np.maximum(worst_sup, abs(sup_fprime - dp.eta))
+    worst_identity, worst_sup = float(worst_identity), float(worst_sup)
     details = {"max_identity_ratio": worst_identity, "max_sup_error": worst_sup,
                "n_u": n_u, "n_grid": n_grid}
     checks = [Check("max_identity_ratio", worst_identity, 1.0), Check("max_sup_error", worst_sup, 1e-8)]
@@ -249,7 +251,9 @@ def criterion_2_monotonicity(quick: bool, master_seed: int) -> tuple[dict, list[
     worst_prime = -np.inf
     for u_scan in _linspace_blocks(-50.0, 50.0, 200001):
         for dp_eps in eps_levels:
-            worst_prime = max(worst_prime, float(f_eta_eps_prime(u_scan, dp_eps).max()))
+            # np.maximum keeps a NaN, which fails the check
+            worst_prime = np.maximum(worst_prime, f_eta_eps_prime(u_scan, dp_eps).max())
+    worst_prime = float(worst_prime)
     details = {"max_gap_ratio": worst_gap, "max_f_prime": worst_prime, "n_pairs": n_pairs}
     return details, [Check("max_gap_ratio", worst_gap, 1e-9), Check("max_f_prime", worst_prime, 1e-12)]
 
@@ -534,7 +538,7 @@ def criterion_12_reproducibility(quick: bool, master_seed: int) -> tuple[dict, l
     cfg_json = {
         "run": {"T": 0.25, "dt": 1e-3, "record_every": 25},
         "master_seed": master_seed + 12,
-        "paths": 40,  # spans two ensemble chunks
+        "paths": 40,  # two ensemble chunks, which 2 and 3 workers run in separate processes
     }
     # each worker count's artifacts as one {name: bytes} map
     outputs = []

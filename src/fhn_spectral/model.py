@@ -164,10 +164,11 @@ class EigenBasis:
 
     A constant-c basis with at least :data:`DCT_MIN_MODES` modes (``dct``)
     transforms by a DCT-III to the grid and a truncated DCT-II back, both
-    O(M log M) and row-local, so a row's bits do not depend on the batch it
-    sits in; otherwise the transforms are matmuls against the mode table.
-    A DCT basis needs no stored table (``modes`` None): :meth:`mode_rows`
-    evaluates its cosines a block of rows at a time.
+    O(M log M); otherwise the transforms are one vector-matrix product per
+    row against the mode table.  Either way they are row-local: a row's bits
+    do not depend on the batch it sits in.  A DCT basis needs no stored
+    table (``modes`` None): :meth:`mode_rows` evaluates its cosines a block
+    of rows at a time.
     """
 
     mu: np.ndarray                   # (N,)
@@ -209,7 +210,8 @@ class EigenBasis:
 
             m = self.n_grid
             return math.sqrt(m) * scipy.fft.idct(coeffs, type=2, n=m, norm="ortho", axis=-1)
-        return np.asarray(coeffs) @ self.modes
+        # one vector-matrix product per row, so a row's bits do not depend on its batch
+        return np.matmul(np.asarray(coeffs)[..., None, :], self.modes)[..., 0, :]
 
     def to_coeffs(self, values: np.ndarray) -> np.ndarray:
         """Project grid values (..., M) onto the modes -> (..., N)."""
@@ -218,8 +220,8 @@ class EigenBasis:
 
             full = scipy.fft.dct(values, type=2, norm="ortho", axis=-1)
             return full[..., : self.n_modes] / math.sqrt(self.n_grid)
-        # adjoint of evaluation under the quadrature weight
-        return (np.asarray(values) @ self.modes.T) * self.quad_weight
+        # adjoint of evaluation under the quadrature weight, one row at a time
+        return np.matmul(np.asarray(values)[..., None, :], self.modes.T)[..., 0, :] * self.quad_weight
 
     def du_sq(self, u_hat: np.ndarray) -> np.ndarray:
         """L2 norm squared of du/dxi for coefficients (..., N)."""

@@ -17,20 +17,15 @@ Kolmogorov test harnesses.  ``drift_split`` and ``explicit_term`` write
 this split once; ``run_drift`` assembles the full drift b = M x + Fhat
 from them for the generator and the dissipativity check.
 
-Paths are vectorized; each path owns a counter-based noise stream, and
-ensembles run in fixed-size chunks, so an ensemble's output does not
-depend on the worker count.  The chunk is the unit of bits: up to
-``_GROUP_CHUNKS`` chunks share one batch side by side, and the integrator
-transforms each chunk as a batch of its own.  ``_batch_columns`` is the
-one place a run description becomes the integrator's columns: every caller of
-``_simulate_batch`` takes its step, horizon, start, drift, seed, initial
-states and eps column from there.
-
+Paths are vectorized and each path owns a counter-based noise stream.
 Every spectral<->grid transform goes through ``EigenBasis.to_grid``/
-``to_coeffs``.  A constant-c basis with at least ``DCT_MIN_MODES`` modes
-transforms by row-local DCTs, so there a path's bits do not depend on
-the batch it runs in; smaller bases use matmuls, whose rounding can
-depend on the batch shape.
+``to_coeffs``, which are row-local, and every other operation of a step
+acts on each column alone, so a path's bits depend on (config, master
+seed, path id) only: not on the batch it runs in, its neighbours, or the
+worker count.  ``_batch_columns`` is the one place a run description
+becomes the integrator's columns: every caller of ``_simulate_batch``
+takes its step, horizon, start, drift, seed, initial states and eps
+column from there.
 """
 
 from __future__ import annotations
@@ -60,9 +55,7 @@ DRIFT_MODES = ("fhn", "linear", "linear_eta")
 _CEILING_SCALE = 0.1
 _MAX_SUBSTEPS = 4096
 
-# paths are always batched in fixed-size chunks so the array shapes seen by
-# the BLAS kernels of a matmul basis (whose rounding can depend on batch
-# size) are identical for every worker count
+# the paths an ensemble deals out at a time; it schedules work and fixes no bit
 _ENSEMBLE_CHUNK = 32
 # chunks that share one batch at most: 256 paths, the widest batch any
 # other caller runs
@@ -97,11 +90,6 @@ class BlowUpError(RuntimeError):
         return type(self), (
             self.what, self.time, self.step, self.path_id, self.h_norm_sq, self.substeps
         )
-
-
-def _earliest(errors: Sequence[BlowUpError]) -> BlowUpError:
-    """The blow-up at the earliest (step, path id)."""
-    return min(errors, key=lambda e: (e.step, e.path_id))
 
 
 def _steps_from(duration: float, dt: float, what: str) -> int:
@@ -249,29 +237,6 @@ def run_drift(
     return b
 
 
-class _ChunkTransforms:
-    """``basis``'s transforms applied to every run of ``rows`` consecutive rows alone.
-
-    The full runs go through one stacked matmul, whose gemms each have the
-    shape of one run, and a shorter last run through one call of its own,
-    so a run's bits do not depend on the runs beside it.
-    """
-
-    def __init__(self, basis: EigenBasis, rows: int):
-        self.basis, self.rows = basis, rows
-
-    def _each(self, transform: Callable[[np.ndarray], np.ndarray], a: np.ndarray) -> np.ndarray:
-        full = a.shape[0] - a.shape[0] % self.rows
-        head = transform(a[:full].reshape(-1, self.rows, a.shape[1])).reshape(full, -1)
-        return head if full == a.shape[0] else np.concatenate([head, transform(a[full:])])
-
-    def to_grid(self, coeffs: np.ndarray) -> np.ndarray:
-        return self._each(self.basis.to_grid, coeffs)
-
-    def to_coeffs(self, values: np.ndarray) -> np.ndarray:
-        return self._each(self.basis.to_coeffs, values)
-
-
 def _simulate_batch(
     params: ModelParams,
     basis: EigenBasis,
@@ -287,7 +252,6 @@ def _simulate_batch(
     path_ids: Sequence[int],     # (B,) columns with equal ids share one noise path
     on_step: Callable[[int, float, np.ndarray], None] | None = None,
     record_every: int = 1,
-    chunk: int | None = None,
 ) -> np.ndarray:
     """The integrator: advance B columns for n_steps, return the terminal (B, N, 2) state.
 
@@ -301,10 +265,10 @@ def _simulate_batch(
     initial state) through a read-only (B, N, 2) view, at the record steps
     of ``record_every`` (every step by default).
 
-    ``chunk`` splits the rows into runs of that many (the last may be
-    shorter) that each step as if alone: every transform and substep group
-    acts per run, and a blow-up is the earliest (step, path id) over the
-    errors the runs raise alone.  By default the batch is one run.
+    Each column steps as it would alone.  A blow-up names the failing
+    column with the smallest path id at the first failing step, with the
+    error that column raises alone: the ceiling's if it asked for more than
+    ``_MAX_SUBSTEPS`` substeps, otherwise the non-finite state's.
     """
     b, n = x0.shape[0], x0.shape[1]
     path_ids = np.asarray(path_ids)
@@ -319,9 +283,6 @@ def _simulate_batch(
     # only the cubic asks for substeps and reads u on the grid; a variable-p
     # remainder alone transforms inside explicit_term
     nonlinear = bool(batch_groups)
-    run_len = chunk or b or 1
-    run_starts = range(0, b, run_len)
-    transforms = basis if b <= run_len else _ChunkTransforms(basis, run_len)
 
     def apply_update(x: np.ndarray, f_hat: np.ndarray | None, rows: tuple) -> np.ndarray:
         diag, off, phi, h = rows
@@ -346,28 +307,22 @@ def _simulate_batch(
             view.flags.writeable = False
             on_step(i, (start_interval + i) * dt, view)
 
-    def blow_up(what: str, time: float, i: int, x: np.ndarray, col: int, m: int) -> BlowUpError:
+    def blow_up(i: int, x: np.ndarray, x_new: np.ndarray, m_col: np.ndarray | None) -> BlowUpError:
+        """Step i's error: the failing column with the smallest path id, as it fails alone."""
+        interval = start_interval + i
+        over = np.zeros(b, bool) if m_col is None else m_col > _MAX_SUBSTEPS
+        failing = np.nonzero(over | ~np.isfinite(x_new).reshape(b, -1).all(axis=1))[0]
+        col = int(failing[np.argmin(path_ids[failing])])
+        if over[col]:
+            what = f"step-size ceiling requested more than {_MAX_SUBSTEPS} substeps"
+            time = interval * dt
+        else:
+            what, time = "non-finite state", (interval + 1) * dt
         return BlowUpError(
             what, time=time, step=i, path_id=int(path_ids[col]),
-            h_norm_sq=float(norm_H_sq_arrays(x[col, 0], x[col, 1], params.gamma)), substeps=m,
+            h_norm_sq=float(norm_H_sq_arrays(x[col, 0], x[col, 1], params.gamma)),
+            substeps=1 if m_col is None else int(m_col[col]),
         )
-
-    def blow_ups(i: int, x: np.ndarray, x_new: np.ndarray, m_col: np.ndarray | None) -> list:
-        """The blow-up each run that fails step i raises alone: the ceiling's before the step."""
-        interval = start_interval + i
-        finite = np.isfinite(x_new).reshape(b, -1).all(axis=1)
-        errors = []
-        for a in run_starts:
-            run = slice(a, a + run_len)
-            if m_col is not None and m_col[run].max() > _MAX_SUBSTEPS:
-                col = a + int(np.argmax(m_col[run]))
-                what = f"step-size ceiling requested more than {_MAX_SUBSTEPS} substeps"
-                errors.append(blow_up(what, interval * dt, i, x, col, int(m_col[col])))
-            elif not finite[run].all():
-                col = a + int(np.argmin(finite[run]))
-                m = 1 if m_col is None else int(m_col[col])
-                errors.append(blow_up("non-finite state", (interval + 1) * dt, i, x, col, m))
-        return errors
 
     # C order keeps every row's reductions in one layout, whatever x0's strides
     x = np.array(np.swapaxes(x0, 1, 2), dtype=float, order="C")
@@ -377,7 +332,7 @@ def _simulate_batch(
         interval = start_interval + i
         noise = draw_noise(interval)
 
-        u_grid = transforms.to_grid(x[:, 0]) if nonlinear else None
+        u_grid = basis.to_grid(x[:, 0]) if nonlinear else None
         m_col = None
         over = False
         if nonlinear:
@@ -390,31 +345,28 @@ def _simulate_batch(
                 over = bool(m_col.max() > _MAX_SUBSTEPS)
 
         x_new = apply_update(
-            x, explicit_term(params, transforms, x[:, 0], batch_groups, u_grid), kernels[1]
+            x, explicit_term(params, basis, x[:, 0], batch_groups, u_grid), kernels[1]
         )
         if m_col is not None:
             # the columns above the ceiling retake the step as drift-only
-            # substeps, one group per substep count and run; the interval's
-            # noise is applied once so the absolute-time noise path is
-            # independent of the re-stepping choice
+            # substeps, one group per substep count; the interval's noise is
+            # applied once so the absolute-time noise path is independent of
+            # the re-stepping choice
             for m in np.unique(m_col[(m_col > 1) & (m_col <= _MAX_SUBSTEPS)]).tolist():
-                at_m = np.nonzero(m_col == m)[0]
+                cols = np.nonzero(m_col == m)[0]
                 if m not in kernels:
                     sub = build_ou_kernel(params, basis, None, dt / m, shifted=shifted)
                     kernels[m] = _update_rows(sub)
-                for cols in np.split(at_m, np.searchsorted(at_m, run_starts[1:])):
-                    if not cols.size:
-                        continue
-                    ys = x[cols]
-                    groups = drift_split(drift, params.xi1, eps_by_col[cols])[1]
-                    for _ in range(m):
-                        f_hat = explicit_term(params, basis, ys[:, 0], groups)
-                        ys = apply_update(ys, f_hat, kernels[m])
-                    x_new[cols] = ys
+                ys = x[cols]
+                groups = drift_split(drift, params.xi1, eps_by_col[cols])[1]
+                for _ in range(m):
+                    f_hat = explicit_term(params, basis, ys[:, 0], groups)
+                    ys = apply_update(ys, f_hat, kernels[m])
+                x_new[cols] = ys
 
         x_new += noise
         if over or not np.isfinite(x_new).all():
-            raise _earliest(blow_ups(i, x, x_new, m_col))
+            raise blow_up(i, x, x_new, m_col)
         x = x_new
         observe(i + 1, x)
 
@@ -463,19 +415,15 @@ def _run_group(
     times: list[float] = []
     h: list[np.ndarray] = []
     v: list[np.ndarray] = []
-    # the V norm of a variable-c basis transforms u to the grid, so chunk by chunk
-    chunks = [slice(a, a + _ENSEMBLE_CHUNK) for a in range(0, len(path_ids), _ENSEMBLE_CHUNK)]
 
     def record(i: int, t: float, x: np.ndarray) -> None:
         times.append(t)
         h.append(norm_H_sq_arrays(x[..., 0], x[..., 1], params.gamma))
-        v.append(np.concatenate([
-            norm_V_sq_arrays(x[c, :, 0], x[c, :, 1], params, basis) for c in chunks
-        ]))
+        v.append(norm_V_sq_arrays(x[..., 0], x[..., 1], params, basis))
 
     terminal = _simulate_batch(
         params, basis, spec, **_batch_columns(cfg, basis, path_ids), on_step=record,
-        record_every=cfg.record_every, chunk=_ENSEMBLE_CHUNK,
+        record_every=cfg.record_every,
     )
     return Ensemble(
         path_ids=np.asarray(path_ids),
@@ -525,7 +473,7 @@ def _run_jobs(fn: Callable, jobs: list[tuple], workers: int) -> list:
             outcomes = list(pool.map(_outcome, [fn] * len(jobs), jobs))
     errors = [o for o in outcomes if isinstance(o, BlowUpError)]
     if errors:
-        raise _earliest(errors)
+        raise min(errors, key=lambda e: (e.step, e.path_id))
     return outcomes
 
 
@@ -540,9 +488,10 @@ def run_ensemble(
 
     The paths run in chunks of ``_ENSEMBLE_CHUNK``, dealt to groups of at
     most ``_GROUP_CHUNKS`` chunks, so that each worker runs one or more
-    groups, each as one batch.  A chunk's bits do not depend on its group
-    or the worker count: every path's noise comes from its own
-    counter-based stream, and the integrator transforms each chunk alone.
+    groups, each as one batch.  The chunks only schedule the work: every
+    path's noise comes from its own counter-based stream and every step
+    is row-local, so a path's bits do not depend on its chunk, its group
+    or the worker count.
     """
     if n_paths < 1:
         raise ValueError("n_paths must be >= 1")
@@ -766,8 +715,8 @@ def _backward_pass(
 
     The deepest rung starts alone; each shallower rung joins as one more
     block of columns at its own start interval, so the pass draws every
-    interval once per path, and every block transforms as a chunk of its own.
-    A blow-up counts its step from the deepest start.
+    interval once per path, and each rung ends with the bits of a run from
+    its start alone.  A blow-up counts its step from the deepest start.
     """
     n, rows = basis.n_modes, len(path_ids)
     block = np.broadcast_to(_x0_array(cfg, n), (rows, n, 2))
@@ -778,8 +727,7 @@ def _backward_pass(
         seg = replace(cfg, T=(stop - start) * cfg.dt, start_time=start * cfg.dt)
         try:
             x = _simulate_batch(
-                params, basis, spec, **_batch_columns(seg, basis, np.tile(path_ids, k + 1), x0=x),
-                chunk=rows,
+                params, basis, spec, **_batch_columns(seg, basis, np.tile(path_ids, k + 1), x0=x)
             )
         except BlowUpError as exc:
             raise BlowUpError(
@@ -823,7 +771,8 @@ def backward_run(
     indexed by absolute interval, the runs for different lambda share every
     interval they have in common, which is exactly the coupling behind the
     Cauchy property of X_lambda(0).  Each chunk of paths runs all rungs in
-    one pass (``_backward_pass``), which draws every interval once per path.
+    one pass (``_backward_pass``), which draws every interval once per path;
+    the chunks only schedule the work, and no rung's bits depend on them.
     """
     _require_se_paths(n_paths)
     ladder = sorted(set(float(l) for l in lambda_ladder))

@@ -6,7 +6,8 @@ seed, on two workers, and asserts the pass flag; the measured quantities
 and the checks are printed so a log of this module doubles as the
 acceptance report.  ``TestCheckDerivation`` checks that the pass flag is
 derived from the checks alone, ``TestPinnedCubic`` that criterion 1 fails
-on a planted defect of the cubic, ``TestTraceQuadrature`` that criterion
+on a planted defect of the cubic, ``test_nan_f_prime_fails_criterion_2``
+that a NaN scan value reaches its check, ``TestTraceQuadrature`` that criterion
 4's quadrature has the power to fail, and ``TestReproducibility`` that
 criterion 12's comparison does.
 """
@@ -105,6 +106,15 @@ class TestPinnedCubic:
         result = run_criterion(1, quick=True, master_seed=MASTER_SEED)
         assert result.passed is False
         assert {c.name for c in result.checks if not c.passed} == self.LIBRARY
+
+
+def test_nan_f_prime_fails_criterion_2(monkeypatch):
+    # the scan folds its maximum by np.maximum, which keeps the NaN
+    monkeypatch.setattr(acceptance, "f_eta_eps_prime", lambda u, dp: np.full_like(u, np.nan))
+    result = run_criterion(2, quick=True, master_seed=MASTER_SEED)
+    assert math.isnan(result.details["max_f_prime"])
+    assert result.passed is False
+    assert [c.name for c in result.checks if not c.passed] == ["max_f_prime"]
 
 
 class TestTraceQuadrature:

@@ -675,6 +675,20 @@ class TestCLI:
         main(["simulate", "--config", str(cfg), "--seed", "2", "--out", str(out2)])
         assert (out1 / "path_0000.csv").read_bytes() != (out2 / "path_0000.csv").read_bytes()
 
+    def test_path_bytes_do_not_depend_on_the_path_count(self, tmp_path):
+        # at 33 paths path 32 is alone in its ensemble chunk, at 34 it has a
+        # neighbour; its file depends on (config, seed, path id) alone
+        cfg = tmp_path / "cfg.json"
+        x0 = {"kind": "cosine", "u_amplitude": 2.0, "u_mode": 1}
+        cfg.write_text(json.dumps({"run": {"T": 1.0, "x0": x0}}))
+        files = []
+        for paths in ("33", "34"):
+            out = tmp_path / paths
+            argv = ["simulate", "--config", str(cfg), "--paths", paths, "--seed", "7"]
+            assert main(argv + ["--out", str(out)]) == 0
+            files.append((out / "path_0032.csv").read_bytes())
+        assert files[0] == files[1]
+
     def test_blowup_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(

@@ -69,12 +69,11 @@ class TestCylinderFunction:
 
 
 class TestBatchIndependence:
-    """A row's phi, N0 phi and <x,h>_H do not depend on the batch it sits in.
+    """A row's phi, N0 phi, cubic drift and <x,h>_H do not depend on the batch it sits in.
 
     The direction is dense, so a pairing by matrix-vector product, whose
     summation order may follow the batch size, would show.  The generator
-    runs on the linear drift, which is row-local: below 256 modes the cubic's
-    matmul transforms are not.
+    runs on the linear drift and on the cubic, whose transforms are row-local.
     """
 
     @pytest.fixture(scope="class")
@@ -88,19 +87,26 @@ class TestBatchIndependence:
         u, w = 0.3 * np.array(random_coeff_states(256, params, rng))
         return h, u, w
 
-    @pytest.mark.parametrize("form", ["generator", "phi", "pairing", "inner_H"])
+    @pytest.mark.parametrize(
+        "form", ["generator", "generator_fhn", "drift_fhn", "phi", "pairing", "inner_H"]
+    )
     def test_row_bits_at_every_batch_size(self, params, basis, dense, form):
         h, u, w = dense
         b = run_drift(params, basis, "linear")
+        b_fhn = run_drift(params, basis, "fhn")
         fn = {
             "generator": lambda u, w: generator_values(h, u, w, b)[0],
+            "generator_fhn": lambda u, w: generator_values(h, u, w, b_fhn)[0],
+            "drift_fhn": lambda u, w: b_fhn(u, w)[0],
             "phi": lambda u, w: generator_values(h, u, w, b)[1],
             "pairing": h.pairing,
             "inner_H": lambda u, w: inner_H(u, w, h.h.u_hat, h.h.w_hat, params.gamma),
         }[form]
         alone = fn(u[:1], w[:1])[0]
-        assert np.isfinite(alone)
-        moved = [size for size in range(2, 257) if fn(u[:size], w[:size])[0] != alone]
+        assert np.isfinite(alone).all()
+        moved = [
+            size for size in range(2, 257) if not np.array_equal(fn(u[:size], w[:size])[0], alone)
+        ]
         assert not moved, f"row 0 changed bits at batch sizes {moved[:8]}"
 
 

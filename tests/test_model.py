@@ -280,8 +280,8 @@ class TestMatmulTransforms:
     @pytest.mark.parametrize("name", list(_BASES))
     def test_projection_is_the_scaled_table_product(self, name, rng):
         # on a power-of-two grid the weight 1/M scales exactly, so projecting
-        # by the table's transpose and scaling after has the bits of a
-        # product with the pre-scaled transpose
+        # a row by the table's transpose and scaling after has the bits of
+        # that row's product with the pre-scaled transpose, at any batch shape
         b = build_eigenbasis(ModelParams(**self._BASES[name]))
         assert not b.dct and b.n_grid & (b.n_grid - 1) == 0
         proj = b.modes.T * b.quad_weight
@@ -289,7 +289,9 @@ class TestMatmulTransforms:
             values = rng.standard_normal(shape)
             got = b.to_coeffs(values)
             assert got.shape == shape[:-1] + (b.n_modes,)
-            assert np.array_equal(got, values @ proj)
+            rows = got.reshape(-1, b.n_modes)
+            for r, row in enumerate(values.reshape(-1, b.n_grid)):
+                assert np.array_equal(rows[r], row @ proj)
 
     def test_variable_c_du_sq_matches_the_face_difference_table(self, rng):
         b = build_eigenbasis(ModelParams(**self._BASES["variable-c"]))

@@ -161,6 +161,36 @@ class TestStepAndIntegrate:
         monkeypatch.setenv("FHN_SPECTRAL_WORKERS", workers)
         assert blow_up(cfg, 64) == alone[1]
 
+    @pytest.mark.parametrize("workers", ["1", "2", "3"])
+    def test_blow_up_names_the_smallest_failing_path_id(self, params, basis, spec, monkeypatch, workers):
+        # paths 5 and 9 of 70 start at u = 1e3 and 2e3, both above the substep
+        # ceiling at step 0 and path 9 with the larger m; the error is path 5's
+        # own, as it raises alone, however the paths share batches and workers
+        real = solver._batch_columns
+
+        def raised(cfg, basis, path_ids, **kwargs):
+            cols = real(cfg, basis, path_ids, **kwargs)
+            cols["x0"] = np.array(cols["x0"])
+            for path_id, u in ((5, 1e3), (9, 2e3)):
+                cols["x0"][cols["path_ids"] == path_id, 0, 0] = u  # e_0 is the constant mode
+            return cols
+
+        monkeypatch.setattr(solver, "_batch_columns", raised)
+        cfg = TrajectoryConfig(T=0.01, dt=1e-3, master_seed=4)
+
+        def blow_up(cfg, n_paths):
+            with pytest.raises(BlowUpError) as err:
+                run_ensemble(cfg, params, basis, spec, n_paths)
+            e = err.value
+            return e.what, e.time, e.step, e.path_id, e.h_norm_sq, e.substeps
+
+        monkeypatch.setenv("FHN_SPECTRAL_WORKERS", "1")
+        alone = [blow_up(replace(cfg, path_id=a), 1) for a in (5, 9)]
+        assert [a[2:4] for a in alone] == [(0, 5), (0, 9)]
+        assert solver._MAX_SUBSTEPS < alone[0][5] < alone[1][5]
+        monkeypatch.setenv("FHN_SPECTRAL_WORKERS", workers)
+        assert blow_up(cfg, 70) == alone[0]
+
     def test_substepped_run_converges(self, params, basis, zero_spec, monkeypatch):
         # u = 10 puts every dt here above the ceiling 0.1/(1 + max|u|^2), so the
         # run takes drift substeps until it decays; noise off, the terminal
@@ -420,12 +450,19 @@ class TestEnsembles:
         with pytest.raises(ValueError):
             run_ensemble(TrajectoryConfig(T=0.01), params, basis, spec, 0)
 
-    def test_dct_path_is_batch_independent(self):
-        # a DCT basis is row-local end to end: path 5 has the same bits alone,
-        # in a batch of 7 and in a batch of 100, at different column offsets
-        params = ModelParams(n_modes=256, n_grid=512)
+    @pytest.mark.parametrize("kwargs", [
+        dict(n_modes=256, n_grid=512),
+        dict(n_modes=32, n_grid=64),
+        dict(n_modes=128, n_grid=256),
+        dict(n_modes=32, n_grid=64, c_profile=1.0 + 0.5 * (np.arange(64) + 0.5) / 64),
+    ], ids=["dct-256", "matmul-32", "matmul-128", "variable-c"])
+    def test_path_bits_are_batch_independent(self, kwargs):
+        # every basis is row-local end to end, by DCT or by one product per
+        # row: path 5 has the same bits alone, in a batch of 7 and in a batch
+        # of 100, at different column offsets
+        params = ModelParams(**kwargs)
         basis = build_eigenbasis(params)
-        assert basis.dct
+        assert basis.dct == (params.n_modes >= 256)
         spec = NoiseSpec.power_law(params.n_modes)
         x0 = np.zeros((params.n_modes, 2))
         x0[:4, 0] = [1.5, -0.8, 0.4, 0.2]

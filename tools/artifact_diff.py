@@ -177,13 +177,14 @@ CONFIGS: dict[str, tuple[str, dict]] = {
         "run": {"T": 0.1, "record_every": 5, "x0": {"kind": "constant", "u": 10.0}},
         "master_seed": 23, "paths": 2,
     }),
-    # 4 x 32 + 8 paths from above the ceiling: chunks that share a batch
-    # substep at the same m, and a shorter last chunk transforms on its own
+    # 4 x 32 + 8 paths from above the ceiling: every column substeps at the
+    # same m in one batch, and a shorter last chunk is scheduled like the rest
     "simulate-chunks": ("simulate", {
         "run": {"T": 0.02, "record_every": 4, "x0": {"kind": "constant", "u": 10.0}},
         "master_seed": 24, "paths": 136,
     }),
-    # chunks of 32 and 8 paths, each running the whole ladder in one pass
+    # chunks of 32 and 8 paths, each running the whole ladder in one pass;
+    # every rung ends with the bits of a run from its start alone
     "backward-chunks": ("backward", {
         "run": {"dt": 2e-3, "x0": {"kind": "constant", "u": 1.5}},
         "backward": {"lambda_ladder": [0.5, 1, 2]},
