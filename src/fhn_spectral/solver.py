@@ -143,6 +143,17 @@ class Ensemble:
     v_norm_sq: np.ndarray     # (P, R)
     terminal: np.ndarray      # (P, N, 2), C-contiguous
 
+    def concat(self, *others: Ensemble) -> Ensemble:
+        """These paths, then those of ``others``, on the common record times."""
+        parts = (self, *others)
+        return Ensemble(
+            path_ids=np.concatenate([e.path_ids for e in parts]),
+            times=self.times,
+            h_norm_sq=np.concatenate([e.h_norm_sq for e in parts]),
+            v_norm_sq=np.concatenate([e.v_norm_sq for e in parts]),
+            terminal=np.concatenate([e.terminal for e in parts]),
+        )
+
 
 def _is_record_step(i: int, n_steps: int, record_every: int) -> bool:
     """Steps whose state is recorded: every ``record_every``-th, plus the last."""
@@ -500,14 +511,8 @@ def run_ensemble(
     span = _ENSEMBLE_CHUNK * min(_GROUP_CHUNKS, -(-n_chunks // workers))
     path_ids = range(cfg.path_id, cfg.path_id + n_paths)
     jobs = [(cfg, params, basis, spec, path_ids[a : a + span]) for a in range(0, n_paths, span)]
-    groups = _run_jobs(_run_group, jobs, workers)
-    return Ensemble(
-        path_ids=np.concatenate([g.path_ids for g in groups]),
-        times=groups[0].times,
-        h_norm_sq=np.concatenate([g.h_norm_sq for g in groups]),
-        v_norm_sq=np.concatenate([g.v_norm_sq for g in groups]),
-        terminal=np.concatenate([g.terminal for g in groups]),
-    )
+    first, *rest = _run_jobs(_run_group, jobs, workers)
+    return first.concat(*rest)
 
 
 def _require_se_paths(n_paths: int) -> None:

@@ -2,19 +2,25 @@
 
 These are the exit criteria of the package.  Each ``test_criterion``
 executes one criterion at full (non-quick) scale with the pinned master
-seed, on two workers, and asserts the pass flag; the measured quantities
-and the checks are printed so a log of this module doubles as the
-acceptance report.  ``TestCheckDerivation`` checks that the pass flag is
-derived from the checks alone, ``TestPinnedCubic`` that criterion 1 fails
-on a planted defect of the cubic, ``test_nan_f_prime_fails_criterion_2``
-that a NaN scan value reaches its check, ``TestTraceQuadrature`` that criterion
-4's quadrature has the power to fail, and ``TestReproducibility`` that
-criterion 12's comparison does.
+seed, on two workers, and asserts the pass flag and that no ``details``
+key repeats a check's name; the measured quantities and the checks are
+printed so a log of this module doubles as the acceptance report.
+``TestCheckDerivation`` checks that the pass flag is derived from the
+checks alone, ``TestPinnedCubic`` that criterion 1 fails on a planted
+defect of the cubic, ``test_nan_f_prime_fails_criterion_2`` that a NaN
+scan value reaches its check, ``TestTraceQuadrature`` that criterion 4's
+quadrature has the power to fail, and ``TestReproducibility`` that
+criterion 12's comparison does.  ``test_quick_record_survives_tracing``
+holds the quick checks of a run to the same bits plain and under the
+benchmark's layer tracer.
 """
 
 import dataclasses
+import json
 import math
 import os
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +29,9 @@ from scipy.integrate import quad
 from fhn_spectral import ModelParams, NoiseSpec, acceptance, build_eigenbasis, cli, nonlinearity
 from fhn_spectral.acceptance import CRITERIA, Check, _exp_sinh_integral, run_criterion
 from fhn_spectral.noise import build_ou_kernel, convolution_trace_integrand, htrace_mode_cov
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+import layertrace  # noqa: E402
 
 MASTER_SEED = 0
 
@@ -39,6 +48,27 @@ def test_criterion(cid, name, monkeypatch):
     for check in result.checks:
         print(f"         check {check.name}: {check.value} {check.op} {check.bound} -> {check.passed}")
     assert result.passed, f"criterion {cid} ({name}) failed: {result.details}"
+    # each gated statistic is recorded once, in its check; this catches a
+    # details key named like a check, not a copy of a check's field kept
+    # under another name
+    assert not result.details.keys() & {check.name for check in result.checks}
+
+
+def _record(result) -> str:
+    """A criterion's checks and details, every float by its exact repr."""
+    checks = [{**dataclasses.asdict(c), "passed": c.passed} for c in result.checks]
+    return json.dumps({"checks": checks, "details": result.details}, sort_keys=True, default=str)
+
+
+@pytest.mark.parametrize("cid", [1, 2, 3, 6, 7, 10])
+def test_quick_record_survives_tracing(cid):
+    # the `verify` benchmark's determinism digest hashes `details` alone, and
+    # these criteria keep only sizes there: their gated statistics are held to
+    # the same bits here, in a second run and under the layer tracer
+    plain = _record(run_criterion(cid, quick=True, master_seed=MASTER_SEED))
+    with layertrace.installed(layertrace.Tracer()):
+        traced = _record(run_criterion(cid, quick=True, master_seed=MASTER_SEED))
+    assert traced == plain
 
 
 # one check per comparison, each passing at its bound where the bound is not
@@ -112,7 +142,7 @@ def test_nan_f_prime_fails_criterion_2(monkeypatch):
     # the scan folds its maximum by np.maximum, which keeps the NaN
     monkeypatch.setattr(acceptance, "f_eta_eps_prime", lambda u, dp: np.full_like(u, np.nan))
     result = run_criterion(2, quick=True, master_seed=MASTER_SEED)
-    assert math.isnan(result.details["max_f_prime"])
+    assert math.isnan(next(c.value for c in result.checks if c.name == "max_f_prime"))
     assert result.passed is False
     assert [c.name for c in result.checks if not c.passed] == ["max_f_prime"]
 

@@ -219,7 +219,8 @@ CONFIGS: dict[str, tuple[str, dict]] = {
                              "paths": 4}),
 }
 
-# inputs the CLI rejects: (arguments after the subcommand's name, config)
+# inputs the CLI rejects, with exit 2 for a config error and 3 for a
+# blow-up: (arguments after the subcommand's name, config)
 REJECTED: dict[str, tuple[list[str], dict]] = {
     "seed-negative": (["simulate", "--seed", "-1"], {"run": {"T": 0.01}, "paths": 1}),
     "null-in-c": (
@@ -274,6 +275,10 @@ REJECTED: dict[str, tuple[list[str], dict]] = {
     # a burn-in the config sets is held to the dt grid, like the spacing
     "invariant-burn-in-off-grid": (["invariant"], {
         "paths": 2, "invariant": {"burn_in": 0.0104, "n_time_samples": 2, "sample_spacing": 0.01},
+    }),
+    # a start so far above the step-size ceiling that the first step blows up
+    "simulate-blow-up": (["simulate"], {
+        "run": {"T": 0.01, "x0": {"kind": "constant", "u": 1e4}}, "paths": 1,
     }),
 }
 
