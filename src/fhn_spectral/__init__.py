@@ -12,64 +12,8 @@ integrator it provides verification harnesses for the structural
 properties of the system: drift monotonicity, operator dissipativity,
 pathwise contraction under synchronous coupling, moment bounds,
 invariant-measure estimation, and the Kolmogorov-operator/Dynkin
-identity on cylindrical exponentials.
+identity on cylindrical exponentials.  The command line (``cli``) is its
+front end; the modules hold the pieces it runs.
 """
 
 __version__ = "0.1.0"
-
-from .model import (
-    DerivedConstants,
-    EigenBasis,
-    EigenbasisError,
-    ModelParams,
-    StateH,
-    build_eigenbasis,
-)
-from .nonlinearity import (
-    DriftParams,
-    f,
-    f_eta,
-    f_eta_eps,
-    f_eta_eps_prime,
-)
-from .noise import (
-    NoiseSpec,
-    PathStream,
-    convolution_trace_integral,
-    trace_Q,
-)
-from .solver import (
-    BlowUpError,
-    Ensemble,
-    TrajectoryConfig,
-    backward_run,
-    coupled_run,
-    eps_convergence_study,
-    run_ensemble,
-)
-
-__all__ = [
-    "__version__",
-    "ModelParams",
-    "DerivedConstants",
-    "EigenBasis",
-    "EigenbasisError",
-    "StateH",
-    "build_eigenbasis",
-    "DriftParams",
-    "f",
-    "f_eta",
-    "f_eta_eps",
-    "f_eta_eps_prime",
-    "NoiseSpec",
-    "PathStream",
-    "trace_Q",
-    "convolution_trace_integral",
-    "TrajectoryConfig",
-    "Ensemble",
-    "BlowUpError",
-    "run_ensemble",
-    "coupled_run",
-    "eps_convergence_study",
-    "backward_run",
-]

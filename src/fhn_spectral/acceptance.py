@@ -492,7 +492,8 @@ def criterion_11_dynkin(quick: bool, master_seed: int) -> tuple[dict, list[Check
 
 
 def criterion_12_reproducibility(quick: bool, master_seed: int) -> tuple[dict, list[Check]]:
-    """Identical config + seed gives byte-identical artifacts across worker counts."""
+    """Identical config + seed gives byte-identical ``simulate`` and ``couple`` artifacts
+    across worker counts."""
     import contextlib
     import io
     import json as _json
@@ -505,27 +506,31 @@ def criterion_12_reproducibility(quick: bool, master_seed: int) -> tuple[dict, l
     cfg_json = {
         "run": {"T": 0.25, "dt": 1e-3, "record_every": 25},
         "master_seed": master_seed + 12,
-        # three ensemble chunks: 2 workers run them as jobs of 64 and 8 paths,
-        # 3 workers as 32, 32 and 8 in three processes
+        # 2 workers deal 72 paths as 36 + 36, 3 workers as 24 + 24 + 24
         "paths": 72,
     }
-    # each worker count's artifacts as one {name: bytes} map
+    # each worker count's artifacts of both subcommands as one {"command/name": bytes} map
     outputs = []
     with tempfile.TemporaryDirectory() as tmp:
         cfg_path = Path(tmp, "cfg.json")
         cfg_path.write_text(_json.dumps(cfg_json))
         for workers in ("1", "2", "3"):
-            out_dir = Path(tmp, f"w{workers}")
-            os.environ["FHN_SPECTRAL_WORKERS"] = workers
-            try:
-                with contextlib.redirect_stdout(io.StringIO()):
-                    rc = cli_main(["simulate", "--config", str(cfg_path), "--out", str(out_dir)])
-            finally:
-                os.environ.pop("FHN_SPECTRAL_WORKERS", None)
-            if rc != 0:
-                details = {"error": f"simulate exited {rc} at workers={workers}"}
-                return details, [Check("simulate_exit_code", rc, 0)]
-            outputs.append({path.name: path.read_bytes() for path in out_dir.iterdir()})
+            artifacts = {}
+            for command in ("simulate", "couple"):
+                out_dir = Path(tmp, f"w{workers}", command)
+                os.environ["FHN_SPECTRAL_WORKERS"] = workers
+                try:
+                    with contextlib.redirect_stdout(io.StringIO()):
+                        rc = cli_main([command, "--config", str(cfg_path), "--out", str(out_dir)])
+                finally:
+                    os.environ.pop("FHN_SPECTRAL_WORKERS", None)
+                if rc != 0:
+                    details = {"error": f"{command} exited {rc} at workers={workers}"}
+                    return details, [Check(f"{command}_exit_code", rc, 0)]
+                artifacts.update(
+                    {f"{command}/{path.name}": path.read_bytes() for path in out_dir.iterdir()}
+                )
+            outputs.append(artifacts)
     details = {"files": sorted(outputs[0]), "worker_counts": [1, 2, 3]}
     # worker counts whose artifacts differ from one worker's
     return details, [Check("artifacts_differing", sum(out != outputs[0] for out in outputs[1:]), 0)]

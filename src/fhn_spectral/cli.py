@@ -30,6 +30,7 @@ from . import __version__
 from .config import (
     SCHEMA,
     ConfigError,
+    build_ladder,
     build_noise,
     build_params,
     build_run_config,
@@ -153,7 +154,7 @@ def cmd_couple(cfg, params, basis, spec, run_cfg) -> Result:
 
 
 def cmd_convergence(cfg, params, basis, spec, run_cfg) -> Result:
-    ladder = experiment_block(cfg, "convergence")["eps_ladder"]
+    ladder = build_ladder(cfg, "convergence", "eps_ladder")
     report = eps_convergence_study(ladder, run_cfg, params, basis, spec, n_paths=cfg["paths"])
     rows = np.column_stack([report.eps_ladder, report.distance, report.distance_se])
     fields = {
@@ -166,7 +167,7 @@ def cmd_convergence(cfg, params, basis, spec, run_cfg) -> Result:
 
 
 def cmd_backward(cfg, params, basis, spec, run_cfg) -> Result:
-    ladder = experiment_block(cfg, "backward")["lambda_ladder"]
+    ladder = build_ladder(cfg, "backward", "lambda_ladder", dt=run_cfg.dt)
     report = backward_run(ladder, run_cfg, params, basis, spec, n_paths=cfg["paths"])
     rows = [
         [lam, gam, d, report.distance_se[(lam, gam)]] for (lam, gam), d in report.distances.items()

@@ -317,6 +317,18 @@ def build_x0(
     return StateH(base.u_hat * target / norm, base.w_hat * target / norm)
 
 
+def build_ladder(cfg: dict[str, Any], block: str, key: str, dt: float | None = None) -> list[float]:
+    """The ladder ``block.key``: positive values, each on the grid of ``dt`` if one is given."""
+    path = f"{block}.{key}"
+    ladder = experiment_block(cfg, block)[key]
+    if min(ladder) <= 0:
+        raise ConfigError(path, f"expected positive values, got {min(ladder):g}")
+    if dt is not None:
+        for value in ladder:
+            _grid_steps(value, dt, path)
+    return ladder
+
+
 def build_run_config(
     cfg: dict[str, Any], params: ModelParams, basis: EigenBasis
 ) -> TrajectoryConfig:

@@ -35,6 +35,7 @@ from .noise import NoiseSpec, build_ou_kernel
 from .solver import (
     TrajectoryConfig,
     _batch_columns,
+    _deal,
     _require_se_paths,
     _simulate_batch,
     _x0_array,
@@ -125,31 +126,20 @@ class DynkinReport:
     se: float
 
 
-def dynkin_residual(
+def _dynkin_pass(
     h: CylinderFunction,
-    n_paths: int,
     cfg: TrajectoryConfig,
     params: ModelParams,
     basis: EigenBasis,
     spec: NoiseSpec,
-) -> DynkinReport:
-    """Accumulate the Dynkin identity along paths from ``cfg.x0`` over t = ``cfg.T``.
+    path_ids: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """phi(X_t), int_0^t N0 phi ds and an overflow flag per path of one ``dynkin_residual`` batch.
 
-    The generator matches the drift mode of ``cfg`` (full cubic, eps-family,
-    or either linear reference).  Paths whose exponent leaves the floating
-    range are rejected and counted, and fewer than two kept is a ValueError;
-    the residual's standard error combines the per-path fluctuation of
-    phi(X_t) - int N0 phi ds.
+    The integral is the trapezoidal sum over every step; the flag marks a
+    path whose exponent left the floating range at some step.
     """
-    _require_se_paths(n_paths)
-    x0 = _x0_array(cfg, basis.n_modes)
-    phi0 = float(h.phi(x0[:, 0], x0[:, 1]))
-    if cfg.n_steps == 0:
-        return DynkinReport(
-            t=0.0, dt=cfg.dt, n_paths=n_paths, n_rejected=0, phi_start=phi0,
-            phi_terminal_mean=phi0, integral_mean=0.0, residual=0.0, se=0.0,
-        )
-
+    n_paths = len(path_ids)
     integral = np.zeros(n_paths)
     prev = np.zeros(n_paths)
     terminal_phi = np.zeros(n_paths)
@@ -168,8 +158,37 @@ def dynkin_residual(
         if i == cfg.n_steps:
             terminal_phi[:] = phi
 
-    path_ids = cfg.path_id + np.arange(n_paths)
     _simulate_batch(params, basis, spec, **_batch_columns(cfg, basis, path_ids), on_step=on_step)
+    return terminal_phi, integral, overflow
+
+
+def dynkin_residual(
+    h: CylinderFunction,
+    n_paths: int,
+    cfg: TrajectoryConfig,
+    params: ModelParams,
+    basis: EigenBasis,
+    spec: NoiseSpec,
+) -> DynkinReport:
+    """Accumulate the Dynkin identity along paths from ``cfg.x0`` over t = ``cfg.T``.
+
+    The generator matches the drift mode of ``cfg`` (full cubic, eps-family,
+    or either linear reference).  The paths are dealt by ``_deal``.  Paths
+    whose exponent leaves the floating range are rejected and counted, and
+    fewer than two kept is a ValueError; the residual's standard error
+    combines the per-path fluctuation of phi(X_t) - int N0 phi ds.
+    """
+    _require_se_paths(n_paths)
+    x0 = _x0_array(cfg, basis.n_modes)
+    phi0 = float(h.phi(x0[:, 0], x0[:, 1]))
+    if cfg.n_steps == 0:
+        return DynkinReport(
+            t=0.0, dt=cfg.dt, n_paths=n_paths, n_rejected=0, phi_start=phi0,
+            phi_terminal_mean=phi0, integral_mean=0.0, residual=0.0, se=0.0,
+        )
+
+    passes = _deal(_dynkin_pass, (h, cfg, params, basis, spec), cfg.path_id, n_paths)
+    terminal_phi, integral, overflow = (np.concatenate(parts) for parts in zip(*passes))
     ok = ~overflow
     n_ok = int(ok.sum())
     if n_ok < 2:

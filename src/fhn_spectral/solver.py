@@ -25,7 +25,8 @@ seed, path id) only: not on the batch it runs in, its neighbours, or the
 worker count.  ``_batch_columns`` is the one place a run description
 becomes the integrator's columns: every caller of ``_simulate_batch``
 takes its step, horizon, start, drift, seed, initial states and eps
-column from there.
+column from there.  ``_deal`` is the one place a caller's paths become
+jobs for the worker processes.
 """
 
 from __future__ import annotations
@@ -55,11 +56,9 @@ DRIFT_MODES = ("fhn", "linear", "linear_eta")
 _CEILING_SCALE = 0.1
 _MAX_SUBSTEPS = 4096
 
-# the paths an ensemble deals out at a time; it schedules work and fixes no bit
-_ENSEMBLE_CHUNK = 32
-# chunks that share one batch at most: 256 paths, the widest batch any
-# other caller runs
-_GROUP_CHUNKS = 8
+# the most paths ``_deal`` puts in one job, which bounds a batch's noise
+# buffer (4 MiB at N = 32); it schedules work and fixes no bit
+_MAX_SPAN = 256
 
 WORKERS_ENV = "FHN_SPECTRAL_WORKERS"
 
@@ -415,14 +414,14 @@ def _batch_columns(
     )
 
 
-def _run_group(
+def _ensemble_pass(
     cfg: TrajectoryConfig,
     params: ModelParams,
     basis: EigenBasis,
     spec: NoiseSpec | None,
     path_ids: Sequence[int],
 ) -> Ensemble:
-    """Chunks of ``run_ensemble`` side by side in one batch, norms recorded at record steps."""
+    """One batch of ``run_ensemble``'s paths, norms recorded at record steps."""
     times: list[float] = []
     h: list[np.ndarray] = []
     v: list[np.ndarray] = []
@@ -467,13 +466,23 @@ def _outcome(fn: Callable, args: tuple):
         return exc
 
 
-def _run_jobs(fn: Callable, jobs: list[tuple], workers: int) -> list:
-    """``fn(*job)`` for every job, in job order, on up to ``workers`` processes.
+def _deal(fn: Callable, args: tuple, first_id: int, n_paths: int) -> list:
+    """``fn(*args, ids)`` for the ids first_id..first_id+n_paths-1, one job per range, in id order.
 
-    Every job runs to its end; if any blew up, the earliest (step, path id)
-    of their blow-ups is raised, so the error does not depend on how the
-    paths were split into jobs.
+    The ranges are consecutive, of ceil(n_paths / workers) ids and at most
+    ``_MAX_SPAN``, and run on ``resolve_workers()`` processes.  Every job
+    runs to its end; if any blew up, the earliest (step, path id) of their
+    blow-ups is raised.
+    Every path's noise comes from its own counter-based stream and every
+    step is row-local, so neither a path's bits nor the error depend on
+    how the ids were split into jobs.
     """
+    if n_paths < 1:
+        raise ValueError("n_paths must be >= 1")
+    workers = resolve_workers()
+    span = min(_MAX_SPAN, -(-n_paths // workers))
+    ids = range(first_id, first_id + n_paths)
+    jobs = [(*args, ids[a : a + span]) for a in range(0, n_paths, span)]
     if workers == 1 or len(jobs) == 1:
         outcomes = [_outcome(fn, job) for job in jobs]
     else:
@@ -495,23 +504,8 @@ def run_ensemble(
     spec: NoiseSpec | None,
     n_paths: int,
 ) -> Ensemble:
-    """Integrate ``n_paths`` paths with ids path_id..path_id+n_paths-1.
-
-    The paths run in chunks of ``_ENSEMBLE_CHUNK``, dealt to groups of at
-    most ``_GROUP_CHUNKS`` chunks, so that each worker runs one or more
-    groups, each as one batch.  The chunks only schedule the work: every
-    path's noise comes from its own counter-based stream and every step
-    is row-local, so a path's bits do not depend on its chunk, its group
-    or the worker count.
-    """
-    if n_paths < 1:
-        raise ValueError("n_paths must be >= 1")
-    workers = resolve_workers()
-    n_chunks = -(-n_paths // _ENSEMBLE_CHUNK)
-    span = _ENSEMBLE_CHUNK * min(_GROUP_CHUNKS, -(-n_chunks // workers))
-    path_ids = range(cfg.path_id, cfg.path_id + n_paths)
-    jobs = [(cfg, params, basis, spec, path_ids[a : a + span]) for a in range(0, n_paths, span)]
-    first, *rest = _run_jobs(_run_group, jobs, workers)
+    """Integrate ``n_paths`` paths with ids path_id..path_id+n_paths-1, dealt by ``_deal``."""
+    first, *rest = _deal(_ensemble_pass, (cfg, params, basis, spec), cfg.path_id, n_paths)
     return first.concat(*rest)
 
 
@@ -547,6 +541,39 @@ class CoupledDecayReport:
     pooled_r2: float
 
 
+def _coupled_pass(
+    x_bar: StateH,
+    cfg: TrajectoryConfig,
+    params: ModelParams,
+    basis: EigenBasis,
+    spec: NoiseSpec | None,
+    path_ids: Sequence[int],
+) -> tuple[np.ndarray, np.ndarray]:
+    """Record times and |X(t,x) - X(t,xbar)|_H^2 (P, R) of one batch of ``coupled_run``'s paths.
+
+    Both starts of a path run in the batch, on the path's one noise stream.
+    """
+    n, p = basis.n_modes, len(path_ids)
+    x0 = np.empty((2 * p, n, 2))
+    x0[:p] = _x0_array(cfg, n)
+    x0[p:] = x_bar.as_array()
+
+    rec_times: list[float] = []
+    deltas: list[np.ndarray] = []
+
+    def on_step(i: int, t: float, state: np.ndarray) -> None:
+        du = state[:p, :, 0] - state[p:, :, 0]
+        dw = state[:p, :, 1] - state[p:, :, 1]
+        rec_times.append(t)
+        deltas.append(norm_H_sq_arrays(du, dw, params.gamma))
+
+    _simulate_batch(
+        params, basis, spec, **_batch_columns(cfg, basis, np.tile(path_ids, 2), x0=x0),
+        on_step=on_step, record_every=cfg.record_every,
+    )
+    return np.array(rec_times), np.stack(deltas, axis=1)
+
+
 def coupled_run(
     x_bar: StateH,
     cfg: TrajectoryConfig,
@@ -560,30 +587,13 @@ def coupled_run(
 
     The additive noise cancels exactly in the difference, whose squared
     H-norm must stay under e^{-2 omega t}|x - xbar|^2 (up to the stated
-    tolerance) and is fitted for its decay exponent on [T/4, 3T/4].
+    tolerance) and is fitted for its decay exponent on [T/4, 3T/4].  The
+    paths are dealt by ``_deal``.
     """
-    n = basis.n_modes
     omega = params.derived().omega1
-    x0 = np.empty((2 * n_paths, n, 2))
-    x0[:n_paths] = _x0_array(cfg, n)
-    x0[n_paths:] = x_bar.as_array()
-
-    rec_times: list[float] = []
-    deltas: list[np.ndarray] = []
-
-    def on_step(i: int, t: float, state: np.ndarray) -> None:
-        du = state[:n_paths, :, 0] - state[n_paths:, :, 0]
-        dw = state[:n_paths, :, 1] - state[n_paths:, :, 1]
-        rec_times.append(t)
-        deltas.append(norm_H_sq_arrays(du, dw, params.gamma))
-
-    path_ids = np.tile(cfg.path_id + np.arange(n_paths), 2)
-    _simulate_batch(
-        params, basis, spec, **_batch_columns(cfg, basis, path_ids, x0=x0), on_step=on_step,
-        record_every=cfg.record_every,
-    )
-    times = np.array(rec_times)
-    delta_sq = np.stack(deltas, axis=1)  # (P, R)
+    passes = _deal(_coupled_pass, (x_bar, cfg, params, basis, spec), cfg.path_id, n_paths)
+    times = passes[0][0]
+    delta_sq = np.concatenate([d for _, d in passes])  # (P, R)
     delta0 = float(delta_sq[:, 0].max())
     envelope = np.exp(-2.0 * omega * (times - times[0])) * delta_sq[:, :1]
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -716,7 +726,7 @@ def _backward_pass(
     spec: NoiseSpec,
     path_ids: Sequence[int],
 ) -> dict[int, np.ndarray]:
-    """Terminals (P, N, 2) at t = 0 of one chunk's runs from ``cfg.x0``, by start interval.
+    """Terminals (P, N, 2) at t = 0 of one batch of paths' runs from ``cfg.x0``, by start interval.
 
     The deepest rung starts alone; each shallower rung joins as one more
     block of columns at its own start interval, so the pass draws every
@@ -775,21 +785,16 @@ def backward_run(
     ``cfg.T`` and ``cfg.start_time`` are not read.  Because increments are
     indexed by absolute interval, the runs for different lambda share every
     interval they have in common, which is exactly the coupling behind the
-    Cauchy property of X_lambda(0).  Each chunk of paths runs all rungs in
-    one pass (``_backward_pass``), which draws every interval once per path;
-    the chunks only schedule the work, and no rung's bits depend on them.
+    Cauchy property of X_lambda(0).  The paths are dealt by ``_deal``, and
+    each job runs all rungs in one pass (``_backward_pass``), which draws
+    every interval once per path; no rung's bits depend on the dealing.
     """
     _require_se_paths(n_paths)
     ladder = sorted(set(float(l) for l in lambda_ladder))
     if not ladder or ladder[0] <= 0:
         raise ValueError("lambda ladder must contain positive offsets")
     starts = [replace(cfg, T=lam, start_time=-lam).start_interval for lam in ladder]
-    path_ids = range(cfg.path_id, cfg.path_id + n_paths)
-    jobs = [
-        (starts, cfg, params, basis, spec, path_ids[a : a + _ENSEMBLE_CHUNK])
-        for a in range(0, n_paths, _ENSEMBLE_CHUNK)
-    ]
-    passes = _run_jobs(_backward_pass, jobs, resolve_workers())
+    passes = _deal(_backward_pass, (starts, cfg, params, basis, spec), cfg.path_id, n_paths)
     terminal = {lam: np.concatenate([p[s] for p in passes]) for lam, s in zip(ladder, starts)}
 
     second = {

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fhn_spectral import ModelParams, NoiseSpec, build_eigenbasis
+from fhn_spectral.model import ModelParams, build_eigenbasis
+from fhn_spectral.noise import NoiseSpec
 
 
 @pytest.fixture(scope="session")

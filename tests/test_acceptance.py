@@ -26,7 +26,9 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from fhn_spectral import ModelParams, NoiseSpec, acceptance, build_eigenbasis, cli, nonlinearity
+from fhn_spectral import acceptance, cli, nonlinearity
+from fhn_spectral.model import ModelParams, build_eigenbasis
+from fhn_spectral.noise import NoiseSpec
 from fhn_spectral.acceptance import CRITERIA, Check, _exp_sinh_integral, run_criterion
 from fhn_spectral.noise import build_ou_kernel, convolution_trace_integrand, htrace_mode_cov
 
@@ -38,7 +40,7 @@ MASTER_SEED = 0
 
 @pytest.mark.parametrize("cid,name", [(c, n) for c, n, _ in CRITERIA], ids=lambda v: str(v))
 def test_criterion(cid, name, monkeypatch):
-    # ensembles deal their chunks to two worker processes; no byte depends on it
+    # the solver deals paths to two worker processes; no byte depends on it
     monkeypatch.setenv("FHN_SPECTRAL_WORKERS", "2")
     result = run_criterion(cid, quick=False, master_seed=MASTER_SEED)
     status = "PASS" if result.passed else "FAIL"
@@ -196,28 +198,38 @@ class TestTraceQuadrature:
 class TestReproducibility:
     """Criterion 12 fails when one worker count's artifacts differ from the others'."""
 
-    def _run_with(self, monkeypatch, alter):
-        # alter(path, workers) runs after path_0001.csv is written; an alter
-        # that never runs leaves the criterion passing, which both tests refuse
+    def _run_with(self, monkeypatch, alter, name="path_0001.csv"):
+        # alter(path, workers) runs after the file ``name`` is written; an alter
+        # that never runs leaves the criterion passing, which the tests refuse
         write_csv = cli.write_csv
 
         def writer(path, header, rows):
             write_csv(path, header, rows)
-            if path.name == "path_0001.csv":
+            if path.name == name:
                 alter(path, os.environ["FHN_SPECTRAL_WORKERS"])
 
         monkeypatch.setattr(cli, "write_csv", writer)
         return run_criterion(12, quick=True, master_seed=MASTER_SEED)
 
-    def test_one_byte_off_at_two_workers_fails(self, monkeypatch):
-        def flip_last_digit(path, workers):
-            if workers == "2":
+    @staticmethod
+    def _flip_last_digit_at(at):
+        def flip(path, workers):
+            if workers == at:
                 text = path.read_bytes()
                 path.write_bytes(text[:-2] + bytes([text[-2] ^ 1]) + text[-1:])
 
-        result = self._run_with(monkeypatch, flip_last_digit)
+        return flip
+
+    def test_one_byte_off_at_two_workers_fails(self, monkeypatch):
+        result = self._run_with(monkeypatch, self._flip_last_digit_at("2"))
         assert result.passed is False
-        assert "path_0001.csv" in result.details["files"]
+        assert "simulate/path_0001.csv" in result.details["files"]
+
+    def test_one_coupled_byte_off_at_three_workers_fails(self, monkeypatch):
+        # couple deals its paths like simulate, so its bytes are compared too
+        result = self._run_with(monkeypatch, self._flip_last_digit_at("3"), name="decay.csv")
+        assert result.passed is False
+        assert {"couple/decay.csv", "couple/summary.json"} <= set(result.details["files"])
 
     def test_file_missing_at_one_worker_count_fails(self, monkeypatch):
         def drop_at_three(path, workers):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from fhn_spectral import build_eigenbasis
+from fhn_spectral.model import build_eigenbasis
 from fhn_spectral.cli import EXIT_BLOWUP, EXIT_CONFIG, build_parser, main
 from fhn_spectral.config import (
     SCHEMA,
@@ -676,7 +676,7 @@ class TestCLI:
         assert (out1 / "path_0000.csv").read_bytes() != (out2 / "path_0000.csv").read_bytes()
 
     def test_path_bytes_do_not_depend_on_the_path_count(self, tmp_path):
-        # at 33 paths path 32 is alone in its ensemble chunk, at 34 it has a
+        # at 33 paths path 32 is the last column of its batch, at 34 it has a
         # neighbour; its file depends on (config, seed, path id) alone
         cfg = tmp_path / "cfg.json"
         x0 = {"kind": "cosine", "u_amplitude": 2.0, "u_mode": 1}
@@ -827,6 +827,32 @@ class TestCLI:
         assert main(["invariant", "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert "invariant.burn_in" in err and "run.T" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,config,key,message", [
+        # a rung off the dt grid, and the default ladder at a dt it is off the grid of
+        ("backward", {"run": {"dt": 1e-3}, "backward": {"lambda_ladder": [0.0015, 0.003]}},
+         "backward.lambda_ladder", "lambda_ladder=0.0015 is not an integer multiple of dt=0.001"),
+        ("backward", {"run": {"dt": 0.3}},
+         "backward.lambda_ladder", "lambda_ladder=5.0 is not an integer multiple of dt=0.3"),
+        ("backward", {"backward": {"lambda_ladder": [0.01, 0.0]}},
+         "backward.lambda_ladder", "expected positive values, got 0"),
+        ("convergence", {"run": {"T": 0.01}, "convergence": {"eps_ladder": [0.1, -0.05]}},
+         "convergence.eps_ladder", "expected positive values, got -0.05"),
+    ], ids=["backward-off-grid", "backward-default-off-grid", "backward-zero",
+            "convergence-negative"])
+    def test_ladder_error_names_its_key(self, command, config, key, message, tmp_path, capsys,
+                                        monkeypatch):
+        from fhn_spectral import solver
+
+        simulated = []
+        monkeypatch.setattr(solver, "_simulate_batch", lambda *a, **kw: simulated.append(a))
+        cfg, out = tmp_path / "cfg.json", tmp_path / "o"
+        cfg.write_text(json.dumps({**config, "paths": 2}))
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {key}: {message}" in err and "Traceback" not in err
+        assert not simulated
         assert not out.exists()
 
     def test_invariant_subcommand_with_pairing(self, tmp_path):

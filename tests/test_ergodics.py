@@ -5,13 +5,6 @@ import pytest
 from pytest import approx
 from scipy.stats import ks_2samp, kstest
 
-from fhn_spectral import (
-    ModelParams,
-    NoiseSpec,
-    StateH,
-    TrajectoryConfig,
-    build_eigenbasis,
-)
 from fhn_spectral.ergodics import (
     StateFunctional,
     bounded_ramp_functional,
@@ -24,8 +17,9 @@ from fhn_spectral.ergodics import (
     v_norm_functional,
 )
 from fhn_spectral.kolmogorov import CylinderFunction
-from fhn_spectral.noise import convolution_trace_integral, stationary_mode_covariances
-from fhn_spectral.solver import _simulate_batch, run_ensemble
+from fhn_spectral.model import ModelParams, StateH, build_eigenbasis
+from fhn_spectral.noise import NoiseSpec, convolution_trace_integral, stationary_mode_covariances
+from fhn_spectral.solver import TrajectoryConfig, _simulate_batch, run_ensemble
 
 
 def _norms(params, basis):

@@ -4,16 +4,6 @@ import numpy as np
 import pytest
 from pytest import approx
 
-from fhn_spectral import (
-    DriftParams,
-    ModelParams,
-    NoiseSpec,
-    StateH,
-    TrajectoryConfig,
-    build_eigenbasis,
-    f,
-    f_eta_eps,
-)
 from fhn_spectral.kolmogorov import (
     _LOG_GUARD,
     CylinderFunction,
@@ -21,8 +11,17 @@ from fhn_spectral.kolmogorov import (
     generator_values,
     ou_expectation_exact,
 )
-from fhn_spectral.model import _collocation_grid, inner_H, random_coeff_states
-from fhn_spectral.solver import _simulate_batch, run_drift
+from fhn_spectral.model import (
+    ModelParams,
+    StateH,
+    _collocation_grid,
+    build_eigenbasis,
+    inner_H,
+    random_coeff_states,
+)
+from fhn_spectral.noise import NoiseSpec
+from fhn_spectral.nonlinearity import DriftParams, f, f_eta_eps
+from fhn_spectral.solver import TrajectoryConfig, _simulate_batch, run_drift
 
 
 def phi_eval(h, x):

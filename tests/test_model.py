@@ -8,17 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from fhn_spectral import (
-    EigenbasisError,
-    ModelParams,
-    StateH,
-    build_eigenbasis,
-)
 from fhn_spectral.model import (
     DCT_MIN_MODES,
     DerivedConstants,
+    EigenbasisError,
+    ModelParams,
+    StateH,
     _check_basis,
     _collocation_grid,
+    build_eigenbasis,
     inner_H,
     mode_matrices,
     norm_H_sq_arrays,

@@ -9,23 +9,19 @@ from scipy.integrate import quad, solve_ivp
 from scipy.linalg import expm, solve_continuous_lyapunov
 from scipy.special import ndtri
 
-from fhn_spectral import (
-    ModelParams,
-    NoiseSpec,
-    PathStream,
-    build_eigenbasis,
-    convolution_trace_integral,
-    trace_Q,
-)
-from fhn_spectral.model import mode_matrices
+from fhn_spectral.model import ModelParams, build_eigenbasis, mode_matrices
 import fhn_spectral.noise as noise
 from fhn_spectral.noise import (
     _INTERVAL_OFFSET,
     _REFILL_UNIFORMS,
+    NoiseSpec,
+    PathStream,
     build_ou_kernel,
+    convolution_trace_integral,
     convolution_trace_integrand,
     htrace_mode_cov,
     stationary_mode_covariances,
+    trace_Q,
 )
 
 

@@ -4,16 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from fhn_spectral import (
+from fhn_spectral.model import StateH, norm_H_sq_arrays, random_coeff_states
+from fhn_spectral.nonlinearity import (
     DriftParams,
-    StateH,
+    _denominator,
     f,
     f_eta,
     f_eta_eps,
     f_eta_eps_prime,
+    grid_drift,
 )
-from fhn_spectral.model import norm_H_sq_arrays, random_coeff_states
-from fhn_spectral.nonlinearity import _denominator, grid_drift
 from fhn_spectral.solver import drift_split, explicit_term, run_drift
 
 DP = DriftParams(xi1=0.5)

@@ -4,8 +4,8 @@ is read by the package, every config key is read by some subcommand, and
 every parameter with a default is passed by some call in the package.
 
 A public name or a parameter that only tests use is a second API to keep
-in step with the one the program runs.  Re-exports in ``__init__.py`` do
-not count as a use.
+in step with the one the program runs.  The CLI is the package's front
+end, so ``__init__.py`` re-exports nothing: it holds the version alone.
 """
 
 import ast
@@ -21,7 +21,6 @@ def _modules() -> dict[str, ast.Module]:
     return {
         path.name: ast.parse(path.read_text(), filename=str(path))
         for path in sorted(SRC.glob("*.py"))
-        if path.name != "__init__.py"
     }
 
 
@@ -49,6 +48,14 @@ def test_every_public_definition_is_used_in_src():
         and total[node.name] - _uses(node)[node.name] == 0
     ]
     assert not unused, f"public definitions no code in src/ uses: {unused}"
+
+
+def test_init_holds_only_the_version():
+    # a re-export would be a second API beside the CLI
+    tree = _modules()["__init__.py"]
+    body = tree.body[1:] if ast.get_docstring(tree) else tree.body
+    assert len(body) == 1 and isinstance(body[0], ast.Assign), [ast.unparse(n) for n in body]
+    assert [t.id for t in body[0].targets] == ["__version__"]
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -93,7 +100,6 @@ def _imported(tree: ast.Module) -> list[str]:
 
 
 def test_every_import_in_src_is_read():
-    # __init__.py imports to re-export, which reads nothing
     unread = [
         f"{name}:{imported}"
         for name, tree in _modules().items()

@@ -1,30 +1,30 @@
 import math
 import tracemalloc
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from pytest import approx
 
-from fhn_spectral import (
+from fhn_spectral import noise, solver
+from fhn_spectral.kolmogorov import CylinderFunction, dynkin_residual
+from fhn_spectral.model import EigenBasis, ModelParams, StateH, build_eigenbasis, norm_H_sq_arrays
+from fhn_spectral.noise import NoiseSpec, PathStream, build_ou_kernel
+from fhn_spectral.nonlinearity import DriftParams, grid_drift
+from fhn_spectral.solver import (
+    RECORD_ENDPOINTS,
     BlowUpError,
-    ModelParams,
-    NoiseSpec,
-    PathStream,
-    StateH,
     TrajectoryConfig,
+    _ols_line,
+    _simulate_batch,
     backward_run,
-    build_eigenbasis,
     coupled_run,
     eps_convergence_study,
+    resolve_workers,
     run_ensemble,
 )
-from fhn_spectral import noise, solver
-from fhn_spectral.model import EigenBasis, norm_H_sq_arrays
-from fhn_spectral.noise import build_ou_kernel
-from fhn_spectral.nonlinearity import DriftParams, grid_drift
-from fhn_spectral.solver import RECORD_ENDPOINTS, _ols_line, _simulate_batch, resolve_workers
 
 
 class TestTrajectoryConfig:
@@ -136,8 +136,8 @@ class TestStepAndIntegrate:
     @pytest.mark.parametrize("workers", ["1", "2", "3"])
     def test_blow_up_is_the_earliest_over_chunks(self, monkeypatch, workers):
         # a transition scaled by 1.5 overflows every path near step 1764; at
-        # seed 9 chunk 0 fails one step after chunk 1, so the error must name
-        # chunk 1's path however the chunks share batches and workers
+        # seed 9 paths 0-31 fail one step after paths 32-63, so the error must
+        # name the later block's path however the paths are dealt to workers
         params = ModelParams(n_modes=8, n_grid=16)
         basis = build_eigenbasis(params)
         spec = NoiseSpec.power_law(params.n_modes)
@@ -418,8 +418,8 @@ class TestEnsembles:
     @pytest.mark.parametrize("workers", ["1", "2", "3"])
     def test_chunks_side_by_side_keep_their_bits(self, params, basis, spec, monkeypatch, workers):
         # 136 = 4 x 32 + 8 paths from u = 10, above the substep ceiling: the
-        # first step substeps every column of every chunk at one m, and each
-        # chunk must keep the bits it has when run alone
+        # first step substeps every column at one m, and each block of 32
+        # paths must keep the bits it has when run alone
         x0 = StateH.from_grid(np.full(basis.n_grid, 10.0), np.zeros(basis.n_grid), basis)
         cfg = TrajectoryConfig(T=0.02, dt=1e-3, x0=x0, record_every=3, master_seed=3)
         monkeypatch.setenv("FHN_SPECTRAL_WORKERS", "1")
@@ -542,6 +542,44 @@ class TestEnsembles:
             monkeypatch.setenv("FHN_SPECTRAL_WORKERS", bad)
             with pytest.raises(ValueError):
                 resolve_workers()
+
+    @pytest.mark.parametrize("n_paths,workers,sizes", [
+        (72, 2, [36, 36]), (72, 3, [24, 24, 24]), (600, 1, [256, 256, 88]), (2, 3, [1, 1]),
+    ])
+    def test_deal_spans_are_the_one_rule(self, monkeypatch, n_paths, workers, sizes):
+        # consecutive ranges of ceil(n_paths / workers) ids, at most 256 each
+        monkeypatch.setenv("FHN_SPECTRAL_WORKERS", str(workers))
+        jobs = solver._deal(list, (), 5, n_paths)
+        assert [len(ids) for ids in jobs] == sizes
+        assert [i for ids in jobs for i in ids] == list(range(5, 5 + n_paths))
+
+    @pytest.mark.parametrize("caller", ["backward", "couple", "dynkin"])
+    def test_dealt_callers_are_worker_independent(self, params, basis, spec, monkeypatch, caller):
+        # 40 paths are one job at 1 worker, 20 + 20 at 2 and 14 + 14 + 12 at 3
+        x0 = StateH.from_modes(basis.n_modes, u_modes=[(0, 1.0)])
+        x_bar = StateH.from_modes(basis.n_modes, u_modes=[(1, 0.8)], w_modes=[(0, 0.3)])
+        h = CylinderFunction.from_modes(basis.n_modes, params, spec, u_modes=[(0, 0.4), (1, 0.3)])
+        cfg = TrajectoryConfig(T=0.1, dt=1e-3, x0=x0, record_every=10, master_seed=17)
+
+        def run():
+            if caller == "backward":
+                rep = backward_run([0.05, 0.1, 0.2], cfg, params, basis, spec, n_paths=40)
+            elif caller == "couple":
+                rep = coupled_run(x_bar, cfg, params, basis, spec, n_paths=40)
+            else:
+                rep = dynkin_residual(h, 40, cfg, params, basis, spec)
+            return rep.__dict__
+
+        def same(a, b):
+            if isinstance(a, dict):
+                return a.keys() == b.keys() and all(same(a[k], b[k]) for k in a)
+            return np.array_equal(a, b)
+
+        runs = []
+        for workers in ("1", "2", "3"):
+            monkeypatch.setenv("FHN_SPECTRAL_WORKERS", workers)
+            runs.append(run())
+        assert same(runs[1], runs[0]) and same(runs[2], runs[0])
 
 
 class TestSelfConvergence:
@@ -717,21 +755,21 @@ class TestBackwardRun:
         assert set(rep.envelope) == {1.0, 2.0, 4.0}
         assert np.isfinite(rep.envelope_constant)
 
-    def test_one_pass_per_chunk_is_each_rung_alone(self, params, basis, spec, monkeypatch):
-        # 40 paths are chunks of 32 and 8; each chunk's pass draws every
-        # interval of [-4, 0) once, and each rung ends bitwise where a run
-        # from -lambda alone ends
+    def test_one_pass_draws_each_interval_once_per_path(self, params, basis, spec, monkeypatch):
+        # jobs of at most 16 paths, so 40 paths take several passes: every
+        # (path id, interval) of [-4, 0) is drawn exactly once, whatever the
+        # jobs, and each rung ends bitwise where a run from -lambda alone ends
         cfg = TrajectoryConfig(T=1.0, dt=4e-3, x0=StateH.from_modes(32, u_modes=[(0, 1.5)]),
                                master_seed=7)
-        draws = []
+        monkeypatch.setattr(solver, "_MAX_SPAN", 16)
+        draws = Counter()
         normals = PathStream.normals
         monkeypatch.setattr(
-            PathStream, "normals", lambda self, j: draws.append((tuple(self._keys), j)) or normals(self, j)
+            PathStream, "normals",
+            lambda self, j: draws.update((int(k), j) for k in self._keys) or normals(self, j),
         )
         rep = backward_run([1.0, 2.0, 4.0], cfg, params, basis, spec, n_paths=40)
-        assert sorted(draws) == sorted(
-            (tuple(ids), j) for ids in (range(32), range(32, 40)) for j in range(-1000, 0)
-        )
+        assert draws == Counter({(p, j): 1 for p in range(40) for j in range(-1000, 0)})
         monkeypatch.setattr(PathStream, "normals", normals)
         for lam in (1.0, 2.0, 4.0):
             rung = replace(cfg, T=lam, start_time=-lam, record_every=RECORD_ENDPOINTS)

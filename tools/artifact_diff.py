@@ -177,14 +177,15 @@ CONFIGS: dict[str, tuple[str, dict]] = {
         "run": {"T": 0.1, "record_every": 5, "x0": {"kind": "constant", "u": 10.0}},
         "master_seed": 23, "paths": 2,
     }),
-    # 4 x 32 + 8 paths from above the ceiling: every column substeps at the
-    # same m in one batch, and a shorter last chunk is scheduled like the rest
+    # 136 paths from above the ceiling: every column substeps at the same m,
+    # in one batch at one worker, 68 + 68 paths at two and 46 + 46 + 44 at three
     "simulate-chunks": ("simulate", {
         "run": {"T": 0.02, "record_every": 4, "x0": {"kind": "constant", "u": 10.0}},
         "master_seed": 24, "paths": 136,
     }),
-    # chunks of 32 and 8 paths, each running the whole ladder in one pass;
-    # every rung ends with the bits of a run from its start alone
+    # 40 paths, one job at one worker and 20 + 20 at two, each running the
+    # whole ladder in one pass; every rung ends with the bits of a run from
+    # its start alone
     "backward-chunks": ("backward", {
         "run": {"dt": 2e-3, "x0": {"kind": "constant", "u": 1.5}},
         "backward": {"lambda_ladder": [0.5, 1, 2]},
@@ -275,6 +276,17 @@ REJECTED: dict[str, tuple[list[str], dict]] = {
     # a burn-in the config sets is held to the dt grid, like the spacing
     "invariant-burn-in-off-grid": (["invariant"], {
         "paths": 2, "invariant": {"burn_in": 0.0104, "n_time_samples": 2, "sample_spacing": 0.01},
+    }),
+    # each ladder error names its key: a rung off the dt grid, and entries that
+    # are not positive
+    "backward-ladder-off-grid": (["backward"], {
+        "run": {"dt": 1e-3}, "backward": {"lambda_ladder": [0.0015, 0.003]}, "paths": 2,
+    }),
+    "backward-ladder-zero": (["backward"], {
+        "backward": {"lambda_ladder": [0.01, 0.0]}, "paths": 2,
+    }),
+    "convergence-ladder-negative": (["convergence"], {
+        "run": {"T": 0.01}, "convergence": {"eps_ladder": [0.1, -0.05]}, "paths": 2,
     }),
     # a start so far above the step-size ceiling that the first step blows up
     "simulate-blow-up": (["simulate"], {
